@@ -1,10 +1,13 @@
 """Domain types for hidden Markov trees and chains, plus the JSON model format.
 
-A hidden Markov tree is rooted at the node with the empty path ``""``.  Every
-hidden node is addressed by a string of digits: ``"0"`` is the first child of
-the root, ``"01"`` the second child of that node, and so on.  Each hidden node
-carries one observable emission.  A hidden Markov chain (HMM) is the special
-case in which every node has exactly one hidden child.
+Inside the engine a hidden node is its breadth-first index: position j in the
+topology's node order, where node 0 is the root and ``parent[j]`` is the index
+of node j's parent.  Digit-string paths are the labels of the JSON format and
+of per-node parameter mappings: the root is ``""``, ``"0"`` is its first
+child, ``"01"`` the second child of that node, and so on.  A path digit caps a
+node at 10 children; that limit belongs to the labels, not to the engine.
+Each hidden node carries one observable emission.  A hidden Markov chain (HMM)
+is the special case in which every node has exactly one hidden child.
 
 State and symbol labels are 1-based in documents and messages, 0-based in
 arrays.  Models are immutable after construction and safe to share across
@@ -15,8 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
@@ -49,11 +51,35 @@ class HmtTopology:
     regular_arity : int or None
         C when every internal node has exactly C children and all leaves are
         at the deepest level; None otherwise (or when undecidable at depth 1).
+    parent : read-only int array
+        ``parent[j]`` is the index in `nodes` of node j's parent, and
+        ``parent[0] = -1``.  The array is non-decreasing, so the children of
+        node j are the contiguous index range where ``parent == j``, in path
+        order.
     """
 
     nodes: tuple[str, ...]
     depth: int
     regular_arity: int | None
+    parent: np.ndarray = field(compare=False, repr=False)
+
+    @staticmethod
+    def _from_sorted(nodes: tuple[str, ...]) -> "HmtTopology":
+        """Topology over paths in (depth, path) order; derives `parent` and the arity."""
+        index = {p: j for j, p in enumerate(nodes)}
+        parent = [-1]
+        for p in nodes[1:]:
+            if p[:-1] not in index:
+                raise ValueError(f"node {p!r} has no parent {p[:-1]!r} in the node list")
+            parent.append(index[p[:-1]])
+        parent = _freeze(parent, dtype=np.intp)
+        depth = len(nodes[-1]) + 1
+        # Regular: every node before the first leaf has the same children
+        # count, and that first leaf (hence every leaf) is at the deepest level.
+        counts = np.bincount(parent[1:], minlength=len(nodes))
+        first_leaf = int(np.argmin(counts))
+        regular = depth > 1 and len(nodes[first_leaf]) == depth - 1 and (counts[:first_leaf] == counts[0]).all()
+        return HmtTopology(nodes, depth, int(counts[0]) if regular else None, parent)
 
     @staticmethod
     def regular(depth: int, children: int) -> "HmtTopology":
@@ -65,8 +91,7 @@ class HmtTopology:
         levels = [[ROOT]]
         for _ in range(depth - 1):
             levels.append([p + PATH_ALPHABET[c] for p in levels[-1] for c in range(children)])
-        nodes = tuple(p for level in levels for p in level)
-        return HmtTopology(nodes=nodes, depth=depth, regular_arity=children if depth > 1 else None)
+        return HmtTopology._from_sorted(tuple(p for level in levels for p in level))
 
     @staticmethod
     def from_nodes(paths) -> "HmtTopology":
@@ -78,43 +103,11 @@ class HmtTopology:
             node_set.add(p)
         if ROOT not in node_set:
             raise ValueError('node list must contain the root ""')
-        for p in node_set:
-            if p and p[:-1] not in node_set:
-                raise ValueError(f"node {p!r} has no parent {p[:-1]!r} in the node list")
-        nodes = tuple(sorted(node_set, key=lambda p: (len(p), p)))
-        depth = max(len(p) for p in nodes) + 1
-        # Regularity: constant arity on internal nodes, all leaves at the bottom level.
-        arities = set()
-        regular = depth > 1
-        for p in nodes:
-            n_children = sum(1 for q in nodes if len(q) == len(p) + 1 and q[: len(p)] == p)
-            if n_children == 0:
-                regular &= len(p) == depth - 1
-            else:
-                arities.add(n_children)
-        regular &= len(arities) == 1
-        return HmtTopology(nodes=nodes, depth=depth, regular_arity=arities.pop() if regular else None)
-
-    @cached_property
-    def child_map(self) -> dict[str, tuple[str, ...]]:
-        children: dict[str, list[str]] = {p: [] for p in self.nodes}
-        for p in self.nodes:
-            if p:
-                children[p[:-1]].append(p)
-        return {p: tuple(sorted(c)) for p, c in children.items()}
-
-    def children(self, path: str) -> tuple[str, ...]:
-        return self.child_map[path]
+        return HmtTopology._from_sorted(tuple(sorted(node_set, key=lambda p: (len(p), p))))
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def is_canonical_regular(self) -> bool:
-        """True when the node labels equal the canonical complete-tree labels."""
-        if self.regular_arity is None:
-            return self.depth == 1
-        return self.nodes == HmtTopology.regular(self.depth, self.regular_arity).nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,9 +358,13 @@ def _check_emission_spec(spec, problems, label):
     if spec.kind == "discrete":
         _check_rows(spec.matrix, problems, f"{label} matrix")
     else:
-        for s, sd in enumerate(spec.sds):
+        for s, (mean, sd) in enumerate(zip(spec.means, spec.sds)):
+            if not math.isfinite(mean):
+                problems.append(f"{label} mean for state {s + 1} is not finite")
             if not sd > 0:
                 problems.append(f"{label} sd for state {s + 1} is not positive")
+            elif not math.isfinite(sd):
+                problems.append(f"{label} sd for state {s + 1} is not finite")
 
 
 def validate(model) -> list[str]:
@@ -520,11 +517,12 @@ def save_model(model) -> str:
     elif isinstance(model, HmtModel):
         alphabet = model.emission(ROOT).n_symbols if model.emission_kind == "discrete" else "gaussian"
         doc = {"type": "hmt", "states": model.n_states, "alphabet": alphabet}
-        if model.topology.is_canonical_regular() and model.topology.regular_arity is not None:
-            doc["depth"] = model.topology.depth
-            doc["children"] = model.topology.regular_arity
+        topology = model.topology
+        if topology.regular_arity and topology.nodes == HmtTopology.regular(topology.depth, topology.regular_arity).nodes:
+            doc["depth"] = topology.depth
+            doc["children"] = topology.regular_arity
         else:
-            doc["nodes"] = list(model.topology.nodes)
+            doc["nodes"] = list(topology.nodes)
         doc["initial"] = model.initial.tolist()
         if isinstance(model.transitions, Mapping):
             doc["transition"] = {p: model.transitions[p].tolist() for p in model.topology.nodes if p != ROOT}

@@ -110,11 +110,7 @@ class _TreeSampler:
     def __init__(self, model: HmtModel):
         self.model = model
         self.nodes = model.topology.nodes
-        self.parent_index = [0] * len(self.nodes)
-        index = {p: j for j, p in enumerate(self.nodes)}
-        for j, path in enumerate(self.nodes):
-            if path:
-                self.parent_index[j] = index[path[:-1]]
+        self.parent = model.topology.parent
         self.initial_cdf = _inclusive_cdf(model.initial[None, :])[0]
         self.transition_cdf = {p: _inclusive_cdf(model.transition(p)) for p in self.nodes if p != ROOT}
         self.discrete = model.emission_kind == "discrete"
@@ -135,7 +131,7 @@ class _TreeSampler:
             if path == ROOT:
                 states[:, j] = _categorical(self.initial_cdf[None, :], u_state)
             else:
-                rows = self.transition_cdf[path][states[:, self.parent_index[j]]]
+                rows = self.transition_cdf[path][states[:, self.parent[j]]]
                 states[:, j] = _categorical(rows, u_state)
             u_emit = uniforms[:, 2 * j + 1]
             spec = self.model.emission(path)
@@ -149,13 +145,12 @@ class _TreeSampler:
 
 def _loglik_arrays(model: HmtModel, states: np.ndarray, emitted: np.ndarray) -> np.ndarray:
     """Joint log-probability (log-density for Gaussian emissions) per trial row."""
-    nodes = model.topology.nodes
-    index = {p: j for j, p in enumerate(nodes)}
+    parent = model.topology.parent
     with np.errstate(divide="ignore"):
         out = np.log(model.initial[states[:, 0]])
-        for j, path in enumerate(nodes):
+        for j, path in enumerate(model.topology.nodes):
             if path:
-                out += np.log(model.transition(path)[states[:, index[path[:-1]]], states[:, j]])
+                out += np.log(model.transition(path)[states[:, parent[j]], states[:, j]])
             spec = model.emission(path)
             if spec.kind == "discrete":
                 out += np.log(spec.matrix[states[:, j], emitted[:, j].astype(np.int64)])

@@ -31,32 +31,35 @@ def _check_same_shape(m1: HmtModel, m0: HmtModel):
 
 
 def _inward(m1: HmtModel, m0: HmtModel):
-    """Inward table plus the document-ordered list of nodes whose local term is +inf."""
+    """Inward table, one row per node (the root's row unused), its child ranges,
+    and the document-ordered list of nodes whose local term is +inf.
+
+    The children of node j are the rows ``bounds[j]:bounds[j + 1]`` of the table.
+    """
     topology = m1.topology
-    table: dict[str, np.ndarray] = {}
+    nodes = topology.nodes
+    bounds = np.searchsorted(topology.parent, np.arange(topology.n_nodes + 1))
+    table = np.zeros((topology.n_nodes, m1.n_states))
     offenders: list[str] = []
     # Reversed (depth, path) order visits every child before its parent without
     # recursing, so arbitrarily deep chains cannot overflow the call stack.
-    for path in reversed(topology.nodes):
-        if path == ROOT:
-            continue
+    for j in range(topology.n_nodes - 1, 0, -1):
+        path = nodes[j]
         local = local_k_vector(m1.transition(path), m0.transition(path), m1.emission(path), m0.emission(path))
         if np.isinf(local).any():
             offenders.append(path)
-        children = topology.children(path)
-        if children:
-            downstream = np.sum([table[c] for c in children], axis=0)
-            local = local + weighted_sum(m1.transition(path), downstream)
-        table[path] = local
+        if bounds[j + 1] > bounds[j]:
+            local = local + weighted_sum(m1.transition(path), table[bounds[j] : bounds[j + 1]].sum(axis=0))
+        table[j] = local
     offenders.reverse()  # document order: shallow nodes first
-    return table, offenders
+    return table, bounds, offenders
 
 
 def inward_pass(m1: HmtModel, m0: HmtModel) -> dict[str, np.ndarray]:
     """Inward divergence vectors for every non-root node, keyed by node path."""
     _check_same_shape(m1, m0)
-    table, _ = _inward(m1, m0)
-    return table
+    table, _, _ = _inward(m1, m0)
+    return dict(zip(m1.topology.nodes[1:], table[1:]))
 
 
 def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
@@ -66,15 +69,13 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
     offending node in document order.
     """
     _check_same_shape(m1, m0)
-    table, offenders = _inward(m1, m0)
+    table, bounds, offenders = _inward(m1, m0)
     root_term = local_k_root(m1.initial, m0.initial, m1.emission(ROOT), m0.emission(ROOT))
     if np.isinf(root_term):
         offenders.insert(0, ROOT)
-    children = m1.topology.children(ROOT)
     total = root_term
-    if children:
-        downstream = np.sum([table[c] for c in children], axis=0)
-        total = total + weighted_sum(m1.initial, downstream)
+    if bounds[1] > bounds[0]:
+        total = total + weighted_sum(m1.initial, table[bounds[0] : bounds[1]].sum(axis=0))
     total = float(total)
     if np.isinf(total) and offenders:
         name = offenders[0] if offenders[0] else "(root)"

@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, and exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -47,6 +48,25 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--model-a", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("means", math.nan, "mean for state 1 is not finite"),
+            ("means", math.inf, "mean for state 1 is not finite"),
+            ("means", -math.inf, "mean for state 1 is not finite"),
+            ("sds", math.inf, "sd for state 1 is not finite"),
+        ],
+    )
+    def test_non_finite_gaussian_parameters_exit_2(self, capsys, tmp_path, key, value, problem):
+        doc = json.loads(data_text("gauss_tree_a.json"))
+        doc["emission"][""][key][0] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--model-a", str(path)]) == 2
+        assert f"emission at node '' {problem}" in capsys.readouterr().out
+        assert main(["exact", "--model-a", str(path), "--model-b", TREE_B]) == 2
+        assert problem in capsys.readouterr().err
 
 
 class TestExact:

@@ -43,8 +43,17 @@ class TestTopology:
         assert t.n_nodes == 7
         assert t.depth == 3
         assert t.regular_arity == 2
-        assert t.children("") == ("0", "1")
-        assert t.children("01") == ()
+        assert t.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
+        assert [t.nodes[j] for j in np.flatnonzero(t.parent == 0)] == ["0", "1"]
+        assert not (t.parent == t.nodes.index("01")).any()
+
+    def test_parent_is_read_only_and_outside_equality(self):
+        t = HmtTopology.regular(3, 2)
+        with pytest.raises(ValueError):
+            t.parent[1] = 1
+        same = HmtTopology.from_nodes(["11", "10", "01", "00", "1", "0", ""])
+        assert same == t and hash(same) == hash(t)
+        assert same.parent.tolist() == t.parent.tolist()
 
     def test_chain(self):
         t = HmtTopology.regular(4, 1)

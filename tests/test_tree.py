@@ -5,12 +5,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmtkl import (
     DiscreteEmission,
     GaussianEmission,
     HmtModel,
     HmtTopology,
+    brute_force_kld_joint,
     bundled_gaussian_tree_pair,
     bundled_hmm_pair,
     inward_pass,
@@ -19,6 +22,7 @@ from hmtkl import (
     kld_homogeneous_tree,
     kld_hmm_no_evidence,
 )
+from hmtkl.divergence import local_k_root, local_k_vector, weighted_sum
 from hmtkl.tree import geometric_weighted_sum
 
 
@@ -153,7 +157,7 @@ class TestInwardPass:
         m1, m0 = random_tree_pair(rng, topo, homogeneous=True)
         table = inward_pass(m1, m0)
         for parent in ["", "0", "2"]:
-            siblings = topo.children(parent)
+            siblings = [topo.nodes[j] for j in np.flatnonzero(topo.parent == topo.nodes.index(parent))]
             for other in siblings[1:]:
                 np.testing.assert_allclose(table[other], table[siblings[0]], rtol=0, atol=1e-12)
 
@@ -299,3 +303,48 @@ class TestGeometricSum:
         pi = np.array([[0.5, 0.5], [0.5, 0.5]])
         out = geometric_weighted_sum(pi, np.array([1.0, math.inf]), 2, 3)
         assert np.isinf(out).all()
+
+
+@st.composite
+def ragged_path_sets(draw, max_nodes=7):
+    """Digit-path node sets grown by giving frontier nodes 0-4 children, in shuffled order."""
+    paths, frontier = [""], [""]
+    while frontier and len(paths) < max_nodes:
+        node = frontier.pop(draw(st.integers(0, len(frontier) - 1)))
+        kids = [node + str(c) for c in range(draw(st.integers(0, min(4, max_nodes - len(paths)))))]
+        paths += kids
+        frontier += kids
+    return draw(st.permutations(paths))
+
+
+def path_keyed_kld(m1, m0):
+    """The inward recursion over digit paths, children found by string prefix and
+    summed in path order; the same arithmetic as `kld_exact_tree`."""
+    table = {}
+    for p in reversed(m1.topology.nodes):
+        kids = sorted(q for q in m1.topology.nodes if q and q[:-1] == p)
+        down = np.sum([table[q] for q in kids], axis=0) if kids else None
+        if p:
+            local = local_k_vector(m1.transition(p), m0.transition(p), m1.emission(p), m0.emission(p))
+            table[p] = local if down is None else local + weighted_sum(m1.transition(p), down)
+    root = local_k_root(m1.initial, m0.initial, m1.emission(""), m0.emission(""))
+    return float(root if down is None else root + weighted_sum(m1.initial, down))
+
+
+@settings(max_examples=30, deadline=None)
+@given(paths=ragged_path_sets(), seed=st.integers(0, 2**32 - 1))
+def test_ragged_topology_and_exact_value_match_brute_force(paths, seed):
+    topo = HmtTopology.from_nodes(paths)
+    index = {p: j for j, p in enumerate(topo.nodes)}
+    assert topo.parent.tolist() == [-1] + [index[p[:-1]] for p in topo.nodes[1:]]
+
+    arity = {p: sum(1 for q in paths if q[:-1] == p and q) for p in paths}
+    internal = {c for c in arity.values() if c}
+    leaves_at_bottom = all(len(p) == topo.depth - 1 for p, c in arity.items() if not c)
+    expected = internal.pop() if topo.depth > 1 and len(internal) == 1 and leaves_at_bottom else None
+    assert topo.regular_arity == expected
+
+    m1, m0 = random_tree_pair(np.random.default_rng(seed), topo)
+    value = kld_exact_tree(m1, m0)
+    assert value == path_keyed_kld(m1, m0)
+    assert value == pytest.approx(brute_force_kld_joint(m1, m0), abs=1e-10)
