@@ -47,7 +47,7 @@ def _load_hmm_pair(args):
     m_a, m_b = _load_pair(args)
     if not isinstance(m_a, HmmModel) or not isinstance(m_b, HmmModel):
         raise ModelError("this command requires two hmm model files")
-    if getattr(args, "n", None):
+    if args.n is not None:
         m_a = m_a.with_length(args.n)
         m_b = m_b.with_length(args.n)
     return m_a, m_b
@@ -76,7 +76,7 @@ def cmd_validate(args) -> int:
 def cmd_exact(args) -> int:
     m_a, m_b = _load_pair(args)
     if isinstance(m_a, HmmModel) and isinstance(m_b, HmmModel):
-        if args.n:
+        if args.n is not None:
             m_a, m_b = m_a.with_length(args.n), m_b.with_length(args.n)
         method = "closed-form"
         if args.fast:
@@ -139,11 +139,11 @@ def cmd_mc(args) -> int:
     else:
         m_a, m_b = _load_pair(args)
         if isinstance(m_a, HmmModel):
-            if args.n:
+            if args.n is not None:
                 m_a = m_a.with_length(args.n)
             m_a = m_a.as_tree()
         if isinstance(m_b, HmmModel):
-            if args.n:
+            if args.n is not None:
                 m_b = m_b.with_length(args.n)
             m_b = m_b.as_tree()
         est = mc_kld_no_evidence(m_a, m_b, args.trials, args.seed)
@@ -155,6 +155,8 @@ def cmd_sweep(args) -> int:
     m_a, m_b = _load_hmm_pair(args)
     if not (1 <= args.n_min <= args.n_max):
         raise ModelError(f"sweep bounds must satisfy 1 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
+    if args.step < 1:
+        raise ModelError(f"sweep step must be >= 1, got {args.step}")
     evidence = load_evidence(_read(args.evidence)) if args.evidence else None
     if evidence is not None and len(evidence) < args.n_max:
         raise ModelError(f"evidence has {len(evidence)} symbols, sweep needs {args.n_max}")

@@ -20,10 +20,15 @@ __all__ = [
     "kl_gaussian",
     "emission_kl_per_state",
     "local_k_vector",
+    "local_k_stack",
     "local_k_root",
 ]
 
 _DIST_TOL = 1e-9
+
+#: Terms in one ``(block, d, d, m)`` temporary of the local divergences:
+#: 2^17 float64 values, 1 MiB.
+_BLOCK_ENTRIES = 1 << 17
 
 
 def _check_distribution(p, name):
@@ -70,10 +75,13 @@ def _check_kinds(e1: EmissionSpec, e0: EmissionSpec):
 
 
 def emission_kl_per_state(e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
-    """Vector of per-state emission divergences D(e1(s, .) || e0(s, .))."""
+    """Vector of per-state emission divergences D(e1(s, .) || e0(s, .)).
+
+    For stacked specs the result has one row per node.
+    """
     _check_kinds(e1, e0)
     if isinstance(e1, DiscreteEmission):
-        return np.maximum(rel_entr(e1.matrix, e0.matrix).sum(axis=1), 0.0)
+        return np.maximum(rel_entr(e1.matrix, e0.matrix).sum(axis=-1), 0.0)
     if not (e0.sds > 0).all() or not (e1.sds > 0).all():
         raise ValueError("standard deviations must be positive")
     out = (e1.sds**2 + (e1.means - e0.means) ** 2) / (2.0 * e0.sds**2) + np.log(e0.sds / e1.sds) - 0.5
@@ -81,23 +89,37 @@ def emission_kl_per_state(e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
 
 
 def _weighted_local_kl(w1, w0, e1, e0):
-    """sum_{s,x} w1(.,s) e1(s,x) log[w1(.,s) e1(s,x) / (w0(.,s) e0(s,x))] per row of w1.
+    """``sum_{s,x} w1[i,r,s] e1_i(s,x) log[w1[i,r,s] e1_i(s,x) / (w0[i,r,s] e0_i(s,x))]``
+    for every node i and weight row r.
 
-    For Gaussian emissions the x-sum collapses to the per-state Gaussian KL,
-    weighted by w1.
+    `w1` and `w0` are ``(n, rows, d)`` weights, and `e1`, `e0` emission specs
+    stacked over the n nodes or shared by all of them.  For Gaussian emissions
+    the x-sum collapses to the per-state Gaussian KL, weighted by w1.  Every
+    (i, r) entry is summed over its own contiguous block of terms, so a
+    node's value does not depend on the nodes computed with it.  Nodes go in
+    blocks of at most `_BLOCK_ENTRIES` terms, which bounds the temporaries.
     """
-    w1 = np.atleast_2d(np.asarray(w1, dtype=float))
-    w0 = np.atleast_2d(np.asarray(w0, dtype=float))
-    if w1.shape != w0.shape:
-        raise ValueError(f"weight shape mismatch: {w1.shape} vs {w0.shape}")
-    if w1.shape[1] != e1.n_states:
-        raise ValueError(f"dimension mismatch: weights cover {w1.shape[1]} states, emission {e1.n_states}")
+    n, rows, d = w1.shape
+    if d != e1.n_states:
+        raise ValueError(f"dimension mismatch: weights cover {d} states, emission {e1.n_states}")
+    out = np.empty((n, rows))
     if isinstance(e1, DiscreteEmission):
-        joint1 = w1[:, :, None] * e1.matrix[None, :, :]
-        joint0 = w0[:, :, None] * e0.matrix[None, :, :]
-        return np.maximum(rel_entr(joint1, joint0).sum(axis=(1, 2)), 0.0)
-    gauss = emission_kl_per_state(e1, e0)
-    return np.maximum((rel_entr(w1, w0) + w1 * gauss[None, :]).sum(axis=1), 0.0)
+        m = e1.n_symbols
+        emis1 = np.broadcast_to(e1.matrix, (n, d, m))
+        emis0 = np.broadcast_to(e0.matrix, (n, d, m))
+        block = max(1, _BLOCK_ENTRIES // (rows * d * m))
+        for lo in range(0, n, block):
+            hi = lo + block
+            joint1 = w1[lo:hi, :, :, None] * emis1[lo:hi, None, :, :]
+            joint0 = w0[lo:hi, :, :, None] * emis0[lo:hi, None, :, :]
+            out[lo:hi] = rel_entr(joint1, joint0).sum(axis=(2, 3))
+    else:
+        gauss = np.broadcast_to(emission_kl_per_state(e1, e0), (n, d))
+        block = max(1, _BLOCK_ENTRIES // (rows * d))
+        for lo in range(0, n, block):
+            hi = lo + block
+            out[lo:hi] = (rel_entr(w1[lo:hi], w0[lo:hi]) + w1[lo:hi] * gauss[lo:hi, None, :]).sum(axis=2)
+    return np.maximum(out, 0.0)
 
 
 def local_k_vector(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
@@ -112,6 +134,21 @@ def local_k_vector(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     pi0 = np.asarray(pi0, dtype=float)
     if pi1.shape != pi0.shape or pi1.ndim != 2 or pi1.shape[0] != pi1.shape[1]:
         raise ValueError(f"transition matrices must be square and congruent, got {pi1.shape} vs {pi0.shape}")
+    return _weighted_local_kl(pi1[None], pi0[None], e1, e0)[0]
+
+
+def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
+    """Local divergence vectors of n nodes at once, one row per node.
+
+    `pi1` and `pi0` are ``(n, d, d)`` transition stacks; `e1` and `e0` are
+    emission specs stacked over the same n nodes, or shared by all of them.
+    Row i equals `local_k_vector` of node i's parameters bit for bit.
+    """
+    _check_kinds(e1, e0)
+    pi1 = np.asarray(pi1, dtype=float)
+    pi0 = np.asarray(pi0, dtype=float)
+    if pi1.shape != pi0.shape or pi1.ndim != 3 or pi1.shape[1] != pi1.shape[2]:
+        raise ValueError(f"transition stacks must be (n, d, d) and congruent, got {pi1.shape} vs {pi0.shape}")
     return _weighted_local_kl(pi1, pi0, e1, e0)
 
 
@@ -122,7 +159,7 @@ def local_k_root(mu1, mu0, e1: EmissionSpec, e0: EmissionSpec) -> float:
     mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
     if mu1.shape != mu0.shape or mu1.ndim != 1:
         raise ValueError(f"initial vectors must be congruent, got {mu1.shape} vs {mu0.shape}")
-    return float(_weighted_local_kl(mu1[None, :], mu0[None, :], e1, e0)[0])
+    return float(_weighted_local_kl(mu1[None, None, :], mu0[None, None, :], e1, e0)[0, 0])
 
 
 def weighted_sum(weights, values):
@@ -140,3 +177,20 @@ def weighted_sum(weights, values):
     with np.errstate(invalid="ignore"):
         terms = np.where(weights == 0.0, 0.0, weights * values)
     return terms.sum(axis=-1)
+
+
+def weighted_sum_rows(weights, values) -> np.ndarray:
+    """`weighted_sum` of each node of a stack: row i is
+    ``weighted_sum(weights[i], values[i])`` bit for bit.
+
+    `weights` is ``(n, d, d)`` and `values` ``(n, d)``.  Rows whose values are
+    all finite take one stacked ``np.matmul``; the others apply the
+    ``0 * inf = 0`` rule.
+    """
+    with np.errstate(invalid="ignore"):
+        out = np.matmul(weights, values[..., None])[..., 0]
+        rows = ~np.isfinite(values).all(axis=1)
+        if rows.any():
+            w = weights[rows]
+            out[rows] = np.where(w == 0.0, 0.0, w * values[rows][:, None, :]).sum(axis=-1)
+    return out

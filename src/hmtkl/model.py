@@ -9,6 +9,14 @@ node at 10 children; that limit belongs to the labels, not to the engine.
 Each hidden node carries one observable emission.  A hidden Markov chain (HMM)
 is the special case in which every node has exactly one hidden child.
 
+A tree's per-node parameters are stacks in that node order: the transitions
+are one ``(n_nodes - 1, d, d)`` array whose entry ``j - 1`` is the matrix on
+the edge entering node j, and the emissions are one spec whose arrays carry a
+leading node axis, an ``(n_nodes, d, m)`` matrix stack or ``(n_nodes, d)``
+Gaussian means and sds.  A parameter shared by every node is kept once,
+without the node axis.  The path-keyed accessors are read-only views of the
+stacks.
+
 State and symbol labels are 1-based in documents and messages, 0-based in
 arrays.  Models are immutable after construction and safe to share across
 threads.
@@ -18,8 +26,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -31,11 +41,29 @@ PATH_ALPHABET = "0123456789"
 #: Row sums of stochastic vectors/matrices must match 1 within this tolerance.
 STOCH_TOL = 1e-12
 
+#: Largest node count a regular ``depth``/``children`` topology may describe.
+#: The count is computed before any node is built, so a hostile pair such as
+#: depth 40 with 2 children fails at once instead of exhausting memory.
+MAX_NODES = 1 << 20
+
 
 def _freeze(array, dtype=float):
     out = np.asarray(array, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _regular_size(depth: int, children: int) -> int:
+    """Node count of the complete tree, or the first partial count above MAX_NODES."""
+    if children == 1:
+        return depth
+    count, level = 0, 1
+    for _ in range(depth):
+        count += level
+        if count > MAX_NODES:
+            break
+        level *= children
+    return count
 
 
 @dataclass(frozen=True)
@@ -83,11 +111,19 @@ class HmtTopology:
 
     @staticmethod
     def regular(depth: int, children: int) -> "HmtTopology":
-        """Complete tree of the given depth where every node has `children` children."""
+        """Complete tree of the given depth where every node has `children` children.
+
+        Raises ValueError, before building any node, when the tree would have
+        more than `MAX_NODES` nodes.
+        """
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if children < 1 or children > len(PATH_ALPHABET):
             raise ValueError(f"children count must be in 1..{len(PATH_ALPHABET)}")
+        if _regular_size(depth, children) > MAX_NODES:
+            raise ValueError(
+                f"a tree of depth {depth} with {children} children per node has more than {MAX_NODES} nodes"
+            )
         levels = [[ROOT]]
         for _ in range(depth - 1):
             levels.append([p + PATH_ALPHABET[c] for p in levels[-1] for c in range(children)])
@@ -109,10 +145,31 @@ class HmtTopology:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def level_offsets(self) -> np.ndarray:
+        """Level L holds the nodes ``level_offsets[L]:level_offsets[L + 1]``.
+
+        Follows from the sorted `parent` array: the children of the level
+        starting at ``o`` begin where ``parent`` first reaches that level's
+        end, so each next offset is one binary search.
+        """
+        offsets = [0, 1]
+        while offsets[-1] < self.n_nodes:
+            offsets.append(int(np.searchsorted(self.parent, offsets[-1])))
+        return _freeze(offsets, dtype=np.intp)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Breadth-first index of every node path, built on first use by the path accessors."""
+        return {p: j for j, p in enumerate(self.nodes)}
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteEmission:
-    """Per-state distribution over a finite symbol alphabet; `matrix` is d x m."""
+    """Per-state distribution over a finite symbol alphabet; `matrix` is d x m.
+
+    A stack of per-node specs holds an n x d x m `matrix`, node axis first.
+    """
 
     matrix: np.ndarray
 
@@ -120,22 +177,33 @@ class DiscreteEmission:
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if m.ndim != 2:
-            raise ValueError("emission matrix must be two-dimensional")
+        if m.ndim > 3:
+            raise ValueError("emission matrix must be two-dimensional (three-dimensional for a stack)")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
     def n_states(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     @property
     def n_symbols(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.matrix.ndim == 3
+
+    def for_nodes(self, index) -> "DiscreteEmission":
+        """Entries `index` (an int or a slice) of a stack; a shared spec serves every node."""
+        return DiscreteEmission(self.matrix[index]) if self.stacked else self
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianEmission:
-    """Per-state Gaussian emission with mean `means[s]` and standard deviation `sds[s]`."""
+    """Per-state Gaussian emission with mean `means[s]` and standard deviation `sds[s]`.
+
+    A stack of per-node specs holds n x d `means` and `sds`, node axis first.
+    """
 
     means: np.ndarray
     sds: np.ndarray
@@ -145,14 +213,22 @@ class GaussianEmission:
     def __post_init__(self):
         means = np.atleast_1d(np.asarray(self.means, dtype=float))
         sds = np.atleast_1d(np.asarray(self.sds, dtype=float))
-        if means.shape != sds.shape or means.ndim != 1:
+        if means.shape != sds.shape or means.ndim > 2:
             raise ValueError("means and sds must be one-dimensional and of equal length")
         object.__setattr__(self, "means", _freeze(means))
         object.__setattr__(self, "sds", _freeze(sds))
 
     @property
     def n_states(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.means.ndim == 2
+
+    def for_nodes(self, index) -> "GaussianEmission":
+        """Entries `index` (an int or a slice) of a stack; a shared spec serves every node."""
+        return GaussianEmission(self.means[index], self.sds[index]) if self.stacked else self
 
 
 EmissionSpec = Union[DiscreteEmission, GaussianEmission]
@@ -168,56 +244,117 @@ def _as_square_matrix(value, d, what):
 def _check_emission(spec, d, what):
     if not isinstance(spec, (DiscreteEmission, GaussianEmission)):
         raise ValueError(f"{what} must be a DiscreteEmission or GaussianEmission")
+    if spec.stacked:
+        raise ValueError(f"{what} must be one spec, not a stack")
     if spec.n_states != d:
         raise ValueError(f"{what} covers {spec.n_states} states, model has {d}")
     return spec
 
 
-@dataclass(frozen=True, eq=False)
+def _stack_specs(specs) -> EmissionSpec:
+    """One stacked spec from single specs of one kind, in the given order."""
+    if specs[0].kind == "discrete":
+        return DiscreteEmission(np.asarray([s.matrix for s in specs]))
+    return GaussianEmission(np.asarray([s.means for s in specs]), np.asarray([s.sds for s in specs]))
+
+
+def _transition_stack(transitions, topology, d) -> np.ndarray:
+    """The shared (d, d) matrix, or the (n_nodes - 1, d, d) stack in node order."""
+    paths = topology.nodes[1:]
+    shape = (len(paths), d, d)
+    if isinstance(transitions, Mapping):
+        if set(transitions) != set(paths):
+            raise ValueError("per-node transitions must cover exactly the non-root nodes")
+        try:
+            stack = np.asarray([transitions[p] for p in paths], dtype=float)
+        except ValueError:
+            stack = None
+        if stack is None or stack.shape != shape:
+            # name the first malformed node, in node order
+            stack = np.asarray([_as_square_matrix(transitions[p], d, f"transition at node {p!r}") for p in paths])
+            stack = stack.reshape(shape)
+        return _freeze(stack)
+    stack = np.asarray(transitions, dtype=float)
+    if stack.ndim == 3:
+        if stack.shape != shape:
+            raise ValueError(f"transition stack must have shape {shape}, got {stack.shape}")
+        return _freeze(stack)
+    return _as_square_matrix(stack, d, "transition")
+
+
+def _emission_stack(emissions, topology, d) -> EmissionSpec:
+    """The shared spec, or one spec stacked over every node in node order."""
+    if isinstance(emissions, Mapping):
+        if set(emissions) != set(topology.nodes):
+            raise ValueError("per-node emissions must cover exactly the node set")
+        specs = [_check_emission(emissions[p], d, f"emission at node {p!r}") for p in topology.nodes]
+        if len({s.kind for s in specs}) != 1:
+            raise ValueError("all nodes must share the same emission kind")
+        if len({s.n_symbols for s in specs if s.kind == "discrete"}) > 1:
+            raise ValueError("all nodes must share the same alphabet size")
+        return _stack_specs(specs)
+    if isinstance(emissions, (DiscreteEmission, GaussianEmission)) and emissions.stacked:
+        arrays = (emissions.matrix,) if emissions.kind == "discrete" else (emissions.means,)
+        if arrays[0].shape[0] != topology.n_nodes or emissions.n_states != d:
+            raise ValueError(f"emission stack must cover {topology.n_nodes} nodes and {d} states")
+        return emissions
+    return _check_emission(emissions, d, "emission")
+
+
+class _NodeView(Mapping):
+    """Read-only path-keyed view of one per-node stack.
+
+    Keys are the node paths from position `first` of the topology's node
+    order on; the value of node j is ``item(j - first)``.
+    """
+
+    def __init__(self, topology: HmtTopology, first: int, item):
+        self._topology = topology
+        self._first = first
+        self._item = item
+
+    def __getitem__(self, path):
+        j = self._topology.index.get(path, -1) if isinstance(path, str) else -1
+        if j < self._first:
+            raise KeyError(path)
+        return self._item(j - self._first)
+
+    def __iter__(self):
+        return iter(self._topology.nodes[self._first :])
+
+    def __len__(self) -> int:
+        return self._topology.n_nodes - self._first
+
+
 class HmtModel:
     """Hidden Markov tree: topology plus initial law, transitions and emissions.
 
-    `transitions` is either one shared d x d row-stochastic matrix or a mapping
-    from every non-root node path to the matrix on the edge entering that node.
-    `emissions` is either one shared emission spec or a mapping from every node
-    path (including the root) to its spec.  The model is homogeneous when both
-    are shared.
+    `transitions` is one shared d x d row-stochastic matrix, an
+    ``(n_nodes - 1, d, d)`` stack in node order, or a mapping from every
+    non-root node path to the matrix on the edge entering that node.
+    `emissions` is one shared emission spec, a spec stacked over all n_nodes
+    in node order, or a mapping from every node path (including the root) to
+    its spec.  Mappings are stacked in node order on construction.  The model
+    is homogeneous when both are shared.
+
+    The parameters live in `transition_stack` (the stack, or the one shared
+    matrix) and `emission_stack` (the stacked spec, or the one shared spec).
+    `transitions` and `emissions` return the shared parameter or a read-only
+    path-keyed view of the stack.
     """
 
-    topology: HmtTopology
-    initial: np.ndarray
-    transitions: Union[np.ndarray, Mapping[str, np.ndarray]]
-    emissions: Union[EmissionSpec, Mapping[str, EmissionSpec]]
-
-    def __post_init__(self):
-        initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
+    def __init__(self, topology: HmtTopology, initial, transitions, emissions):
+        initial = np.atleast_1d(np.asarray(initial, dtype=float))
         if initial.ndim != 1:
             raise ValueError("initial must be a vector")
-        object.__setattr__(self, "initial", _freeze(initial))
         d = initial.shape[0]
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "initial", _freeze(initial))
+        object.__setattr__(self, "transition_stack", _transition_stack(transitions, topology, d))
+        object.__setattr__(self, "emission_stack", _emission_stack(emissions, topology, d))
 
-        if isinstance(self.transitions, Mapping):
-            expected = set(self.topology.nodes) - {ROOT}
-            if set(self.transitions) != expected:
-                raise ValueError("per-node transitions must cover exactly the non-root nodes")
-            trans = {p: _as_square_matrix(m, d, f"transition at node {p!r}") for p, m in self.transitions.items()}
-            object.__setattr__(self, "transitions", trans)
-        else:
-            object.__setattr__(self, "transitions", _as_square_matrix(self.transitions, d, "transition"))
-
-        if isinstance(self.emissions, Mapping):
-            if set(self.emissions) != set(self.topology.nodes):
-                raise ValueError("per-node emissions must cover exactly the node set")
-            emis = {p: _check_emission(e, d, f"emission at node {p!r}") for p, e in self.emissions.items()}
-            kinds = {e.kind for e in emis.values()}
-            if len(kinds) != 1:
-                raise ValueError("all nodes must share the same emission kind")
-            symbols = {e.n_symbols for e in emis.values() if e.kind == "discrete"}
-            if len(symbols) > 1:
-                raise ValueError("all nodes must share the same alphabet size")
-            object.__setattr__(self, "emissions", emis)
-        else:
-            object.__setattr__(self, "emissions", _check_emission(self.emissions, d, "emission"))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n_states(self) -> int:
@@ -225,24 +362,38 @@ class HmtModel:
 
     @property
     def homogeneous(self) -> bool:
-        return not isinstance(self.transitions, Mapping) and not isinstance(self.emissions, Mapping)
+        return self.transition_stack.ndim == 2 and not self.emission_stack.stacked
 
     @property
     def emission_kind(self) -> str:
-        return self.emission(ROOT).kind
+        return self.emission_stack.kind
+
+    @property
+    def transitions(self) -> Union[np.ndarray, Mapping[str, np.ndarray]]:
+        """The shared matrix, or a read-only mapping from non-root path to matrix."""
+        if self.transition_stack.ndim == 2:
+            return self.transition_stack
+        return _NodeView(self.topology, 1, self.transition_stack.__getitem__)
+
+    @property
+    def emissions(self) -> Union[EmissionSpec, Mapping[str, EmissionSpec]]:
+        """The shared spec, or a read-only mapping from node path to spec."""
+        if not self.emission_stack.stacked:
+            return self.emission_stack
+        return _NodeView(self.topology, 0, self.emission_stack.for_nodes)
 
     def transition(self, path: str) -> np.ndarray:
         """Transition matrix on the edge entering `path` (a non-root node)."""
         if path == ROOT:
             raise ValueError("the root has no incoming transition")
-        if isinstance(self.transitions, Mapping):
-            return self.transitions[path]
-        return self.transitions
+        if self.transition_stack.ndim == 2:
+            return self.transition_stack
+        return self.transitions[path]
 
     def emission(self, path: str) -> EmissionSpec:
-        if isinstance(self.emissions, Mapping):
-            return self.emissions[path]
-        return self.emissions
+        if not self.emission_stack.stacked:
+            return self.emission_stack
+        return self.emissions[path]
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,13 +488,17 @@ def check_evidence(model: HmmModel, evidence: Evidence) -> None:
 # Validation
 
 
-def _check_rows(matrix, problems, label):
-    for r, row in enumerate(np.atleast_2d(matrix)):
-        if (row < 0).any():
-            problems.append(f"{label} row {r + 1} has a negative entry")
-        s = float(row.sum())
-        if not math.isclose(s, 1.0, rel_tol=0.0, abs_tol=STOCH_TOL):
-            problems.append(f"{label} row {r + 1} sums to {s:.12g}")
+def _check_rows(stack, label, problems):
+    """Report rows of an (n, rows, m) stack that have a negative entry or do
+    not sum to 1, in (node, row) order; ``label(i)`` names entry i."""
+    negative = (stack < 0).any(axis=-1)
+    sums = stack.sum(axis=-1)
+    off = ~(np.abs(sums - 1.0) <= STOCH_TOL)  # NaN sums are off too
+    for i, r in zip(*np.nonzero(negative | off)):
+        if negative[i, r]:
+            problems.append(f"{label(i)} row {r + 1} has a negative entry")
+        if off[i, r]:
+            problems.append(f"{label(i)} row {r + 1} sums to {float(sums[i, r]):.12g}")
 
 
 def _check_vector(vector, problems, label):
@@ -354,42 +509,49 @@ def _check_vector(vector, problems, label):
         problems.append(f"{label} sums to {s:.12g}")
 
 
-def _check_emission_spec(spec, problems, label):
-    if spec.kind == "discrete":
-        _check_rows(spec.matrix, problems, f"{label} matrix")
-    else:
-        for s, (mean, sd) in enumerate(zip(spec.means, spec.sds)):
-            if not math.isfinite(mean):
-                problems.append(f"{label} mean for state {s + 1} is not finite")
-            if not sd > 0:
-                problems.append(f"{label} sd for state {s + 1} is not positive")
-            elif not math.isfinite(sd):
-                problems.append(f"{label} sd for state {s + 1} is not finite")
+def _check_gaussian(means, sds, label, problems):
+    """Report non-finite means and non-positive or infinite sds of (n, d)
+    stacks, in (node, state) order, the mean before the sd of each state."""
+    bad_mean = ~np.isfinite(means)
+    nonpositive = ~(sds > 0)
+    infinite = np.isposinf(sds)
+    for i, s in zip(*np.nonzero(bad_mean | nonpositive | infinite)):
+        if bad_mean[i, s]:
+            problems.append(f"{label(i)} mean for state {s + 1} is not finite")
+        if nonpositive[i, s]:
+            problems.append(f"{label(i)} sd for state {s + 1} is not positive")
+        elif infinite[i, s]:
+            problems.append(f"{label(i)} sd for state {s + 1} is not finite")
 
 
 def validate(model) -> list[str]:
     """Report violated probabilistic invariants; an empty list means valid.
 
     Stochasticity is checked at absolute tolerance 1e-12 and is never repaired
-    silently.
+    silently.  Each parameter stack is checked with whole-array masks; the
+    report lists the transitions, then the emissions, node by node and row by
+    row.
     """
     problems: list[str] = []
     _check_vector(model.initial, problems, "initial")
     if isinstance(model, HmmModel):
-        _check_rows(model.transition, problems, "transition")
-        _check_emission_spec(model.emission, problems, "emission")
-        return problems
-    if isinstance(model.transitions, Mapping):
-        for path in model.topology.nodes:
-            if path != ROOT:
-                _check_rows(model.transitions[path], problems, f"transition at node {path!r}")
+        transitions, spec, nodes = model.transition, model.emission, None
     else:
-        _check_rows(model.transitions, problems, "transition")
-    if isinstance(model.emissions, Mapping):
-        for path in model.topology.nodes:
-            _check_emission_spec(model.emissions[path], problems, f"emission at node {path!r}")
+        transitions, spec, nodes = model.transition_stack, model.emission_stack, model.topology.nodes
+    if transitions.ndim == 2:
+        _check_rows(transitions[None], lambda i: "transition", problems)
     else:
-        _check_emission_spec(model.emissions, problems, "emission")
+        _check_rows(transitions, lambda i: f"transition at node {nodes[i + 1]!r}", problems)
+
+    def emission(i):
+        return f"emission at node {nodes[i]!r}" if spec.stacked else "emission"
+
+    if spec.kind == "discrete":
+        matrix = spec.matrix if spec.stacked else spec.matrix[None]
+        _check_rows(matrix, lambda i: f"{emission(i)} matrix", problems)
+    else:
+        means, sds = (spec.means, spec.sds) if spec.stacked else (spec.means[None], spec.sds[None])
+        _check_gaussian(means, sds, emission, problems)
     return problems
 
 
@@ -413,21 +575,58 @@ def _parse_emission_spec(obj, alphabet, context):
             raise ModelFormatError(f"{context}: discrete emission under gaussian alphabet")
         matrix = _require(obj, "matrix", list, context)
         spec = DiscreteEmission(matrix)
+        if spec.stacked:
+            raise ModelFormatError(f"{context}: emission matrix must be two-dimensional")
         if spec.n_symbols != alphabet:
             raise ModelFormatError(f"{context}: emission matrix has {spec.n_symbols} columns, alphabet is {alphabet}")
         return spec
     if kind == "gaussian":
         if alphabet != "gaussian":
             raise ModelFormatError(f'{context}: gaussian emission requires "alphabet": "gaussian"')
-        return GaussianEmission(_require(obj, "means", list, context), _require(obj, "sds", list, context))
+        spec = GaussianEmission(_require(obj, "means", list, context), _require(obj, "sds", list, context))
+        if spec.stacked:
+            raise ModelFormatError(f"{context}: means and sds must be one-dimensional")
+        return spec
     raise ModelFormatError(f"{context}: unknown emission kind {kind!r}")
+
+
+def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
+    """One spec stacked over `nodes`, in that order, from a per-node emission object.
+
+    Each parameter becomes one array through a single ``np.asarray`` over the
+    nodes' lists.  When that does not give a well-formed stack, every entry
+    goes through the per-node parser in node order, which names the first
+    malformed node.
+    """
+    if set(raw) != set(nodes):
+        raise ValueError("per-node emissions must cover exactly the node set")
+    kind = "gaussian" if alphabet == "gaussian" else "discrete"
+    keys = ("means", "sds") if kind == "gaussian" else ("matrix",)
+    shape = (len(nodes), d) if kind == "gaussian" else (len(nodes), d, alphabet)
+    entries = [raw[p] for p in nodes]
+    if all(type(e) is dict and e.get("kind") == kind for e in entries):
+        try:
+            arrays = [np.asarray([e[k] for e in entries], dtype=float) for k in keys]
+        except (KeyError, TypeError, ValueError):
+            arrays = []
+        if arrays and all(a.shape == shape for a in arrays):
+            return DiscreteEmission(*arrays) if kind == "discrete" else GaussianEmission(*arrays)
+    specs = []
+    for p in nodes:
+        context = f"emission at node {p!r}"
+        spec = _parse_emission_spec(_require(raw, p, dict, context), alphabet, context)
+        specs.append(_check_emission(spec, d, context))
+    return _stack_specs(specs)
 
 
 def load_model(document: str):
     """Parse a UTF-8 JSON model document into an HmmModel or HmtModel.
 
-    Raises ModelFormatError on malformed documents and ModelValidationError
-    (with the full report) when the parsed model violates an invariant.
+    Per-node tree parameters are read straight into stacks in node order.
+    Raises ModelFormatError on malformed documents (a ``depth``/``children``
+    pair describing more than `MAX_NODES` nodes included) and
+    ModelValidationError (with the full report) when the parsed model
+    violates an invariant.
     """
     try:
         doc = json.loads(document)
@@ -462,18 +661,12 @@ def load_model(document: str):
                 depth = _require(doc, "depth", int, "hmt model")
                 children = _require(doc, "children", int, "hmt model")
                 topology = HmtTopology.regular(depth, children)
-            raw_trans = _require(doc, "transition", (list, dict), "hmt model")
-            transitions = {str(p): v for p, v in raw_trans.items()} if isinstance(raw_trans, dict) else raw_trans
+            transitions = _require(doc, "transition", (list, dict), "hmt model")
             raw_emis = _require(doc, "emission", dict, "hmt model")
             if "kind" in raw_emis:
                 emissions = _parse_emission_spec(raw_emis, alphabet, "hmt model")
             else:
-                emissions = {
-                    str(p): _parse_emission_spec(
-                        _require(raw_emis, p, dict, f"emission at node {p!r}"), alphabet, f"emission at node {p!r}"
-                    )
-                    for p in raw_emis
-                }
+                emissions = _parse_emission_stack(raw_emis, topology.nodes, alphabet, d)
             model = HmtModel(topology=topology, initial=initial, transitions=transitions, emissions=emissions)
         else:
             raise ModelFormatError(f'model: type must be "hmm" or "hmt", got {mtype!r}')
@@ -515,7 +708,8 @@ def save_model(model) -> str:
             "emission": _emission_doc(model.emission),
         }
     elif isinstance(model, HmtModel):
-        alphabet = model.emission(ROOT).n_symbols if model.emission_kind == "discrete" else "gaussian"
+        spec = model.emission_stack
+        alphabet = spec.n_symbols if spec.kind == "discrete" else "gaussian"
         doc = {"type": "hmt", "states": model.n_states, "alphabet": alphabet}
         topology = model.topology
         if topology.regular_arity and topology.nodes == HmtTopology.regular(topology.depth, topology.regular_arity).nodes:
@@ -524,14 +718,14 @@ def save_model(model) -> str:
         else:
             doc["nodes"] = list(topology.nodes)
         doc["initial"] = model.initial.tolist()
-        if isinstance(model.transitions, Mapping):
-            doc["transition"] = {p: model.transitions[p].tolist() for p in model.topology.nodes if p != ROOT}
+        if model.transition_stack.ndim == 3:
+            doc["transition"] = dict(zip(topology.nodes[1:], model.transition_stack.tolist()))
         else:
-            doc["transition"] = model.transitions.tolist()
-        if isinstance(model.emissions, Mapping):
-            doc["emission"] = {p: _emission_doc(model.emissions[p]) for p in model.topology.nodes}
+            doc["transition"] = model.transition_stack.tolist()
+        if spec.stacked:
+            doc["emission"] = {p: _emission_doc(spec.for_nodes(j)) for j, p in enumerate(topology.nodes)}
         else:
-            doc["emission"] = _emission_doc(model.emissions)
+            doc["emission"] = _emission_doc(spec)
     else:
         raise ValueError(f"cannot serialize {type(model).__name__}")
     return json.dumps(doc, indent=2) + "\n"

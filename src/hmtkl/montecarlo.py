@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ZeroLikelihoodError
-from .model import ROOT, Evidence, HmmModel, HmtModel
+from .model import Evidence, HmmModel, HmtModel
 from .hmm import _check_pair, posterior_conditionals
 from .tree import _check_same_shape
 
@@ -105,17 +105,25 @@ def _inverse_normal(u: np.ndarray) -> np.ndarray:
 
 
 class _TreeSampler:
-    """Vectorized ancestral sampling and log-likelihood over a tree's node order."""
+    """Vectorized ancestral sampling and log-likelihood over a tree's node order.
+
+    Row CDFs are built once per parameter stack, or once for a matrix shared
+    by every node and then broadcast over the nodes without copying.
+    """
 
     def __init__(self, model: HmtModel):
-        self.model = model
+        n, d = model.topology.n_nodes, model.n_states
         self.nodes = model.topology.nodes
         self.parent = model.topology.parent
         self.initial_cdf = _inclusive_cdf(model.initial[None, :])[0]
-        self.transition_cdf = {p: _inclusive_cdf(model.transition(p)) for p in self.nodes if p != ROOT}
-        self.discrete = model.emission_kind == "discrete"
+        self.transition_cdf = np.broadcast_to(_inclusive_cdf(model.transition_stack), (n - 1, d, d))
+        spec = model.emission_stack
+        self.discrete = spec.kind == "discrete"
         if self.discrete:
-            self.emission_cdf = {p: _inclusive_cdf(model.emission(p).matrix) for p in self.nodes}
+            self.emission_cdf = np.broadcast_to(_inclusive_cdf(spec.matrix), (n, d, spec.n_symbols))
+        else:
+            self.means = np.broadcast_to(spec.means, (n, d))
+            self.sds = np.broadcast_to(spec.sds, (n, d))
 
     @property
     def draws_per_trial(self) -> int:
@@ -126,37 +134,43 @@ class _TreeSampler:
         n = uniforms.shape[0]
         states = np.empty((n, len(self.nodes)), dtype=np.int64)
         emitted = np.empty((n, len(self.nodes)), dtype=np.int64 if self.discrete else float)
-        for j, path in enumerate(self.nodes):
+        for j in range(len(self.nodes)):
             u_state = uniforms[:, 2 * j]
-            if path == ROOT:
+            if j == 0:
                 states[:, j] = _categorical(self.initial_cdf[None, :], u_state)
             else:
-                rows = self.transition_cdf[path][states[:, self.parent[j]]]
+                rows = self.transition_cdf[j - 1][states[:, self.parent[j]]]
                 states[:, j] = _categorical(rows, u_state)
             u_emit = uniforms[:, 2 * j + 1]
-            spec = self.model.emission(path)
+            s = states[:, j]
             if self.discrete:
-                emitted[:, j] = _categorical(self.emission_cdf[path][states[:, j]], u_emit)
+                emitted[:, j] = _categorical(self.emission_cdf[j][s], u_emit)
             else:
-                s = states[:, j]
-                emitted[:, j] = spec.means[s] + spec.sds[s] * _inverse_normal(u_emit)
+                emitted[:, j] = self.means[j][s] + self.sds[j][s] * _inverse_normal(u_emit)
         return states, emitted
 
 
 def _loglik_arrays(model: HmtModel, states: np.ndarray, emitted: np.ndarray) -> np.ndarray:
     """Joint log-probability (log-density for Gaussian emissions) per trial row."""
+    n, d = model.topology.n_nodes, model.n_states
     parent = model.topology.parent
+    transitions = np.broadcast_to(model.transition_stack, (n - 1, d, d))
+    spec = model.emission_stack
+    if spec.kind == "discrete":
+        matrices = np.broadcast_to(spec.matrix, (n, d, spec.n_symbols))
+    else:
+        means, sds = np.broadcast_to(spec.means, (n, d)), np.broadcast_to(spec.sds, (n, d))
     with np.errstate(divide="ignore"):
         out = np.log(model.initial[states[:, 0]])
-        for j, path in enumerate(model.topology.nodes):
-            if path:
-                out += np.log(model.transition(path)[states[:, parent[j]], states[:, j]])
-            spec = model.emission(path)
+        for j in range(n):
+            s = states[:, j]
+            if j:
+                out += np.log(transitions[j - 1][states[:, parent[j]], s])
             if spec.kind == "discrete":
-                out += np.log(spec.matrix[states[:, j], emitted[:, j].astype(np.int64)])
+                out += np.log(matrices[j][s, emitted[:, j].astype(np.int64)])
             else:
-                mean = spec.means[states[:, j]]
-                sd = spec.sds[states[:, j]]
+                mean = means[j][s]
+                sd = sds[j][s]
                 out += -0.5 * ((emitted[:, j] - mean) / sd) ** 2 - np.log(sd) - 0.5 * _LOG_2PI
     return out
 

@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from .divergence import local_k_root, local_k_vector, weighted_sum
-from .model import ROOT, HmtModel
+from .divergence import local_k_root, local_k_stack, local_k_vector, weighted_sum, weighted_sum_rows
+from .model import HmtModel
 
 __all__ = ["inward_pass", "kld_exact_tree", "kld_homogeneous_tree"]
 
@@ -31,28 +31,42 @@ def _check_same_shape(m1: HmtModel, m0: HmtModel):
 
 
 def _inward(m1: HmtModel, m0: HmtModel):
-    """Inward table, one row per node (the root's row unused), its child ranges,
-    and the document-ordered list of nodes whose local term is +inf.
+    """Inward table and summed children, one row per node, plus the index of
+    the first non-root node whose local term is +inf (None when there is none).
 
-    The children of node j are the rows ``bounds[j]:bounds[j + 1]`` of the table.
+    Row j of the table is node j's inward vector (the root's row is unused);
+    row j of the children sum adds the table rows of node j's children.  One
+    `local_k_stack` call gives every local term; the pass then runs level by
+    level from the deepest, with one children sum per children count and one
+    `weighted_sum_rows` per level.
     """
     topology = m1.topology
-    nodes = topology.nodes
-    bounds = np.searchsorted(topology.parent, np.arange(topology.n_nodes + 1))
-    table = np.zeros((topology.n_nodes, m1.n_states))
-    offenders: list[str] = []
-    # Reversed (depth, path) order visits every child before its parent without
-    # recursing, so arbitrarily deep chains cannot overflow the call stack.
-    for j in range(topology.n_nodes - 1, 0, -1):
-        path = nodes[j]
-        local = local_k_vector(m1.transition(path), m0.transition(path), m1.emission(path), m0.emission(path))
-        if np.isinf(local).any():
-            offenders.append(path)
-        if bounds[j + 1] > bounds[j]:
-            local = local + weighted_sum(m1.transition(path), table[bounds[j] : bounds[j + 1]].sum(axis=0))
-        table[j] = local
-    offenders.reverse()  # document order: shallow nodes first
-    return table, bounds, offenders
+    n, d = topology.n_nodes, m1.n_states
+    bounds = np.searchsorted(topology.parent, np.arange(n + 1))  # children of j: bounds[j]:bounds[j + 1]
+    counts = np.diff(bounds)
+    pi1 = np.broadcast_to(m1.transition_stack, (n - 1, d, d))
+    pi0 = np.broadcast_to(m0.transition_stack, (n - 1, d, d))
+    nonroot = slice(1, None)
+    local = local_k_stack(pi1, pi0, m1.emission_stack.for_nodes(nonroot), m0.emission_stack.for_nodes(nonroot))
+    infinite = np.flatnonzero(np.isinf(local).any(axis=1))
+    table = np.zeros((n, d))
+    table[1:] = local
+    down = np.zeros((n, d))
+    offsets = topology.level_offsets
+    for level in range(len(offsets) - 2, -1, -1):
+        lo = offsets[level]
+        inner = lo + np.flatnonzero(counts[lo : offsets[level + 1]])
+        if not inner.size:
+            continue
+        # Children of one node are contiguous rows; nodes with k children sum
+        # their (k, d) blocks along the children axis, as a per-node slice sum does.
+        sizes = counts[inner]
+        for k in np.unique(sizes):
+            group = inner[sizes == k]
+            down[group] = table[bounds[group, None] + np.arange(k)].sum(axis=1)
+        if level:
+            table[inner] = local[inner - 1] + weighted_sum_rows(pi1[inner - 1], down[inner])
+    return table, down, (int(infinite[0]) + 1 if infinite.size else None)
 
 
 def inward_pass(m1: HmtModel, m0: HmtModel) -> dict[str, np.ndarray]:
@@ -69,16 +83,14 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
     offending node in document order.
     """
     _check_same_shape(m1, m0)
-    table, bounds, offenders = _inward(m1, m0)
-    root_term = local_k_root(m1.initial, m0.initial, m1.emission(ROOT), m0.emission(ROOT))
-    if np.isinf(root_term):
-        offenders.insert(0, ROOT)
+    _, down, first_infinite = _inward(m1, m0)
+    root_term = local_k_root(m1.initial, m0.initial, m1.emission_stack.for_nodes(0), m0.emission_stack.for_nodes(0))
     total = root_term
-    if bounds[1] > bounds[0]:
-        total = total + weighted_sum(m1.initial, table[bounds[0] : bounds[1]].sum(axis=0))
+    if m1.topology.n_nodes > 1:
+        total = total + weighted_sum(m1.initial, down[0])
     total = float(total)
-    if np.isinf(total) and offenders:
-        name = offenders[0] if offenders[0] else "(root)"
+    if np.isinf(total) and (np.isinf(root_term) or first_infinite is not None):
+        name = "(root)" if np.isinf(root_term) else m1.topology.nodes[first_infinite]
         warnings.warn(f"divergence is +inf: support mismatch first at node '{name}'", stacklevel=2)
     return total
 

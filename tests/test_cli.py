@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import hmtkl
 from hmtkl.bundled import data_path, data_text
 from hmtkl.cli import main
 
@@ -69,6 +73,28 @@ class TestValidate:
         assert problem in capsys.readouterr().err
 
 
+class TestHostileTopology:
+    @pytest.mark.parametrize("depth, children", [(40, 2), (10**30, 3), (2**21, 1)])
+    def test_huge_regular_tree_fails_fast_with_exit_2(self, capsys, tmp_path, depth, children):
+        doc = {
+            "type": "hmt",
+            "states": 1,
+            "alphabet": 1,
+            "depth": depth,
+            "children": children,
+            "initial": [1.0],
+            "transition": [[1.0]],
+            "emission": {"kind": "discrete", "matrix": [[1.0]]},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", "--model-a", str(path)], ["exact", "--model-a", str(path), "--model-b", str(path)]):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            assert "more than 1048576 nodes" in capsys.readouterr().err
+
+
 class TestExact:
     def test_tree_pair_golden(self, capsys):
         assert main(["exact", "--model-a", TREE_A, "--model-b", TREE_B]) == 0
@@ -121,6 +147,21 @@ class TestExact:
     def test_invalid_model_exit_2(self, capsys, bad_model_file):
         assert main(["exact", "--model-a", bad_model_file, "--model-b", HMM_B]) == 2
         assert "row 1 sums to 1.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--model-a", HMM_A, "--model-b", HMM_B],
+        ["mc", "--model-a", HMM_A, "--model-b", HMM_B, "--trials", "10"],
+        ["rate", "--model-a", HMM_A, "--model-b", HMM_B],
+    ],
+)
+def test_zero_length_override_is_rejected(capsys, argv):
+    assert main([*argv, "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "length must be >= 1" in captured.err
 
 
 class TestRate:
@@ -245,6 +286,14 @@ class TestSweep:
     def test_bad_bounds(self, capsys):
         assert main(["sweep", "--model-a", HMM_A, "--model-b", HMM_B, "--n-min", "5", "--n-max", "2"]) == 2
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_step_below_one_rejected(self, capsys, step):
+        args = ["sweep", "--model-a", HMM_A, "--model-b", HMM_B, "--n-min", "2", "--n-max", "4", "--step", step]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sweep step must be >= 1, got {step}" in captured.err
+
     def test_stdout_when_no_out(self, capsys):
         args = ["sweep", "--model-a", HMM_A, "--model-b", HMM_B, "--n-min", "2", "--n-max", "2", "--trials", "50"]
         assert main(args) == 0
@@ -257,6 +306,17 @@ class TestConsoleScript:
             [sys.executable, "-m", "hmtkl.cli", "exact", "--model-a", TREE_A, "--model-b", TREE_B],
             capture_output=True,
             text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("exact_kld=0.68952288455")
+
+    def test_package_invocation(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(hmtkl.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "hmtkl", "exact", "--model-a", TREE_A, "--model-b", TREE_B],
+            capture_output=True,
+            text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout.startswith("exact_kld=0.68952288455")

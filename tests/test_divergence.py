@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import hmtkl.divergence
 from hmtkl import (
     DiscreteEmission,
     GaussianEmission,
@@ -16,6 +17,7 @@ from hmtkl import (
     local_k_root,
     local_k_vector,
 )
+from hmtkl.divergence import local_k_stack, weighted_sum, weighted_sum_rows
 
 
 def naive_kl(p, q):
@@ -209,3 +211,41 @@ class TestLocalKRoot:
     def test_disjoint_support_inf(self):
         e = DiscreteEmission([[0.5, 0.5], [0.5, 0.5]])
         assert local_k_root([1.0, 0.0], [0.0, 1.0], e, e) == math.inf
+
+
+class TestStacks:
+    @pytest.mark.parametrize("gaussian", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_stack_rows_equal_per_node_terms_across_blocks(self, monkeypatch, gaussian, shared):
+        rng = np.random.default_rng(41)
+        n, d, m = 23, 3, 4
+        lead = () if shared else (n,)
+        pi1 = rng.dirichlet(np.ones(d), size=(n, d))
+        pi0 = rng.dirichlet(np.ones(d), size=(n, d))
+        pi0[::5, :, 0] = 0.0  # zero entries make some local terms +inf
+        pi0[::5] /= pi0[::5].sum(axis=-1, keepdims=True)
+        if gaussian:
+            e1 = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.5, 2, size=lead + (d,)))
+            e0 = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.5, 2, size=lead + (d,)))
+        else:
+            e1 = DiscreteEmission(rng.dirichlet(np.ones(m), size=lead + (d,)))
+            e0 = DiscreteEmission(rng.dirichlet(np.ones(m), size=lead + (d,)))
+        # blocks of two nodes: every block boundary falls inside the stack
+        monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", 2 * d * d * m)
+        stacked = local_k_stack(pi1, pi0, e1, e0)
+        assert np.isinf(stacked).any()
+        for i in range(n):
+            np.testing.assert_array_equal(
+                stacked[i], local_k_vector(pi1[i], pi0[i], e1.for_nodes(i), e0.for_nodes(i))
+            )
+
+    def test_weighted_rows_equal_weighted_sum(self):
+        rng = np.random.default_rng(42)
+        weights = rng.dirichlet(np.ones(4), size=(9, 4))
+        weights[::2, :, 1] = 0.0
+        values = rng.random((9, 4)) * 10
+        values[::3, 1] = math.inf  # zero weights meet these: 0 * inf counts as 0
+        rows = weighted_sum_rows(weights, values)
+        for i in range(9):
+            np.testing.assert_array_equal(rows[i], weighted_sum(weights[i], values[i]))
+        assert np.isfinite(rows[::6]).all()

@@ -1,9 +1,12 @@
 """Model types, validation, and the JSON document format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmtkl import (
     DiscreteEmission,
@@ -309,3 +312,95 @@ class TestImmutability:
             m.initial[0] = 0.9
         with pytest.raises(ValueError):
             m.transition[0, 0] = 0.5
+
+
+def reference_report(model):
+    """Per-row validation through the path accessors, one matrix row at a time."""
+    problems = []
+
+    def rows(matrix, label):
+        for r, row in enumerate(np.atleast_2d(matrix)):
+            if (row < 0).any():
+                problems.append(f"{label} row {r + 1} has a negative entry")
+            total = float(row.sum())
+            if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
+                problems.append(f"{label} row {r + 1} sums to {total:.12g}")
+
+    def emission(spec, label):
+        if spec.kind == "discrete":
+            rows(spec.matrix, f"{label} matrix")
+            return
+        for state, (mean, sd) in enumerate(zip(spec.means, spec.sds)):
+            if not math.isfinite(mean):
+                problems.append(f"{label} mean for state {state + 1} is not finite")
+            if not sd > 0:
+                problems.append(f"{label} sd for state {state + 1} is not positive")
+            elif not math.isfinite(sd):
+                problems.append(f"{label} sd for state {state + 1} is not finite")
+
+    nodes = model.topology.nodes
+    if isinstance(model.transitions, np.ndarray):
+        rows(model.transitions, "transition")
+    else:
+        for p in nodes[1:]:
+            rows(model.transition(p), f"transition at node {p!r}")
+    if isinstance(model.emissions, (DiscreteEmission, GaussianEmission)):
+        emission(model.emissions, "emission")
+    else:
+        for p in nodes:
+            emission(model.emission(p), f"emission at node {p!r}")
+    return problems
+
+
+ROW_FAULTS = {
+    "negative": lambda row, c: row.__setitem__(c, -row[c] - 0.25),
+    "nan": lambda row, c: row.__setitem__(c, math.nan),
+    "inf": lambda row, c: row.__setitem__(c, math.inf),
+    "above": lambda row, c: row.__setitem__(c, row[c] + 1e-11),
+    "below": lambda row, c: row.__setitem__(c, row[c] - 1e-11),
+    "within": lambda row, c: row.__setitem__(c, row[c] + 1e-13),
+}
+GAUSSIAN_FAULTS = {
+    "means": [math.nan, math.inf, -math.inf],
+    "sds": [0.0, -1.0, math.nan, math.inf, -math.inf],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    d=st.integers(1, 4),
+    m=st.integers(1, 4),
+    gaussian=st.booleans(),
+    shared=st.tuples(st.booleans(), st.booleans()),
+    row_faults=st.lists(
+        st.tuples(st.booleans(), st.sampled_from(sorted(ROW_FAULTS)), st.integers(0, 10**6), st.integers(0, 10**6)),
+        max_size=6,
+    ),
+    gaussian_faults=st.lists(
+        st.tuples(st.sampled_from(sorted(GAUSSIAN_FAULTS)), st.integers(0, 10**6), st.integers(0, 4)), max_size=6
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_validation_matches_per_row_reference(n, d, m, gaussian, shared, row_faults, gaussian_faults, seed):
+    rng = np.random.default_rng(seed)
+    # a chain or a star, so that node labels have several lengths and orders
+    topo = HmtTopology.regular(n, 1) if seed % 2 else HmtTopology.from_nodes([""] + [str(c) for c in range(min(n, 11) - 1)])
+    count = topo.n_nodes
+    transitions = rng.dirichlet(np.ones(d), size=(d,) if shared[0] else (count - 1, d))
+    lead = () if shared[1] else (count,)
+    matrix = rng.dirichlet(np.ones(m), size=lead + (d,))
+    means, sds = rng.normal(size=lead + (d,)), rng.uniform(0.5, 2.0, size=lead + (d,))
+    for in_transitions, fault, at_row, at_col in row_faults:
+        target = transitions if in_transitions or gaussian else matrix
+        flat = target.reshape(-1, target.shape[-1])
+        if flat.size:
+            ROW_FAULTS[fault](flat[at_row % flat.shape[0]], at_col % flat.shape[1])
+    if gaussian:
+        for key, at, choice in gaussian_faults:
+            flat = (means if key == "means" else sds).reshape(-1)
+            values = GAUSSIAN_FAULTS[key]
+            flat[at % flat.size] = values[choice % len(values)]
+    emissions = GaussianEmission(means, sds) if gaussian else DiscreteEmission(matrix)
+    model = HmtModel(topology=topo, initial=np.eye(d)[0], transitions=transitions, emissions=emissions)
+    assert validate(model) == reference_report(model)

@@ -275,3 +275,54 @@ class TestMcEvidence:
         exact = kld_hmm_evidence(a, b, ev)
         est = mc_kld_evidence(a, b, ev, 20_000, 2)
         assert est.ci_lo <= exact <= est.ci_hi
+
+
+GOLDEN_PATHS = ["", "0", "1", "2", "00", "01", "10", "20", "21", "22", "23", "000", "010", "011", "200"]
+
+
+def ragged_golden_pair():
+    """Per-node first model, per-node transitions with a shared emission second."""
+    rng = np.random.default_rng(2024)
+    topo = HmtTopology.from_nodes(GOLDEN_PATHS)
+
+    def rows(k, n):
+        return rng.dirichlet(np.ones(n), size=k)
+
+    m1 = HmtModel(
+        topology=topo,
+        initial=rows(1, 3)[0],
+        transitions={p: rows(3, 3) for p in topo.nodes if p},
+        emissions={p: DiscreteEmission(rows(3, 2)) for p in topo.nodes},
+    )
+    m0 = HmtModel(
+        topology=topo,
+        initial=rows(1, 3)[0],
+        transitions={p: rows(3, 3) for p in topo.nodes if p},
+        emissions=DiscreteEmission(rows(3, 2)),
+    )
+    return m1, m0
+
+
+@pytest.mark.parametrize(
+    "name, trials, seed, mean, sd",
+    [
+        ("ragged", 3000, 11, 17.466284823535855, 5.737995710896749),
+        ("gaussian", 2000, 5, 0.666724980148522, 0.9289794124888296),
+        ("chain", 2500, 3, 17.180185706833296, 5.511213788342358),
+    ],
+)
+def test_pinned_estimates_across_versions(name, trials, seed, mean, sd):
+    """Exact mean/sd bits recorded from an earlier version of the sampler.
+
+    The per-trial Philox substreams and the node order of uniform consumption
+    make these a pure function of (models, trials, seed); a change to how the
+    sampler stores its parameters must not move them.
+    """
+    if name == "ragged":
+        pair = ragged_golden_pair()
+    elif name == "gaussian":
+        pair = bundled_gaussian_tree_pair()
+    else:
+        pair = tuple(m.as_tree() for m in bundled_hmm_pair(length=30))
+    est = mc_kld_no_evidence(*pair, trials, seed)
+    assert (est.mean, est.sd) == (mean, sd)

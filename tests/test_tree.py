@@ -1,6 +1,7 @@
 """Inward recursion and homogeneous closed form against enumeration oracles."""
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -348,3 +349,73 @@ def test_ragged_topology_and_exact_value_match_brute_force(paths, seed):
     value = kld_exact_tree(m1, m0)
     assert value == path_keyed_kld(m1, m0)
     assert value == pytest.approx(brute_force_kld_joint(m1, m0), abs=1e-10)
+
+
+def random_paths(rng, n, max_arity):
+    """Digit paths of a random tree with about n nodes and 1..max_arity children per internal node."""
+    paths, frontier = [""], [""]
+    while frontier and len(paths) < n:
+        node = frontier.pop(int(rng.integers(len(frontier))))
+        kids = [node + str(c) for c in range(int(rng.integers(1, max_arity + 1)))]
+        paths += kids
+        frontier += kids
+    return paths
+
+
+def rows_with_zeros(rng, shape, zero_prob):
+    """Row-stochastic rows along the last axis with entries zeroed at random,
+    renormalised; every row keeps at least one positive entry."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    keep = rng.random(rows.shape) >= zero_prob
+    keep[..., 0] |= ~keep.any(axis=-1)
+    rows = np.where(keep, rows, 0.0)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def stacked_model(rng, topology, d, m, gaussian, shared_transitions, shared_emissions, zero_prob):
+    """A model whose parameters are each shared or given as a per-node stack."""
+    n = topology.n_nodes
+    transitions = rows_with_zeros(rng, (d, d) if shared_transitions else (n - 1, d, d), zero_prob)
+    lead = () if shared_emissions else (n,)
+    if gaussian:
+        emissions = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.5, 2.0, size=lead + (d,)))
+    else:
+        emissions = DiscreteEmission(rows_with_zeros(rng, lead + (d, m), zero_prob))
+    initial = rows_with_zeros(rng, (d,), zero_prob)
+    return HmtModel(topology=topology, initial=initial, transitions=transitions, emissions=emissions)
+
+
+def first_offender(m1, m0):
+    """The node the +inf warning must name: the root, else the first node in
+    node order whose local term has an infinite entry."""
+    if np.isinf(local_k_root(m1.initial, m0.initial, m1.emission(""), m0.emission(""))):
+        return "(root)"
+    for p in m1.topology.nodes[1:]:
+        if np.isinf(local_k_vector(m1.transition(p), m0.transition(p), m1.emission(p), m0.emission(p))).any():
+            return p
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    max_arity=st.integers(1, 6),
+    d=st.integers(1, 4),
+    m=st.integers(1, 4),
+    gaussian=st.booleans(),
+    sharing=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    zero_prob=st.sampled_from([0.0, 0.05, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_inward_pass_matches_path_keyed_recursion(size, max_arity, d, m, gaussian, sharing, zero_prob, seed):
+    rng = np.random.default_rng(seed)
+    topo = HmtTopology.from_nodes(random_paths(rng, size, max_arity))
+    m1 = stacked_model(rng, topo, d, m, gaussian, sharing[0], sharing[1], zero_prob)
+    m0 = stacked_model(rng, topo, d, m, gaussian, sharing[2], sharing[3], zero_prob)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = kld_exact_tree(m1, m0)
+    assert value == path_keyed_kld(m1, m0)
+    offender = first_offender(m1, m0) if value == math.inf else None
+    expected = [] if offender is None else [f"divergence is +inf: support mismatch first at node '{offender}'"]
+    assert [str(w.message) for w in caught] == expected
