@@ -1,9 +1,12 @@
 """Exact KL divergence for homogeneous hidden Markov chains.
 
-Implements the closed form for the unconditional divergence, its large-N rate,
-a spectral O(d^3 log N) evaluation, the classical upper bound (which equals
-the exact value), and the divergence between the two models' hidden-path
-posteriors given a fully observed emission sequence.
+Implements the closed form for the unconditional divergence (the chain is
+the one-child tree, so it is the tree's geometric sum, evaluated by binary
+doubling in O(d^3 log N)), its large-N rate, a spectral O(d^3 log N)
+evaluation, the classical upper bound (which equals the exact value, and is
+summed in O(N d^3) along an independent route), and the divergence between
+the two models' hidden-path posteriors given a fully observed emission
+sequence.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from scipy.special import rel_entr
 from .divergence import _check_kinds, emission_kl_per_state, local_k_root, local_k_vector, weighted_sum
 from .errors import SpectralError, StationaryError, ZeroLikelihoodError
 from .model import Evidence, HmmModel, check_evidence
+from .tree import geometric_weighted_sum
 
 __all__ = [
     "kld_hmm_no_evidence",
@@ -51,20 +55,15 @@ def _local_terms(m1: HmmModel, m0: HmmModel):
 def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
     """Exact KL divergence between the two chains' joint laws, in nats.
 
-    Evaluates ``k_root + mu1 @ (I + pi1 + ... + pi1^(N-2)) @ k`` by a right
-    fold in O(N d^2) without forming matrix powers.
+    Evaluates ``k_root + mu1 @ (I + pi1 + ... + pi1^(N-2)) @ k``, the
+    one-child case of the tree's `geometric_weighted_sum`, by binary doubling
+    in O(d^3 log N).  An entry of k that is +inf (a support mismatch) makes
+    the value +inf when the first model reaches its state with positive
+    probability.
     """
     _check_pair(m1, m0)
     root, step = _local_terms(m1, m0)
-    pi1 = m1.transition
-    acc = np.zeros(m1.n_states)
-    if np.isfinite(step).all():
-        for _ in range(m1.length - 1):
-            acc = step + pi1 @ acc
-    else:
-        for _ in range(m1.length - 1):
-            acc = step + weighted_sum(pi1, acc)
-    return float(root + weighted_sum(m1.initial, acc))
+    return float(root + weighted_sum(m1.initial, geometric_weighted_sum(m1.transition, step, 1, m1.length)))
 
 
 def stationary_distribution(pi) -> np.ndarray:
@@ -212,9 +211,9 @@ def _kld_hmm_spectral(m1: HmmModel, m0: HmmModel) -> float:
 def kld_hmm_fast(m1: HmmModel, m0: HmmModel) -> float:
     """kld_hmm_no_evidence in O(d^3 log N) when the transition matrix allows it.
 
-    Falls back to the O(N) direct summation (with a warning naming the reason)
+    Falls back to `kld_hmm_no_evidence` (with a warning naming the reason)
     whenever the eigendecomposition preconditions fail, so the result is never
-    wrong, only occasionally slower.
+    wrong.
     """
     try:
         return _kld_hmm_spectral(m1, m0)
@@ -317,7 +316,8 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
         raise ZeroLikelihoodError(
             exc.position, f"zero likelihood under the second model (position {exc.position})"
         ) from None
+    rows = rel_entr(factors1, factors0).sum(axis=2)
     inward = np.zeros(m1.n_states)
     for i in range(m1.length - 2, -1, -1):
-        inward = rel_entr(factors1[i], factors0[i]).sum(axis=1) + weighted_sum(factors1[i], inward)
+        inward = rows[i] + weighted_sum(factors1[i], inward)
     return float(rel_entr(initial1, initial0).sum() + weighted_sum(initial1, inward))

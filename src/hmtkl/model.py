@@ -134,7 +134,7 @@ class HmtTopology:
         """Topology from an explicit node list; parents of every path must be present."""
         node_set = set()
         for p in paths:
-            if not isinstance(p, str) or any(c not in PATH_ALPHABET for c in p):
+            if not isinstance(p, str) or (p and not (p.isascii() and p.isdigit())):
                 raise ValueError(f"node path {p!r} is not a string over '0'..'9'")
             node_set.add(p)
         if ROOT not in node_set:
@@ -670,7 +670,7 @@ def load_model(document: str):
             model = HmtModel(topology=topology, initial=initial, transitions=transitions, emissions=emissions)
         else:
             raise ModelFormatError(f'model: type must be "hmm" or "hmt", got {mtype!r}')
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a non-numeric JSON value inside a parameter list
         raise ModelFormatError(f"model: {exc}") from exc
 
     if model.n_states != d:

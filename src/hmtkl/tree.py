@@ -11,6 +11,7 @@ first model's initial law.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -95,37 +96,72 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
     return total
 
 
-def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
-    """Evaluate ``sum_{i=1}^{depth-1} children^i  pi^(i-1) @ k`` by a Horner fold.
+#: Cap on the binary exponent of ``children^(2^j)``: any nonzero float
+#: scaled by 2^4096 overflows, and the cap keeps the exponent a C int.
+_MAX_EXPONENT = 4096
 
-    The fold ``acc <- children * (k + pi @ acc)`` keeps the children factor
-    inside the accumulation, avoiding explicit matrix powers.  The partial sums
-    still grow like ``children^(depth-1)``; if an intermediate stops being
-    finite while `k` is finite, the depth is too large for 64-bit floats and an
-    OverflowError is raised.
+
+def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
+    """Evaluate ``sum_{i=1}^{depth-1} children^i  pi^(i-1) @ k`` in O(d^3 log depth).
+
+    The sum is the affine map ``acc -> children * (k + pi @ acc)`` applied
+    depth - 1 times to zero.  Binary doubling squares the map: after each
+    squaring the rows of the squared `pi` (stochastic for a stochastic `pi`)
+    are renormalised to sum to 1, so rounding cannot compound over the
+    depth, and ``children^(2^j)`` is carried apart as a mantissa and a binary
+    exponent.  An entry is +inf exactly when its state reaches an infinite
+    entry of `k` within depth - 2 steps on the support graph of `pi` (the
+    ``0 * inf = 0`` rule), decided on that graph rather than from floating
+    products that can underflow to 0.  The partial sums grow like
+    ``children^(depth-1)``; if the sum stops being finite while `k` is
+    finite, the depth is too large for 64-bit floats and an OverflowError is
+    raised.
     """
     if children < 1:
         raise ValueError("children count must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    pi = np.asarray(pi, dtype=float)
     k = np.asarray(k, dtype=float)
-    legitimate_inf = bool(np.isinf(k).any())
+    infinite = np.isinf(k)
     acc = np.zeros_like(k)
+    if depth == 1:
+        return acc
+    # States within depth - 2 steps of an infinite entry; saturates after d - 1 steps.
+    reach, support = infinite, pi != 0
+    for _ in range(min(depth - 2, k.shape[0] - 1)):
+        grown = infinite | (support & reach).any(axis=1)
+        if (grown == reach).all():
+            break
+        reach = grown
+    # f^(2^j): acc -> mantissa * 2^exponent * (power @ acc) + step
+    power, step = pi, children * np.where(infinite, 0.0, k)
+    mantissa, exponent = math.frexp(children)
+    n = depth - 1
     with np.errstate(over="ignore"):
-        for _ in range(depth - 1):
-            acc = children * (k + weighted_sum(pi, acc))
-            if not legitimate_inf and not np.isfinite(acc).all():
-                raise OverflowError(
-                    f"geometric sum overflows 64-bit floats (children={children}, depth={depth})"
-                )
+        while True:
+            if n & 1:
+                acc = np.ldexp(mantissa * weighted_sum(power, acc), exponent) + step
+            n >>= 1
+            if not n:
+                break
+            step = np.ldexp(mantissa * weighted_sum(power, step), exponent) + step
+            power = power @ power
+            power /= power.sum(axis=1, keepdims=True)
+            mantissa, shift = math.frexp(mantissa * mantissa)
+            exponent = min(2 * exponent + shift, _MAX_EXPONENT)
+    if not infinite.any() and not np.isfinite(acc).all():
+        raise OverflowError(f"geometric sum overflows 64-bit floats (children={children}, depth={depth})")
+    acc[reach] = np.inf
     return acc
 
 
 def kld_homogeneous_tree(m1: HmtModel, m0: HmtModel, children: int | None = None, depth: int | None = None) -> float:
     """Closed-form exact KL divergence for homogeneous models on a regular tree.
 
-    Equals the inward recursion on the explicit tree, but runs in time linear
-    in the depth instead of the node count.  `children` and `depth` default to
+    Equals the inward recursion on the explicit tree, but runs in time
+    logarithmic in the depth instead of linear in the node count (see
+    `geometric_weighted_sum`).  `children` and `depth` default to
     the models' own (regular) topology; passing them explicitly evaluates the
     closed form for a tree of that shape without materializing it, which is
     how million-level chains stay tractable.  Depth 1 reduces to the root

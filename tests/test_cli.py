@@ -72,6 +72,27 @@ class TestValidate:
         assert main(["exact", "--model-a", str(path), "--model-b", TREE_B]) == 2
         assert problem in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, where",
+        [
+            ("hmm_a.json", ("transition", 0, 0)),
+            ("gauss_tree_a.json", ("transition", "0", 1, 0)),
+            ("hmm_a.json", ("emission", "matrix", 1, 2)),
+        ],
+    )
+    def test_non_numeric_parameter_exit_2(self, capsys, tmp_path, name, where):
+        doc = json.loads(data_text(name))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = {}
+        path = tmp_path / "non_numeric.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--model-a", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("model: ") and "dict" in captured.err
+
 
 class TestHostileTopology:
     @pytest.mark.parametrize("depth, children", [(40, 2), (10**30, 3), (2**21, 1)])
@@ -162,6 +183,26 @@ def test_zero_length_override_is_rejected(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "length must be >= 1" in captured.err
+
+
+def test_repeated_calls_parse_each_command_afresh(capsys):
+    for argv, message in [
+        (["exact", "--model-a", HMM_A], "hmtkl exact: error: the following arguments are required: --model-b"),
+        (["validate"], "hmtkl validate: error: the following arguments are required: --model-a"),
+        (["bound", "--model-a", HMM_A, "--model-b", HMM_B, "--n", "x"], "hmtkl bound: error: argument --n: invalid int value: 'x'"),
+        (["nonsense"], "hmtkl: error: argument command: invalid choice: 'nonsense'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hmtkl") and message in captured.err
+    # no option carries over from one call to the next
+    assert main(["exact", "--model-a", HMM_A, "--model-b", HMM_B, "--fast", "--n", "50"]) == 0
+    assert capsys.readouterr().out.endswith(" method=fast-path\n")
+    assert main(["exact", "--model-a", HMM_A, "--model-b", HMM_B]) == 0
+    assert capsys.readouterr().out == "exact_kld=5.6628668946 method=closed-form\n"
 
 
 class TestRate:

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmtkl import (
     DiscreteEmission,
@@ -19,10 +21,13 @@ from hmtkl import (
     kld_hmm_fast,
     kld_hmm_no_evidence,
     kld_rate,
+    local_k_root,
+    local_k_vector,
     posterior_conditionals,
     spectral_split,
     stationary_distribution,
 )
+from hmtkl.divergence import weighted_sum
 from hmtkl.errors import SpectralError
 
 COUNTEREXAMPLE_STATES = (0, 0, 0, 0, 0, 1, 1, 1, 1, 1)
@@ -291,6 +296,44 @@ class TestFastPath:
         rebuilt = split.basis @ np.diag(split.eigenvalues) @ split.basis_inv
         assert np.abs(rebuilt - a.transition).max() <= 1e-9
         assert abs(split.eigenvalues[split.unit_index] - 1.0) <= 1e-10
+
+
+def folded_chain_kld(m1, m0):
+    """``k_root + mu1 @ sum_{i<N-1} pi1^i @ k`` by the right fold
+    ``acc <- k + pi1 @ acc``, one step per position."""
+    root = local_k_root(m1.initial, m0.initial, m1.emission, m0.emission)
+    step = local_k_vector(m1.transition, m0.transition, m1.emission, m0.emission)
+    acc = np.zeros(m1.n_states)
+    for _ in range(m1.length - 1):
+        acc = step + weighted_sum(m1.transition, acc)
+    return float(root + weighted_sum(m1.initial, acc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(1, 2000),
+    d=st.integers(1, 5),
+    m=st.integers(1, 4),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_doubling_matches_the_direct_fold(length, d, m, sparse, seed):
+    rng = np.random.default_rng(seed)
+    make = sparse_hmm if sparse else random_hmm
+    a, b = make(rng, length, d, m), make(rng, length, d, m)
+    expected = folded_chain_kld(a, b)
+    value = kld_hmm_no_evidence(a, b)
+    if math.isinf(expected):
+        assert value == math.inf
+    else:
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [10**9, 10**12])
+def test_doubling_renormalises_at_huge_lengths(n):
+    # without renormalising the squared transition rows the value drifts by ~1e-8 at N = 1e9
+    a, b = bundled_hmm_pair(length=n)
+    assert kld_hmm_no_evidence(a, b) == pytest.approx(kld_hmm_fast(a, b), rel=1e-13)
 
 
 class TestBackwardQuantities:

@@ -80,6 +80,11 @@ class TestTopology:
         with pytest.raises(ValueError, match="0'..'9"):
             HmtTopology.from_nodes(["", "a"])
 
+    @pytest.mark.parametrize("path", ["\u0661", "0\u0661", "\u00b2", "-1", " 0"])
+    def test_from_nodes_rejects_digits_outside_ascii(self, path):
+        with pytest.raises(ValueError, match=f"^node path {path!r} is not a string over '0'..'9'$"):
+            HmtTopology.from_nodes(["", "0", path])
+
 
 class TestValidate:
     def test_bundled_models_valid(self):

@@ -306,6 +306,81 @@ class TestGeometricSum:
         assert np.isinf(out).all()
 
 
+def horner_geometric_sum(pi, k, children, depth):
+    """``sum_{i=1}^{depth-1} children^i pi^(i-1) @ k`` by the Horner fold
+    ``acc <- children * (k + pi @ acc)``, one step per level, with the same
+    +inf and overflow rules as `geometric_weighted_sum`."""
+    k = np.asarray(k, dtype=float)
+    legitimate_inf = bool(np.isinf(k).any())
+    acc = np.zeros_like(k)
+    with np.errstate(over="ignore"):
+        for _ in range(depth - 1):
+            acc = children * (k + weighted_sum(pi, acc))
+            if not legitimate_inf and not np.isfinite(acc).all():
+                raise OverflowError("geometric sum overflows 64-bit floats")
+    return acc
+
+
+@st.composite
+def geometric_sum_inputs(draw):
+    """A stochastic pi with zero entries drawn on purpose (integer weights over
+    their row sum) and a k whose entries are 0 or positive at scales up to
+    1e303, so that deep sums of many children overflow, with +inf put into
+    some of them."""
+    d = draw(st.integers(1, 6))
+    weights = [draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=d, max_size=d).filter(any)) for _ in range(d)]
+    pi = np.array(weights, dtype=float)
+    pi /= pi.sum(axis=1, keepdims=True)
+    entry = st.one_of(st.just(0.0), st.builds(lambda x, e: x * 10.0**e, st.floats(1e-3, 1e3), st.integers(0, 300)))
+    k = np.array(draw(st.lists(entry, min_size=d, max_size=d)))
+    k[list(draw(st.sets(st.integers(0, d - 1), max_size=2)))] = math.inf
+    return pi, k, draw(st.integers(1, 4)), draw(st.integers(1, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometric_sum_inputs())
+def test_doubling_matches_horner_fold(inputs):
+    pi, k, children, depth = inputs
+    try:
+        expected = horner_geometric_sum(pi, k, children, depth)
+    except OverflowError:
+        with pytest.raises(OverflowError, match="overflow"):
+            geometric_weighted_sum(pi, k, children, depth)
+        return
+    out = geometric_weighted_sum(pi, k, children, depth)
+    assert np.isinf(out).tolist() == np.isinf(expected).tolist()
+    finite = np.isfinite(expected)
+    np.testing.assert_allclose(out[finite], expected[finite], rtol=1e-12, atol=0)
+
+
+TINY = 1e-200
+
+
+@pytest.mark.parametrize(
+    "pi, k, cases",
+    [
+        # state 0 reaches the infinite entry of state 2 only through two steps of
+        # probability 1e-200 each, whose product underflows to 0 in every power of pi
+        (
+            [[1.0 - TINY, TINY, 0.0], [0.0, 1.0 - TINY, TINY], [0.0, 0.0, 1.0]],
+            [1.0, 1.0, math.inf],
+            [(2, [False, False, True]), (3, [False, True, True]), (4, [True, True, True]), (1000, [True, True, True])],
+        ),
+        # state 0 passes through the infinite state 1 at step 1 only
+        (
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+            [0.0, math.inf, 0.0],
+            [(2, [False, True, False]), (3, [True, True, False]), (1000, [True, True, False])],
+        ),
+    ],
+)
+def test_infinite_entries_follow_the_support_graph(pi, k, cases):
+    pi, k = np.array(pi), np.array(k)
+    for depth, infinite in cases:
+        assert np.isinf(geometric_weighted_sum(pi, k, 2, depth)).tolist() == infinite
+        assert np.isinf(horner_geometric_sum(pi, k, 2, depth)).tolist() == infinite
+
+
 @st.composite
 def ragged_path_sets(draw, max_nodes=7):
     """Digit-path node sets grown by giving frontier nodes 0-4 children, in shuffled order."""
