@@ -41,16 +41,18 @@ def _read(path: str) -> str:
 
 
 def _load_pair(args):
-    return load_model(_read(args.model_a)), load_model(_read(args.model_b))
+    m_a, m_b = load_model(_read(args.model_a)), load_model(_read(args.model_b))
+    if args.n is not None:
+        if not isinstance(m_a, HmmModel) or not isinstance(m_b, HmmModel):
+            raise ModelError("--n overrides the length of hmm model files only")
+        m_a, m_b = m_a.with_length(args.n), m_b.with_length(args.n)
+    return m_a, m_b
 
 
 def _load_hmm_pair(args):
     m_a, m_b = _load_pair(args)
     if not isinstance(m_a, HmmModel) or not isinstance(m_b, HmmModel):
         raise ModelError("this command requires two hmm model files")
-    if args.n is not None:
-        m_a = m_a.with_length(args.n)
-        m_b = m_b.with_length(args.n)
     return m_a, m_b
 
 
@@ -77,8 +79,6 @@ def cmd_validate(args) -> int:
 def cmd_exact(args) -> int:
     m_a, m_b = _load_pair(args)
     if isinstance(m_a, HmmModel) and isinstance(m_b, HmmModel):
-        if args.n is not None:
-            m_a, m_b = m_a.with_length(args.n), m_b.with_length(args.n)
         method = "closed-form"
         if args.fast:
             try:
@@ -138,15 +138,7 @@ def cmd_mc(args) -> int:
         m_a, m_b = _load_hmm_pair(args)
         est = mc_kld_evidence(m_a, m_b, _load_evidence_file(args), args.trials, args.seed)
     else:
-        m_a, m_b = _load_pair(args)
-        if isinstance(m_a, HmmModel):
-            if args.n is not None:
-                m_a = m_a.with_length(args.n)
-            m_a = m_a.as_tree()
-        if isinstance(m_b, HmmModel):
-            if args.n is not None:
-                m_b = m_b.with_length(args.n)
-            m_b = m_b.as_tree()
+        m_a, m_b = (m.as_tree() if isinstance(m, HmmModel) else m for m in _load_pair(args))
         est = mc_kld_no_evidence(m_a, m_b, args.trials, args.seed)
     _print_estimate(est)
     return 0

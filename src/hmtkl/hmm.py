@@ -295,6 +295,18 @@ def posterior_conditionals(model: HmmModel, evidence: Evidence):
     return initial, factors
 
 
+def _posterior_pair(m1: HmmModel, m0: HmmModel, evidence: Evidence):
+    """`posterior_conditionals` of both models; a ZeroLikelihoodError names the model."""
+    pair = []
+    for name, model in (("first", m1), ("second", m0)):
+        try:
+            pair.append(posterior_conditionals(model, evidence))
+        except ZeroLikelihoodError as exc:
+            message = f"zero likelihood under the {name} model (position {exc.position})"
+            raise ZeroLikelihoodError(exc.position, message) from None
+    return pair
+
+
 def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
     """KL divergence between the models' hidden-path posteriors given x, in nats.
 
@@ -304,18 +316,7 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
     (stating which model) when the evidence is impossible under either model.
     """
     _check_pair(m1, m0)
-    try:
-        initial1, factors1 = posterior_conditionals(m1, evidence)
-    except ZeroLikelihoodError as exc:
-        raise ZeroLikelihoodError(
-            exc.position, f"zero likelihood under the first model (position {exc.position})"
-        ) from None
-    try:
-        initial0, factors0 = posterior_conditionals(m0, evidence)
-    except ZeroLikelihoodError as exc:
-        raise ZeroLikelihoodError(
-            exc.position, f"zero likelihood under the second model (position {exc.position})"
-        ) from None
+    (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence)
     rows = rel_entr(factors1, factors0).sum(axis=2)
     inward = np.zeros(m1.n_states)
     for i in range(m1.length - 2, -1, -1):

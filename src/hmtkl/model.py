@@ -4,8 +4,9 @@ Inside the engine a hidden node is its breadth-first index: position j in the
 topology's node order, where node 0 is the root and ``parent[j]`` is the index
 of node j's parent.  Digit-string paths are the labels of the JSON format and
 of per-node parameter mappings: the root is ``""``, ``"0"`` is its first
-child, ``"01"`` the second child of that node, and so on.  A path digit caps a
-node at 10 children; that limit belongs to the labels, not to the engine.
+child, ``"01"`` the second child of that node, and so on; they are spelled
+only where they are read.  A path digit caps a node at 10 children; that limit
+belongs to the labels, not to the engine.
 Each hidden node carries one observable emission.  A hidden Markov chain (HMM)
 is the special case in which every node has exactly one hidden child.
 
@@ -28,7 +29,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -53,47 +54,63 @@ def _freeze(array, dtype=float):
     return out
 
 
-def _regular_size(depth: int, children: int) -> int:
-    """Node count of the complete tree, or the first partial count above MAX_NODES."""
-    if children == 1:
-        return depth
-    count, level = 0, 1
-    for _ in range(depth):
-        count += level
-        if count > MAX_NODES:
-            break
-        level *= children
-    return count
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmtTopology:
-    """Shape of a hidden Markov tree.
+    """Shape of a hidden Markov tree: the breadth-first `parent` array.
 
     Parameters
     ----------
-    nodes : tuple of str
-        Every hidden node path, sorted by (depth, path).  Contains ``""``.
+    parent : read-only int array
+        ``parent[j]`` is the breadth-first index of node j's parent, and
+        ``parent[0] = -1``.  The array is non-decreasing, so the children of
+        node j are the contiguous index range where ``parent == j``.
     depth : int
         Number of hidden levels; leaves sit at level ``depth - 1``.
     regular_arity : int or None
         C when every internal node has exactly C children and all leaves are
         at the deepest level; None otherwise (or when undecidable at depth 1).
-    parent : read-only int array
-        ``parent[j]`` is the index in `nodes` of node j's parent, and
-        ``parent[0] = -1``.  The array is non-decreasing, so the children of
-        node j are the contiguous index range where ``parent == j``, in path
-        order.
+    labels : tuple of str or None
+        The paths given to `from_nodes`, sorted by (depth, path), or None for
+        a `regular` topology (the only kind without them).
     """
 
-    nodes: tuple[str, ...]
+    parent: np.ndarray = field(repr=False)
     depth: int
     regular_arity: int | None
-    parent: np.ndarray = field(compare=False, repr=False)
+    labels: tuple[str, ...] | None = field(default=None, repr=False)
 
     @staticmethod
-    def _from_sorted(nodes: tuple[str, ...]) -> "HmtTopology":
-        """Topology over paths in (depth, path) order; derives `parent` and the arity."""
+    def regular(depth: int, children: int) -> "HmtTopology":
+        """Complete tree of the given depth where every node has `children` children.
+
+        At most 10 children, so that one digit per level spells any node's
+        path.  Raises ValueError, before building any node, when the tree
+        would have more than `MAX_NODES` nodes.
+        """
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if children < 1 or children > len(PATH_ALPHABET):
+            raise ValueError(f"children count must be in 1..{len(PATH_ALPHABET)}")
+        # min(): a tree deeper than MAX_NODES.bit_length() levels is over the limit anyway
+        n = depth if children == 1 else (children ** min(depth, MAX_NODES.bit_length()) - 1) // (children - 1)
+        if n > MAX_NODES:
+            raise ValueError(
+                f"a tree of depth {depth} with {children} children per node has more than {MAX_NODES} nodes"
+            )
+        parent = _freeze((np.arange(n) - 1) // children, dtype=np.intp)
+        return HmtTopology(parent, depth, children if depth > 1 else None)
+
+    @staticmethod
+    def from_nodes(paths) -> "HmtTopology":
+        """Topology from an explicit node list; parents of every path must be present."""
+        node_set = set()
+        for p in paths:
+            if not isinstance(p, str) or (p and not (p.isascii() and p.isdigit())):
+                raise ValueError(f"node path {p!r} is not a string over '0'..'9'")
+            node_set.add(p)
+        if ROOT not in node_set:
+            raise ValueError('node list must contain the root ""')
+        nodes = tuple(sorted(node_set, key=lambda p: (len(p), p)))
         index = {p: j for j, p in enumerate(nodes)}
         parent = [-1]
         for p in nodes[1:]:
@@ -107,43 +124,44 @@ class HmtTopology:
         counts = np.bincount(parent[1:], minlength=len(nodes))
         first_leaf = int(np.argmin(counts))
         regular = depth > 1 and len(nodes[first_leaf]) == depth - 1 and (counts[:first_leaf] == counts[0]).all()
-        return HmtTopology(nodes, depth, int(counts[0]) if regular else None, parent)
+        return HmtTopology(parent, depth, int(counts[0]) if regular else None, nodes)
 
-    @staticmethod
-    def regular(depth: int, children: int) -> "HmtTopology":
-        """Complete tree of the given depth where every node has `children` children.
+    def __eq__(self, other):
+        """Equal `parent` arrays and, if either side carries labels, equal `nodes`."""
+        if not isinstance(other, HmtTopology):
+            return NotImplemented
+        return np.array_equal(self.parent, other.parent) and (self.labels is other.labels is None or self.nodes == other.nodes)
 
-        Raises ValueError, before building any node, when the tree would have
-        more than `MAX_NODES` nodes.
-        """
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        if children < 1 or children > len(PATH_ALPHABET):
-            raise ValueError(f"children count must be in 1..{len(PATH_ALPHABET)}")
-        if _regular_size(depth, children) > MAX_NODES:
-            raise ValueError(
-                f"a tree of depth {depth} with {children} children per node has more than {MAX_NODES} nodes"
-            )
-        levels = [[ROOT]]
-        for _ in range(depth - 1):
-            levels.append([p + PATH_ALPHABET[c] for p in levels[-1] for c in range(children)])
-        return HmtTopology._from_sorted(tuple(p for level in levels for p in level))
-
-    @staticmethod
-    def from_nodes(paths) -> "HmtTopology":
-        """Topology from an explicit node list; parents of every path must be present."""
-        node_set = set()
-        for p in paths:
-            if not isinstance(p, str) or (p and not (p.isascii() and p.isdigit())):
-                raise ValueError(f"node path {p!r} is not a string over '0'..'9'")
-            node_set.add(p)
-        if ROOT not in node_set:
-            raise ValueError('node list must contain the root ""')
-        return HmtTopology._from_sorted(tuple(sorted(node_set, key=lambda p: (len(p), p))))
+    def __hash__(self):
+        return hash(self.parent.tobytes())
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
+
+    @cached_property
+    def nodes(self) -> tuple[str, ...]:
+        """Every node path in node order: the `labels`, or else spelled on first read."""
+        if self.labels is not None:
+            return self.labels
+        rank = np.arange(self.n_nodes) - np.searchsorted(self.parent, self.parent)
+        paths = [ROOT]
+        for p, r in zip(self.parent[1:].tolist(), rank[1:].tolist()):
+            paths.append(paths[p] + PATH_ALPHABET[r])
+        return tuple(paths)
+
+    def path(self, j: int) -> str:
+        """Node j's label, or else its path spelled by walking up ``parent[j] = (j - 1) // arity``."""
+        j = range(self.n_nodes)[j]
+        if self.labels is not None:
+            return self.labels[j]
+        if self.regular_arity == 1:  # a chain, the one regular tree deeper than 20 levels
+            return PATH_ALPHABET[0] * j
+        digits = []
+        while j:
+            j, digit = divmod(j - 1, self.regular_arity)
+            digits.append(PATH_ALPHABET[digit])
+        return "".join(reversed(digits))
 
     @cached_property
     def level_offsets(self) -> np.ndarray:
@@ -260,9 +278,9 @@ def _stack_specs(specs) -> EmissionSpec:
 
 def _transition_stack(transitions, topology, d) -> np.ndarray:
     """The shared (d, d) matrix, or the (n_nodes - 1, d, d) stack in node order."""
-    paths = topology.nodes[1:]
-    shape = (len(paths), d, d)
+    shape = (topology.n_nodes - 1, d, d)
     if isinstance(transitions, Mapping):
+        paths = topology.nodes[1:]
         if set(transitions) != set(paths):
             raise ValueError("per-node transitions must cover exactly the non-root nodes")
         try:
@@ -535,16 +553,16 @@ def validate(model) -> list[str]:
     problems: list[str] = []
     _check_vector(model.initial, problems, "initial")
     if isinstance(model, HmmModel):
-        transitions, spec, nodes = model.transition, model.emission, None
+        transitions, spec, path = model.transition, model.emission, None
     else:
-        transitions, spec, nodes = model.transition_stack, model.emission_stack, model.topology.nodes
+        transitions, spec, path = model.transition_stack, model.emission_stack, cache(model.topology.path)
     if transitions.ndim == 2:
         _check_rows(transitions[None], lambda i: "transition", problems)
     else:
-        _check_rows(transitions, lambda i: f"transition at node {nodes[i + 1]!r}", problems)
+        _check_rows(transitions, lambda i: f"transition at node {path(i + 1)!r}", problems)
 
     def emission(i):
-        return f"emission at node {nodes[i]!r}" if spec.stacked else "emission"
+        return f"emission at node {path(i)!r}" if spec.stacked else "emission"
 
     if spec.kind == "discrete":
         matrix = spec.matrix if spec.stacked else spec.matrix[None]
@@ -712,7 +730,7 @@ def save_model(model) -> str:
         alphabet = spec.n_symbols if spec.kind == "discrete" else "gaussian"
         doc = {"type": "hmt", "states": model.n_states, "alphabet": alphabet}
         topology = model.topology
-        if topology.regular_arity and topology.nodes == HmtTopology.regular(topology.depth, topology.regular_arity).nodes:
+        if topology.regular_arity and topology == HmtTopology.regular(topology.depth, topology.regular_arity):
             doc["depth"] = topology.depth
             doc["children"] = topology.regular_arity
         else:

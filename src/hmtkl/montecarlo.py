@@ -20,9 +20,8 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ZeroLikelihoodError
 from .model import Evidence, HmmModel, HmtModel
-from .hmm import _check_pair, posterior_conditionals
+from .hmm import _check_pair, _posterior_pair, posterior_conditionals
 from .tree import _check_same_shape
 
 __all__ = [
@@ -113,7 +112,7 @@ class _TreeSampler:
 
     def __init__(self, model: HmtModel):
         n, d = model.topology.n_nodes, model.n_states
-        self.nodes = model.topology.nodes
+        self.n_nodes = n
         self.parent = model.topology.parent
         self.initial_cdf = _inclusive_cdf(model.initial[None, :])[0]
         self.transition_cdf = np.broadcast_to(_inclusive_cdf(model.transition_stack), (n - 1, d, d))
@@ -127,14 +126,14 @@ class _TreeSampler:
 
     @property
     def draws_per_trial(self) -> int:
-        return 2 * len(self.nodes)
+        return 2 * self.n_nodes
 
     def sample(self, uniforms: np.ndarray):
         """(states, emitted) arrays of shape (trials, nodes) from per-trial uniforms."""
         n = uniforms.shape[0]
-        states = np.empty((n, len(self.nodes)), dtype=np.int64)
-        emitted = np.empty((n, len(self.nodes)), dtype=np.int64 if self.discrete else float)
-        for j in range(len(self.nodes)):
+        states = np.empty((n, self.n_nodes), dtype=np.int64)
+        emitted = np.empty((n, self.n_nodes), dtype=np.int64 if self.discrete else float)
+        for j in range(self.n_nodes):
             u_state = uniforms[:, 2 * j]
             if j == 0:
                 states[:, j] = _categorical(self.initial_cdf[None, :], u_state)
@@ -256,18 +255,8 @@ def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int,
     """Estimate the posterior KL divergence from posterior draws of the first model."""
     _check_pair(m1, m0)
     _check_mc_args(trials, seed)
-    try:
-        initial_cdf, factor_cdfs, initial1, factors1 = _posterior_path_sampler(m1, evidence)
-    except ZeroLikelihoodError as exc:
-        raise ZeroLikelihoodError(
-            exc.position, f"zero likelihood under the first model (position {exc.position})"
-        ) from None
-    try:
-        _, _, initial0, factors0 = _posterior_path_sampler(m0, evidence)
-    except ZeroLikelihoodError as exc:
-        raise ZeroLikelihoodError(
-            exc.position, f"zero likelihood under the second model (position {exc.position})"
-        ) from None
+    (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence)
+    initial_cdf, factor_cdfs = _inclusive_cdf(initial1[None, :])[0], _inclusive_cdf(factors1)
     diffs = np.empty(trials)
     for start, uniforms in _chunked_uniforms(seed, trials, m1.length):
         states = _sample_paths(initial_cdf, factor_cdfs, uniforms)

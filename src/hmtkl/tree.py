@@ -23,7 +23,7 @@ __all__ = ["inward_pass", "kld_exact_tree", "kld_homogeneous_tree"]
 
 
 def _check_same_shape(m1: HmtModel, m0: HmtModel):
-    if m1.topology.nodes != m0.topology.nodes:
+    if m1.topology != m0.topology:
         raise ValueError("models must share the same topology")
     if m1.n_states != m0.n_states:
         raise ValueError(f"state count mismatch: {m1.n_states} vs {m0.n_states}")
@@ -91,7 +91,7 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
         total = total + weighted_sum(m1.initial, down[0])
     total = float(total)
     if np.isinf(total) and (np.isinf(root_term) or first_infinite is not None):
-        name = "(root)" if np.isinf(root_term) else m1.topology.nodes[first_infinite]
+        name = "(root)" if np.isinf(root_term) else m1.topology.path(first_infinite)
         warnings.warn(f"divergence is +inf: support mismatch first at node '{name}'", stacklevel=2)
     return total
 

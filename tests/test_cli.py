@@ -185,6 +185,15 @@ def test_zero_length_override_is_rejected(capsys, argv):
     assert "length must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("command", [["exact"], ["mc", "--trials", "10"]])
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_length_override_on_tree_files_is_rejected(capsys, command, n):
+    assert main([*command, "--model-a", TREE_A, "--model-b", TREE_B, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n overrides the length of hmm model files only" in captured.err
+
+
 def test_repeated_calls_parse_each_command_afresh(capsys):
     for argv, message in [
         (["exact", "--model-a", HMM_A], "hmtkl exact: error: the following arguments are required: --model-b"),

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +25,13 @@ from hmtkl import (
     kld_hmm_no_evidence,
     load_evidence,
     load_model,
+    mc_kld_no_evidence,
     save_model,
     validate,
 )
 from hmtkl.bundled import data_text
+from hmtkl.model import MAX_NODES
+from hmtkl.tree import _check_same_shape
 
 
 def random_hmm(rng, length=None, states=None, symbols=None):
@@ -84,6 +89,134 @@ class TestTopology:
     def test_from_nodes_rejects_digits_outside_ascii(self, path):
         with pytest.raises(ValueError, match=f"^node path {path!r} is not a string over '0'..'9'$"):
             HmtTopology.from_nodes(["", "0", path])
+
+
+@st.composite
+def topologies(draw):
+    """A regular tree with 1-4 children per node, or a ragged tree whose
+    sibling labels are any distinct digits (not only 0, 1, ...)."""
+    if draw(st.booleans()):
+        children = draw(st.integers(1, 4))
+        return HmtTopology.regular(draw(st.integers(1, {1: 40, 2: 7, 3: 5, 4: 4}[children])), children)
+    paths, frontier = [""], [""]
+    while frontier and len(paths) < 40:
+        node = frontier.pop(draw(st.integers(0, len(frontier) - 1)))
+        kids = [node + c for c in draw(st.sets(st.sampled_from("0123456789"), max_size=4))]
+        paths += kids
+        frontier += kids
+    return HmtTopology.from_nodes(draw(st.permutations(paths)))
+
+
+def level_by_level_paths(depth, children):
+    levels = [[""]]
+    for _ in range(depth - 1):
+        levels.append([p + str(c) for p in levels[-1] for c in range(children)])
+    return [p for level in levels for p in level]
+
+
+def one_state_model(topology):
+    return HmtModel(topology=topology, initial=[1.0], transitions=[[1.0]], emissions=DiscreteEmission([[1.0]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(topologies())
+def test_topology_properties(t):
+    paths = [t.path(j) for j in range(t.n_nodes)]  # before `nodes` is first read
+    assert paths == list(t.nodes)
+    again = HmtTopology.from_nodes(t.nodes)
+    assert again == t and hash(again) == hash(t)
+    assert np.array_equal(again.parent, t.parent)
+    assert (again.depth, again.regular_arity) == (t.depth, t.regular_arity)
+    if t.labels is None:
+        expected = level_by_level_paths(t.depth, t.regular_arity or 1)
+        assert list(t.nodes) == expected
+        index = {p: j for j, p in enumerate(expected)}
+        assert t.parent.tolist() == [-1] + [index[p[:-1]] for p in expected[1:]]
+    if t.n_nodes == 1:
+        return
+    # Relabel the last node, a leaf whose siblings are leaves too, with the
+    # largest digit its siblings leave free: same parent array, other paths.
+    last = t.nodes[-1]
+    used = {p[-1] for p in t.nodes if len(p) == len(last) and p[:-1] == last[:-1]}
+    digit = max(set("0123456789") - used)
+    relabelled = HmtTopology.from_nodes([*t.nodes[:-1], last[:-1] + digit])
+    assert np.array_equal(relabelled.parent, t.parent) and hash(relabelled) == hash(t)
+    assert relabelled != t and t != relabelled
+    with pytest.raises(ValueError, match="models must share the same topology"):
+        _check_same_shape(one_state_model(t), one_state_model(relabelled))
+    text = save_model(one_state_model(relabelled))
+    assert "nodes" in json.loads(text)
+    again = load_model(text).topology
+    assert again == relabelled and again.nodes == relabelled.nodes
+    assert save_model(load_model(text)) == text
+
+
+def test_relabelled_siblings_are_another_topology():
+    one = HmtTopology.from_nodes(["", "1"])
+    zero = HmtTopology.from_nodes(["", "0"])
+    chain = HmtTopology.regular(2, 1)
+    assert zero == chain and chain == zero and hash(zero) == hash(chain)
+    assert one != zero and one != chain and chain != one
+    with pytest.raises(ValueError, match="models must share the same topology"):
+        _check_same_shape(one_state_model(one), one_state_model(chain))
+
+
+def test_path_walks_the_parent_array():
+    t = HmtTopology.regular(4, 3)
+    assert [t.path(j) for j in (0, 1, 3, 4, 39, -1)] == ["", "0", "2", "00", "222", "222"]
+    with pytest.raises(IndexError):
+        t.path(40)
+    assert "nodes" not in vars(t)  # path() spells one label, not all of them
+
+
+def test_report_on_a_long_chain_names_every_row_quickly():
+    # Each of the 5998 problems names a path of up to 2999 digits; spelling
+    # each by a Python-level step per level would take seconds.
+    n = 3000
+    doc = {
+        "type": "hmt", "states": 2, "alphabet": 1, "depth": n, "children": 1, "initial": [0.5, 0.5],
+        "transition": {"0" * i: [[0.5, 0.6], [0.5, 0.6]] for i in range(1, n)},
+        "emission": {"kind": "discrete", "matrix": [[1.0], [1.0]]},
+    }
+    start = time.perf_counter()
+    with pytest.raises(ModelValidationError) as exc:
+        load_model(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    assert len(exc.value.report) == 2 * (n - 1)
+    assert exc.value.report[-1] == f"transition at node {'0' * (n - 1)!r} row 2 sums to 1.1"
+
+
+def peak_mib(fn):
+    """Peak memory traced while fn runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_as_tree_runs_in_bounded_memory():
+    a, b = bundled_hmm_pair(length=20000)
+
+    def run():
+        ta, tb = a.as_tree(), b.as_tree()
+        assert validate(ta) == [] and validate(tb) == []
+        assert mc_kld_no_evidence(ta, tb, trials=2, seed=0).trials == 2
+
+    assert peak_mib(run) < 4
+
+
+def test_as_tree_at_max_nodes_runs_in_bounded_memory():
+    a, b = bundled_hmm_pair(length=MAX_NODES)
+
+    def run():
+        ta, tb = a.as_tree(), b.as_tree()
+        assert ta.topology.n_nodes == MAX_NODES
+        assert validate(ta) == [] and validate(tb) == []
+        _check_same_shape(ta, tb)
+
+    assert peak_mib(run) < 64
 
 
 class TestValidate:

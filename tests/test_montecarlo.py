@@ -15,12 +15,14 @@ from hmtkl import (
     bundled_gaussian_tree_pair,
     bundled_hmm_pair,
     brute_force_kld_joint,
+    kld_hmm_evidence,
     loglik_joint,
     mc_kld_evidence,
     mc_kld_no_evidence,
     sample_joint,
     sample_posterior,
 )
+from hmtkl.errors import ZeroLikelihoodError
 from hmtkl.montecarlo import _TreeSampler, _chunked_uniforms
 
 
@@ -275,6 +277,20 @@ class TestMcEvidence:
         exact = kld_hmm_evidence(a, b, ev)
         est = mc_kld_evidence(a, b, ev, 20_000, 2)
         assert est.ci_lo <= exact <= est.ci_hi
+
+    def test_zero_likelihood_names_the_model_and_position(self):
+        a, _ = bundled_hmm_pair()
+        # emits only symbol 1, so the trailing 3s of the evidence are impossible
+        blind = HmmModel(length=10, initial=a.initial, transition=a.transition, emission=DiscreteEmission([[1.0, 0.0, 0.0]] * 2))
+        ev = Evidence.from_external([1, 1, 1, 2, 2, 2, 3, 3, 3, 3])
+        for m1, m0, name in ((a, blind, "second"), (blind, a, "first")):
+            with pytest.raises(ZeroLikelihoodError) as exc:
+                mc_kld_evidence(m1, m0, ev, 10, 0)
+            assert exc.value.position == 10
+            assert str(exc.value) == f"zero likelihood under the {name} model (position 10)"
+            with pytest.raises(ZeroLikelihoodError) as exact_exc:
+                kld_hmm_evidence(m1, m0, ev)
+            assert str(exact_exc.value) == str(exc.value)
 
 
 GOLDEN_PATHS = ["", "0", "1", "2", "00", "01", "10", "20", "21", "22", "23", "000", "010", "011", "200"]

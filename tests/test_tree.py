@@ -1,6 +1,7 @@
 """Inward recursion and homogeneous closed form against enumeration oracles."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -219,6 +220,23 @@ class TestKldExactTree:
         m0 = HmtModel(topology=topo, initial=[0.5, 0.5], transitions=[[1.0, 0.0], [1.0, 0.0]], emissions=shared)
         with pytest.warns(UserWarning, match="node '0'"):
             assert kld_exact_tree(m1, m0) == math.inf
+
+    def test_inf_warning_on_a_long_chain_spells_one_path(self):
+        n = 20000
+        topo = HmtTopology.regular(n, 1)
+        shared = DiscreteEmission([[0.5, 0.5], [0.5, 0.5]])
+        stack = np.tile([[0.9, 0.1], [0.2, 0.8]], (n - 1, 1, 1))
+        stack[4] = [[1.0, 0.0], [1.0, 0.0]]  # the edge into node 5, path '00000'
+        m1 = HmtModel(topology=topo, initial=[0.5, 0.5], transitions=[[0.9, 0.1], [0.2, 0.8]], emissions=shared)
+        m0 = HmtModel(topology=topo, initial=[0.5, 0.5], transitions=stack, emissions=shared)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="support mismatch first at node '00000'$"):
+                assert kld_exact_tree(m1, m0) == math.inf
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_zero_weight_kills_inf(self):
         # The second state's transition rows mismatch, but that state is unreachable under m1.
