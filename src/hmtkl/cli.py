@@ -10,8 +10,9 @@ evidence-exact  exact divergence between hidden-path posteriors given evidence
 mc              Monte Carlo estimate (joint, or posterior with --evidence)
 sweep           CSV over a range of chain lengths, exact vs Monte Carlo
 
-Exit codes: 0 success, 2 model or validation error, 3 mathematical
-precondition failure, 4 enumeration budget exceeded.
+Exit codes: 0 success; 2 model, validation or usage error (such as an option
+the subcommand does not take) or an allocation the machine cannot make; 3
+mathematical precondition failure or overflow; 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _read(path: str) -> str:
 
 def _load_pair(args):
     m_a, m_b = load_model(_read(args.model_a)), load_model(_read(args.model_b))
-    if args.n is not None:
+    if getattr(args, "n", None) is not None:  # sweep takes no --n: each row sets its own length
         if not isinstance(m_a, HmmModel) or not isinstance(m_b, HmmModel):
             raise ModelError("--n overrides the length of hmm model files only")
         m_a, m_b = m_a.with_length(args.n), m_b.with_length(args.n)
@@ -183,33 +184,39 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+#: Options beyond the model files, each declared only by the subcommands that read it.
+_OPTIONS = {
+    "--evidence": {"metavar": "PATH"},
+    "--n": {"type": int},
+    "--n-min": {"type": int, "default": 1},
+    "--n-max": {"type": int, "default": 1},
+    "--step": {"type": int, "default": 1},
+    "--trials": {"type": int, "default": 1000},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"metavar": "PATH"},
+    "--fast": {"action": "store_true"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hmtkl", description="Exact and Monte Carlo KL divergence for hidden Markov trees and chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, model_b_required=True):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, func, help_text, *options, model_b_required=True):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--model-a", required=True, metavar="PATH")
         p.add_argument("--model-b", required=model_b_required, metavar="PATH")
-        p.add_argument("--evidence", metavar="PATH")
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-min", type=int, default=1)
-        p.add_argument("--n-max", type=int, default=1)
-        p.add_argument("--step", type=int, default=1)
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", metavar="PATH")
-        p.add_argument("--fast", action=argparse.BooleanOptionalAction, default=False)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(func=func)
-        return p
 
     add("validate", cmd_validate, "check model files against the format invariants", model_b_required=False)
-    add("exact", cmd_exact, "exact KL divergence between two models")
-    add("rate", cmd_rate, "KL divergence rate and stationary distribution")
-    add("bound", cmd_bound, "decomposition bound (equals the exact divergence)")
-    add("evidence-exact", cmd_evidence_exact, "exact divergence of hidden-path posteriors given evidence")
-    add("mc", cmd_mc, "Monte Carlo estimate with a 95% confidence interval")
-    add("sweep", cmd_sweep, "CSV sweep over chain lengths")
+    add("exact", cmd_exact, "exact KL divergence between two models", "--n", "--fast")
+    add("rate", cmd_rate, "KL divergence rate and stationary distribution", "--n")
+    add("bound", cmd_bound, "decomposition bound (equals the exact divergence)", "--n")
+    add("evidence-exact", cmd_evidence_exact, "exact divergence of hidden-path posteriors given evidence", "--n", "--evidence")
+    add("mc", cmd_mc, "Monte Carlo estimate with a 95% confidence interval", "--n", "--evidence", "--trials", "--seed")
+    add("sweep", cmd_sweep, "CSV sweep over chain lengths", "--evidence", "--n-min", "--n-max", "--step", "--trials", "--seed", "--out")
     return parser
 
 
@@ -236,7 +243,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except (ModelError, ValueError) as exc:
+    except (ModelError, ValueError, MemoryError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -36,37 +36,25 @@ def _inward(m1: HmtModel, m0: HmtModel):
     the first non-root node whose local term is +inf (None when there is none).
 
     Row j of the table is node j's inward vector (the root's row is unused);
-    row j of the children sum adds the table rows of node j's children.  One
-    `local_k_stack` call gives every local term; the pass then runs level by
-    level from the deepest, with one children sum per children count and one
-    `weighted_sum_rows` per level.
+    row j of the children sum adds node j's children's rows one at a time in
+    child order.  One `local_k_stack` call gives every local term; then each
+    level, a contiguous row range, takes one `weighted_sum_rows` and one
+    unbuffered `np.add.at` into its parents' rows, from the deepest level up.
     """
     topology = m1.topology
     n, d = topology.n_nodes, m1.n_states
-    bounds = np.searchsorted(topology.parent, np.arange(n + 1))  # children of j: bounds[j]:bounds[j + 1]
-    counts = np.diff(bounds)
     pi1 = np.broadcast_to(m1.transition_stack, (n - 1, d, d))
     pi0 = np.broadcast_to(m0.transition_stack, (n - 1, d, d))
     nonroot = slice(1, None)
     local = local_k_stack(pi1, pi0, m1.emission_stack.for_nodes(nonroot), m0.emission_stack.for_nodes(nonroot))
     infinite = np.flatnonzero(np.isinf(local).any(axis=1))
     table = np.zeros((n, d))
-    table[1:] = local
     down = np.zeros((n, d))
     offsets = topology.level_offsets
-    for level in range(len(offsets) - 2, -1, -1):
-        lo = offsets[level]
-        inner = lo + np.flatnonzero(counts[lo : offsets[level + 1]])
-        if not inner.size:
-            continue
-        # Children of one node are contiguous rows; nodes with k children sum
-        # their (k, d) blocks along the children axis, as a per-node slice sum does.
-        sizes = counts[inner]
-        for k in np.unique(sizes):
-            group = inner[sizes == k]
-            down[group] = table[bounds[group, None] + np.arange(k)].sum(axis=1)
-        if level:
-            table[inner] = local[inner - 1] + weighted_sum_rows(pi1[inner - 1], down[inner])
+    for level in range(len(offsets) - 2, 0, -1):
+        lo, hi = offsets[level], offsets[level + 1]
+        table[lo:hi] = local[lo - 1 : hi - 1] + weighted_sum_rows(pi1[lo - 1 : hi - 1], down[lo:hi])
+        np.add.at(down, topology.parent[lo:hi], table[lo:hi])
     return table, down, (int(infinite[0]) + 1 if infinite.size else None)
 
 
@@ -163,9 +151,8 @@ def kld_homogeneous_tree(m1: HmtModel, m0: HmtModel, children: int | None = None
     logarithmic in the depth instead of linear in the node count (see
     `geometric_weighted_sum`).  `children` and `depth` default to
     the models' own (regular) topology; passing them explicitly evaluates the
-    closed form for a tree of that shape without materializing it, which is
-    how million-level chains stay tractable.  Depth 1 reduces to the root
-    term.
+    closed form for a tree of that shape without materializing it.  Depth 1
+    reduces to the root term.
     """
     _check_same_shape(m1, m0)
     for name, m in (("first", m1), ("second", m0)):

@@ -370,3 +370,39 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("exact_kld=0.68952288455")
+
+
+#: The options that each subcommand takes besides --model-a/--model-b.
+OPTIONS_TAKEN = {
+    "validate": (),
+    "exact": ("--n", "--fast"),
+    "rate": ("--n",),
+    "bound": ("--n",),
+    "evidence-exact": ("--n", "--evidence"),
+    "mc": ("--n", "--evidence", "--trials", "--seed"),
+    "sweep": ("--evidence", "--n-min", "--n-max", "--step", "--trials", "--seed", "--out"),
+}
+FORMER_OPTIONS = ("--evidence", "--n", "--n-min", "--n-max", "--step", "--trials", "--seed", "--out", "--fast", "--no-fast")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, taken in OPTIONS_TAKEN.items() for option in FORMER_OPTIONS if option not in taken],
+)
+def test_option_the_command_does_not_read_exits_2(capsys, command, option):
+    value = [] if option in ("--fast", "--no-fast") else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model-a", HMM_A, "--model-b", HMM_B, option, *value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"hmtkl: error: unrecognized arguments: {option}" in captured.err
+
+
+def test_impossible_allocation_exits_2(capsys):
+    # 10**16 trials need 8e16 bytes, beyond any 64-bit user address space, so
+    # the allocation fails at once even where the kernel overcommits memory.
+    assert main(["mc", "--model-a", TREE_A, "--model-b", TREE_B, "--trials", str(10**16)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Unable to allocate") and captured.err.count("\n") == 1

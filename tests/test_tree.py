@@ -512,3 +512,69 @@ def test_stacked_inward_pass_matches_path_keyed_recursion(size, max_arity, d, m,
     offender = first_offender(m1, m0) if value == math.inf else None
     expected = [] if offender is None else [f"divergence is +inf: support mismatch first at node '{offender}'"]
     assert [str(w.message) for w in caught] == expected
+
+
+def child_order_inward(m1, m0):
+    """The inward recursion node by node, each node's children added to a zero
+    vector one at a time in child order; returns the path-keyed inward vectors
+    and the divergence."""
+    topo = m1.topology
+    kids = [[] for _ in range(topo.n_nodes)]
+    for j in range(1, topo.n_nodes):
+        kids[topo.parent[j]].append(j)
+    table = {}
+    for j in reversed(range(topo.n_nodes)):
+        down = np.zeros(m1.n_states)
+        for c in kids[j]:
+            down = down + table[c]
+        if j:
+            p = topo.nodes[j]
+            local = local_k_vector(m1.transition(p), m0.transition(p), m1.emission(p), m0.emission(p))
+            table[j] = local + weighted_sum(m1.transition(p), down)
+    root = local_k_root(m1.initial, m0.initial, m1.emission(""), m0.emission(""))
+    value = root + weighted_sum(m1.initial, down) if kids[0] else root
+    return {topo.nodes[j]: table[j] for j in range(1, topo.n_nodes)}, float(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    max_arity=st.integers(1, 10),
+    d=st.integers(1, 4),
+    m=st.integers(1, 4),
+    gaussian=st.booleans(),
+    sharing=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    zero_prob=st.sampled_from([0.0, 0.05, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inward_pass_adds_children_in_child_order(size, max_arity, d, m, gaussian, sharing, zero_prob, seed):
+    rng = np.random.default_rng(seed)
+    topo = HmtTopology.from_nodes(random_paths(rng, size, max_arity))
+    m1 = stacked_model(rng, topo, d, m, gaussian, sharing[0], sharing[1], zero_prob)
+    m0 = stacked_model(rng, topo, d, m, gaussian, sharing[2], sharing[3], zero_prob)
+    vectors, expected = child_order_inward(m1, m0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value = kld_exact_tree(m1, m0)
+    assert value == expected
+    table = inward_pass(m1, m0)
+    assert list(table) == list(vectors)
+    assert all(table[p].tobytes() == v.tobytes() for p, v in vectors.items())
+    if d >= 2:
+        assert value == path_keyed_kld(m1, m0)
+
+
+def test_ten_children_with_one_state_add_in_child_order():
+    # One large and nine tiny child divergences: added in child order the tiny
+    # ones each round away, while numpy's pairwise sum of ten values adds them
+    # in pairs first and lands two ulps higher.
+    topo = HmtTopology.regular(2, 10)
+    means0 = np.array([0.0, math.sqrt(2000.0)] + [2.5e-7] * 9)[:, None]
+    m1 = HmtModel(topology=topo, initial=[1.0], transitions=[[1.0]], emissions=GaussianEmission(np.zeros((11, 1)), np.ones((11, 1))))
+    m0 = HmtModel(topology=topo, initial=[1.0], transitions=[[1.0]], emissions=GaussianEmission(means0, np.ones((11, 1))))
+    children = np.concatenate(list(inward_pass(m1, m0).values()))
+    fold = 0.0
+    for value in children:
+        fold += value
+    assert np.sum(children) != fold
+    assert kld_exact_tree(m1, m0) == fold == child_order_inward(m1, m0)[1]
