@@ -184,9 +184,11 @@ def weighted_sum_rows(weights, values) -> np.ndarray:
     ``weighted_sum(weights[i], values[i])`` bit for bit.
 
     `weights` is ``(n, d, d)`` and `values` ``(n, d)``.  Rows whose values are
-    all finite take one stacked ``np.matmul``; the others apply the
-    ``0 * inf = 0`` rule.
+    all finite take one stacked ``np.matmul`` (at once when every row is
+    finite); the others apply the ``0 * inf = 0`` rule.
     """
+    if np.isfinite(values).all():
+        return np.matmul(weights, values[..., None])[..., 0]
     with np.errstate(invalid="ignore"):
         out = np.matmul(weights, values[..., None])[..., 0]
         rows = ~np.isfinite(values).all(axis=1)

@@ -9,6 +9,14 @@ are bitwise reproducible regardless of batch or chunk boundaries.
 
 Every draw consumes exactly one uniform: discrete states and symbols through
 the row CDF, Gaussian emissions through the inverse normal CDF.
+
+Trials go in chunks of at most `_CHUNK` uniforms (and at least one trial),
+laid out node-major: row i of a chunk holds draw i of every trial in it, so
+each node reads contiguous rows.  One pass over the nodes draws each node's
+state and emission and adds both models' log-terms to their own per-trial
+sums while those rows are in cache; only the states of nodes with children
+still to draw stay alive.  Each trial's terms are added in node order,
+transition before emission, so no bit depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -35,7 +43,10 @@ __all__ = [
 
 Z95 = 1.96
 _LOG_2PI = math.log(2.0 * math.pi)
-_CHUNK = 1 << 18
+#: Uniforms in one chunk: 2^22 float64 values, 32 MiB.
+_CHUNK = 1 << 22
+#: Uniforms drawn by one Philox call and transposed into the chunk (128 KiB).
+_TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -73,18 +84,31 @@ def _check_mc_args(trials, seed):
         raise ValueError("seed must be >= 0")
 
 
+def _padded(per_trial: int) -> int:
+    return -(-per_trial // 4) * 4
+
+
+def _chunk_trials(per_trial: int) -> int:
+    """Trials per chunk: as many as fit in `_CHUNK` uniforms, and at least one."""
+    return max(1, _CHUNK // _padded(per_trial))
+
+
 def _chunked_uniforms(seed: int, trials: int, per_trial: int):
-    """Yield (start, uniform block) pairs; row t holds trial t's substream."""
-    padded = -(-per_trial // 4) * 4
-    blocks_per_trial = padded // 4
-    start = 0
-    while start < trials:
-        stop = min(start + _CHUNK, trials)
-        bits = np.random.Philox(key=seed)
-        bits.advance(start * blocks_per_trial)
-        block = np.random.Generator(bits).random((stop - start, padded))[:, :per_trial]
+    """Yield (start, block) pairs; column t of the ``(per_trial, chunk)`` block
+    holds trial ``start + t``'s substream.
+
+    The stream is read in order, a few trials at a time, and each tile is
+    transposed into the block while it is in cache.
+    """
+    padded = _padded(per_trial)
+    size, tile = _chunk_trials(per_trial), max(1, _TILE // padded)
+    stream = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, trials, size):
+        block = np.empty((per_trial, min(size, trials - start)))
+        for lo in range(0, block.shape[1], tile):
+            rows = stream.random((min(tile, block.shape[1] - lo), padded))
+            block[:, lo : lo + rows.shape[0]] = rows[:, :per_trial].T
         yield start, block
-        start = stop
 
 
 def _inclusive_cdf(rows: np.ndarray) -> np.ndarray:
@@ -93,9 +117,23 @@ def _inclusive_cdf(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _categorical(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup; zero-probability states are never selected."""
-    return (cdf_rows <= u[..., None]).sum(axis=-1)
+def _draw(cdf: np.ndarray, base, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw from the rows of `cdf` that start at flat offsets
+    `base`: returns ``base + count``, where count is the number of the row's
+    entries <= u.
+
+    A branchless binary search over the row's first width - 1 entries, which
+    are non-decreasing; the last entry is 1 > u and is never counted, so a
+    zero-probability state is never drawn.  Every index read stays inside
+    the row: after each halving ``pos - base + n`` is at most width - 1.
+    """
+    n, pos = cdf.shape[-1] - 1, base
+    while n > 1:
+        half = n // 2
+        mid = pos + half
+        pos = np.where(cdf.take(mid) <= u, mid, pos)
+        n -= half
+    return pos + (cdf.take(pos) <= u)
 
 
 def _inverse_normal(u: np.ndarray) -> np.ndarray:
@@ -103,75 +141,102 @@ def _inverse_normal(u: np.ndarray) -> np.ndarray:
     return ndtri(np.maximum(u, 2.0**-54))
 
 
-class _TreeSampler:
-    """Vectorized ancestral sampling and log-likelihood over a tree's node order.
+@dataclass(frozen=True)
+class _Law:
+    """One model's factors on a breadth-first node axis, as row CDFs to draw
+    with or as logs to score with.
 
-    Row CDFs are built once per parameter stack, or once for a matrix shared
-    by every node and then broadcast over the nodes without copying.
+    `first` is the root's state law; row ``state[parent[j]]`` of
+    ``steps[j - 1]`` is node j's.  ``emission[j]`` is node j's emission
+    matrix, or, for Gaussian emissions, the logs of its sds, with the means
+    and sds in `gaussian`; posterior paths emit nothing.  A table shared by
+    every node is broadcast over them, never copied.  `np.log` is
+    elementwise, so a gathered log equals the log of the gathered factor bit
+    for bit; a zero factor scores -inf.
     """
 
-    def __init__(self, model: HmtModel):
-        n, d = model.topology.n_nodes, model.n_states
-        self.n_nodes = n
-        self.parent = model.topology.parent
-        self.initial_cdf = _inclusive_cdf(model.initial[None, :])[0]
-        self.transition_cdf = np.broadcast_to(_inclusive_cdf(model.transition_stack), (n - 1, d, d))
-        spec = model.emission_stack
-        self.discrete = spec.kind == "discrete"
-        if self.discrete:
-            self.emission_cdf = np.broadcast_to(_inclusive_cdf(spec.matrix), (n, d, spec.n_symbols))
-        else:
-            self.means = np.broadcast_to(spec.means, (n, d))
-            self.sds = np.broadcast_to(spec.sds, (n, d))
+    first: np.ndarray
+    steps: np.ndarray
+    emission: np.ndarray | None = None
+    gaussian: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
-    def draws_per_trial(self) -> int:
-        return 2 * self.n_nodes
-
-    def sample(self, uniforms: np.ndarray):
-        """(states, emitted) arrays of shape (trials, nodes) from per-trial uniforms."""
-        n = uniforms.shape[0]
-        states = np.empty((n, self.n_nodes), dtype=np.int64)
-        emitted = np.empty((n, self.n_nodes), dtype=np.int64 if self.discrete else float)
-        for j in range(self.n_nodes):
-            u_state = uniforms[:, 2 * j]
-            if j == 0:
-                states[:, j] = _categorical(self.initial_cdf[None, :], u_state)
-            else:
-                rows = self.transition_cdf[j - 1][states[:, self.parent[j]]]
-                states[:, j] = _categorical(rows, u_state)
-            u_emit = uniforms[:, 2 * j + 1]
-            s = states[:, j]
-            if self.discrete:
-                emitted[:, j] = _categorical(self.emission_cdf[j][s], u_emit)
-            else:
-                emitted[:, j] = self.means[j][s] + self.sds[j][s] * _inverse_normal(u_emit)
-        return states, emitted
+    def draws_per_node(self) -> int:
+        return 1 if self.emission is None else 2
 
 
-def _loglik_arrays(model: HmtModel, states: np.ndarray, emitted: np.ndarray) -> np.ndarray:
-    """Joint log-probability (log-density for Gaussian emissions) per trial row."""
-    n, d = model.topology.n_nodes, model.n_states
-    parent = model.topology.parent
-    transitions = np.broadcast_to(model.transition_stack, (n - 1, d, d))
-    spec = model.emission_stack
-    if spec.kind == "discrete":
-        matrices = np.broadcast_to(spec.matrix, (n, d, spec.n_symbols))
-    else:
-        means, sds = np.broadcast_to(spec.means, (n, d)), np.broadcast_to(spec.sds, (n, d))
+def _tree_law(model: HmtModel, table) -> _Law:
+    """`model`'s factors through `table`: `_inclusive_cdf` to draw, `np.log` to score."""
+    n, d, spec = model.topology.n_nodes, model.n_states, model.emission_stack
     with np.errstate(divide="ignore"):
-        out = np.log(model.initial[states[:, 0]])
-        for j in range(n):
-            s = states[:, j]
-            if j:
-                out += np.log(transitions[j - 1][states[:, parent[j]], s])
-            if spec.kind == "discrete":
-                out += np.log(matrices[j][s, emitted[:, j].astype(np.int64)])
-            else:
-                mean = means[j][s]
-                sd = sds[j][s]
-                out += -0.5 * ((emitted[:, j] - mean) / sd) ** 2 - np.log(sd) - 0.5 * _LOG_2PI
-    return out
+        if spec.kind == "discrete":
+            emission, gaussian = np.broadcast_to(table(spec.matrix), (n, d, spec.n_symbols)), None
+        else:
+            emission = np.broadcast_to(np.log(spec.sds), (n, d))
+            gaussian = np.broadcast_to(spec.means, (n, d)), np.broadcast_to(spec.sds, (n, d))
+        return _Law(table(model.initial), np.broadcast_to(table(model.transition_stack), (n - 1, d, d)), emission, gaussian)
+
+
+def _walk(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
+    """Ancestral sampling of a node-major chunk from `law`'s row CDFs, one
+    node at a time.
+
+    Row ``k * j`` of `uniforms` draws node j's states, where k is the law's
+    draws per node, and row ``k * j + 1`` its emissions.  Yields, for every
+    node j in order, ``(j, states, step, factor, emitted)``: `step` indexes
+    node j's flattened initial vector or transition matrix, and `factor` its
+    flattened emission matrix or, for Gaussian emissions, its states (both
+    None without emissions).  Only the states of nodes with children still
+    to draw stay alive; children are contiguous in `parent`.
+    """
+    n, d, k = parent.shape[0], law.first.shape[0], law.draws_per_node
+    has_children = np.zeros(n, dtype=bool)
+    has_children[parent[1:]] = True
+    last_child = np.ones(n, dtype=bool)
+    last_child[1:-1] = parent[1:-1] != parent[2:]
+    rows = {}  # flat offset ``d * state`` of each node's row in its children's steps
+    # memoryviews iterate as Python ints and bools
+    for j, (p, kept, last) in enumerate(zip(memoryview(parent), memoryview(has_children), memoryview(last_child))):
+        base = (rows.pop(p) if last else rows[p]) if j else 0
+        step = _draw(law.steps[j - 1] if j else law.first, base, uniforms[k * j])
+        s = step - base
+        if kept:
+            rows[j] = s * d
+        factor = x = None
+        if law.gaussian is not None:
+            means, sds = law.gaussian
+            factor, x = s, means[j].take(s) + sds[j].take(s) * _inverse_normal(uniforms[k * j + 1])
+        elif law.emission is not None:
+            emission_base = s * law.emission.shape[-1]
+            factor = _draw(law.emission[j], emission_base, uniforms[k * j + 1])
+            x = factor - emission_base
+        yield j, s, step, factor, x
+
+
+def _score(acc: np.ndarray, law: _Law, j: int, step, factor, x) -> None:
+    """Add node j's log-terms, as `_walk` indexes them, to the per-trial sums
+    `acc`: its transition (at the root, its initial probability), then its
+    emission."""
+    acc += (law.steps[j - 1] if j else law.first).take(step)
+    if law.gaussian is not None:
+        means, sds = law.gaussian
+        z = (x - means[j].take(factor)) / sds[j].take(factor)
+        acc += -0.5 * z**2 - law.emission[j].take(factor) - 0.5 * _LOG_2PI
+    elif law.emission is not None:
+        acc += law.emission[j].take(factor)
+
+
+def _log_ratios(parent: np.ndarray, draw: _Law, score1: _Law, score0: _Law, trials: int, seed: int) -> np.ndarray:
+    """``log p1 - log p0`` of every trial, drawn from `draw` chunk by chunk;
+    each chunk takes one pass over the nodes that scores both models."""
+    diffs = np.empty(trials)
+    for start, uniforms in _chunked_uniforms(seed, trials, draw.draws_per_node * parent.shape[0]):
+        acc1, acc0 = np.zeros(uniforms.shape[1]), np.zeros(uniforms.shape[1])
+        for j, _, step, factor, x in _walk(parent, draw, uniforms):
+            _score(acc1, score1, j, step, factor, x)
+            _score(acc0, score0, j, step, factor, x)
+        np.subtract(acc1, acc0, out=diffs[start : start + uniforms.shape[1]])
+    return diffs
 
 
 def sample_joint(model: HmtModel, rng: np.random.Generator):
@@ -182,12 +247,12 @@ def sample_joint(model: HmtModel, rng: np.random.Generator):
     advanced to a trial's substream reproduces that trial of the batch
     estimators exactly.
     """
-    sampler = _TreeSampler(model)
-    states, emitted = sampler.sample(rng.random(sampler.draws_per_trial)[None, :])
     nodes = model.topology.nodes
-    caster = int if sampler.discrete else float
-    x = {p: caster(emitted[0, j]) for j, p in enumerate(nodes)}
-    s = {p: int(states[0, j]) for j, p in enumerate(nodes)}
+    caster = int if model.emission_kind == "discrete" else float
+    uniforms = rng.random(2 * len(nodes))[:, None]
+    x, s = {}, {}
+    for j, state, _, _, emitted in _walk(model.topology.parent, _tree_law(model, _inclusive_cdf), uniforms):
+        s[nodes[j]], x[nodes[j]] = int(state[0]), caster(emitted[0])
     return x, s
 
 
@@ -196,12 +261,21 @@ def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int])
     nodes = model.topology.nodes
     if set(x) != set(nodes) or set(s) != set(nodes):
         raise ValueError("assignments must cover every node exactly")
-    states = np.array([[s[p] for p in nodes]], dtype=np.int64)
-    if model.emission_kind == "discrete":
-        emitted = np.array([[x[p] for p in nodes]], dtype=np.int64)
-    else:
-        emitted = np.array([[x[p] for p in nodes]], dtype=float)
-    return float(_loglik_arrays(model, states, emitted)[0])
+    d, discrete = model.n_states, model.emission_kind == "discrete"
+    states = np.array([s[p] for p in nodes], dtype=np.int64)
+    emitted = np.array([x[p] for p in nodes], dtype=np.int64 if discrete else float)
+    if ((states < 0) | (states >= d)).any():
+        raise ValueError(f"states must lie in 0..{d - 1}")
+    m = model.emission_stack.n_symbols if discrete else None
+    if discrete and ((emitted < 0) | (emitted >= m)).any():
+        raise ValueError(f"symbols must lie in 0..{m - 1}")
+    steps = states.copy()
+    steps[1:] += states[model.topology.parent[1:]] * d
+    factors = states * m + emitted if discrete else states
+    law, acc = _tree_law(model, np.log), np.zeros(1)
+    for j in range(len(nodes)):
+        _score(acc, law, j, steps[j : j + 1], factors[j : j + 1], emitted[j : j + 1])
+    return float(acc[0])
 
 
 def mc_kld_no_evidence(m1: HmtModel, m0: HmtModel, trials: int, seed: int) -> McEstimate:
@@ -209,36 +283,12 @@ def mc_kld_no_evidence(m1: HmtModel, m0: HmtModel, trials: int, seed: int) -> Mc
     i.i.d. draws from the first model."""
     _check_same_shape(m1, m0)
     _check_mc_args(trials, seed)
-    sampler = _TreeSampler(m1)
-    diffs = np.empty(trials)
-    for start, uniforms in _chunked_uniforms(seed, trials, sampler.draws_per_trial):
-        states, emitted = sampler.sample(uniforms)
-        diffs[start : start + uniforms.shape[0]] = _loglik_arrays(m1, states, emitted) - _loglik_arrays(
-            m0, states, emitted
-        )
-    return _estimate(diffs, seed)
+    draw, score1, score0 = _tree_law(m1, _inclusive_cdf), _tree_law(m1, np.log), _tree_law(m0, np.log)
+    return _estimate(_log_ratios(m1.topology.parent, draw, score1, score0, trials, seed), seed)
 
 
-def _posterior_path_sampler(model: HmmModel, evidence: Evidence):
-    initial, factors = posterior_conditionals(model, evidence)
-    return _inclusive_cdf(initial[None, :])[0], _inclusive_cdf(factors), initial, factors
-
-
-def _sample_paths(initial_cdf, factor_cdfs, uniforms):
-    n, length = uniforms.shape
-    states = np.empty((n, length), dtype=np.int64)
-    states[:, 0] = _categorical(initial_cdf[None, :], uniforms[:, 0])
-    for i in range(1, length):
-        states[:, i] = _categorical(factor_cdfs[i - 1][states[:, i - 1]], uniforms[:, i])
-    return states
-
-
-def _log_posterior(initial, factors, states):
-    with np.errstate(divide="ignore"):
-        out = np.log(initial[states[:, 0]])
-        for i in range(1, states.shape[1]):
-            out += np.log(factors[i - 1][states[:, i - 1], states[:, i]])
-    return out
+def _chain_parent(length: int) -> np.ndarray:
+    return np.arange(length) - 1
 
 
 def sample_posterior(model: HmmModel, evidence: Evidence, rng: np.random.Generator) -> np.ndarray:
@@ -247,20 +297,25 @@ def sample_posterior(model: HmmModel, evidence: Evidence, rng: np.random.Generat
     Samples S_1 from its posterior and then forward through the evidence
     conditionals; consumes one uniform per position.
     """
-    initial_cdf, factor_cdfs, _, _ = _posterior_path_sampler(model, evidence)
-    return _sample_paths(initial_cdf, factor_cdfs, rng.random(model.length)[None, :])[0]
+    initial, factors = posterior_conditionals(model, evidence)
+    law = _Law(_inclusive_cdf(initial), _inclusive_cdf(factors))
+    walk = _walk(_chain_parent(model.length), law, rng.random(model.length)[:, None])
+    return np.array([s[0] for _, s, _, _, _ in walk], dtype=np.int64)
 
 
 def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int, seed: int) -> McEstimate:
-    """Estimate the posterior KL divergence from posterior draws of the first model."""
+    """Estimate the posterior KL divergence from posterior draws of the first model.
+
+    Position i of a path is drawn from the first model's posterior factor
+    for i given position i - 1, and both posteriors score it in the same pass.
+    """
     _check_pair(m1, m0)
     _check_mc_args(trials, seed)
     (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence)
-    initial_cdf, factor_cdfs = _inclusive_cdf(initial1[None, :])[0], _inclusive_cdf(factors1)
-    diffs = np.empty(trials)
-    for start, uniforms in _chunked_uniforms(seed, trials, m1.length):
-        states = _sample_paths(initial_cdf, factor_cdfs, uniforms)
-        diffs[start : start + uniforms.shape[0]] = _log_posterior(initial1, factors1, states) - _log_posterior(
-            initial0, factors0, states
-        )
-    return _estimate(diffs, seed)
+    draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1))
+    with np.errstate(divide="ignore"):
+        # the posterior stacks are fresh: their logs overwrite them, so one CDF
+        # stack and two log stacks are all the stacks that stay alive
+        score1 = _Law(np.log(initial1), np.log(factors1, out=factors1))
+        score0 = _Law(np.log(initial0), np.log(factors0, out=factors0))
+    return _estimate(_log_ratios(_chain_parent(m1.length), draw, score1, score0, trials, seed), seed)

@@ -23,7 +23,7 @@ from hmtkl import (
     sample_posterior,
 )
 from hmtkl.errors import ZeroLikelihoodError
-from hmtkl.montecarlo import _TreeSampler, _chunked_uniforms
+from hmtkl.montecarlo import _Law, _chunked_uniforms, _inclusive_cdf, _tree_law, _walk
 
 
 def small_discrete_pair(seed=0, depth=2, children=2):
@@ -41,12 +41,26 @@ def small_discrete_pair(seed=0, depth=2, children=2):
     return one(), one()
 
 
+def node_tables(parent, law, uniforms):
+    """States and emissions of a node-major chunk: row j holds node j of every trial."""
+    drawn = [(s, x) for _, s, _, _, x in _walk(parent, law, uniforms)]
+    return np.array([s for s, _ in drawn]), np.array([x for _, x in drawn])
+
+
+def tree_tables(model, uniforms):
+    return node_tables(model.topology.parent, _tree_law(model, _inclusive_cdf), uniforms)
+
+
+def joined_uniforms(seed, trials, per_trial):
+    """Every chunk of `_chunked_uniforms`, joined along the trial axis."""
+    return np.hstack([block for _, block in _chunked_uniforms(seed, trials, per_trial)])
+
+
 class TestSubstreams:
     def test_trial_rows_are_philox_substreams(self):
-        """Row t of the batch equals a fresh generator advanced to trial t's block."""
+        """Column t of the batch equals a fresh generator advanced to trial t's block."""
         m, _ = bundled_gaussian_tree_pair()
-        sampler = _TreeSampler(m)
-        per_trial = sampler.draws_per_trial
+        per_trial = 2 * m.topology.n_nodes
         blocks_per_trial = -(-per_trial // 4)
         seed, trials = 99, 5
         (start, batch), = list(_chunked_uniforms(seed, trials, per_trial))
@@ -55,23 +69,22 @@ class TestSubstreams:
             bits = np.random.Philox(key=seed)
             bits.advance(t * blocks_per_trial)
             row = np.random.Generator(bits).random(4 * blocks_per_trial)[:per_trial]
-            np.testing.assert_array_equal(batch[t], row)
+            np.testing.assert_array_equal(batch[:, t], row)
 
     def test_sample_joint_reproduces_batch_trial(self):
         m, _ = bundled_gaussian_tree_pair()
-        sampler = _TreeSampler(m)
-        per_trial = sampler.draws_per_trial
+        per_trial = 2 * m.topology.n_nodes
         blocks_per_trial = -(-per_trial // 4)
         seed = 4242
         (_, batch), = list(_chunked_uniforms(seed, 3, per_trial))
-        states, emitted = sampler.sample(batch)
+        states, emitted = tree_tables(m, batch)
         for t in range(3):
             bits = np.random.Philox(key=seed)
             bits.advance(t * blocks_per_trial)
             x, s = sample_joint(m, np.random.Generator(bits))
             for j, path in enumerate(m.topology.nodes):
-                assert s[path] == states[t, j]
-                assert x[path] == emitted[t, j]
+                assert s[path] == states[j, t]
+                assert x[path] == emitted[j, t]
 
     def test_chunk_boundaries_do_not_change_values(self, monkeypatch):
         import hmtkl.montecarlo as mc
@@ -102,25 +115,22 @@ class TestSampleJoint:
     def test_root_state_frequency(self):
         a, _ = bundled_hmm_pair(length=2)
         tree = a.as_tree()
-        sampler = _TreeSampler(tree)
-        (_, batch), = list(_chunked_uniforms(123, 100_000, sampler.draws_per_trial))
-        states, _ = sampler.sample(batch)
-        freq = (states[:, 0] == 0).mean()
+        batch = joined_uniforms(123, 100_000, 2 * tree.topology.n_nodes)
+        states, _ = tree_tables(tree, batch)
+        freq = (states[0] == 0).mean()
         assert freq == pytest.approx(0.5, abs=0.01)
 
     def test_gaussian_root_sd(self):
         a, _ = bundled_gaussian_tree_pair()
-        sampler = _TreeSampler(a)
-        (_, batch), = list(_chunked_uniforms(7, 100_000, sampler.draws_per_trial))
-        states, emitted = sampler.sample(batch)
-        values = emitted[states[:, 0] == 0, 0]
+        batch = joined_uniforms(7, 100_000, 2 * a.topology.n_nodes)
+        states, emitted = tree_tables(a, batch)
+        values = emitted[0, states[0] == 0]
         assert values.std(ddof=1) == pytest.approx(11.8, rel=0.03)
 
     def test_gaussian_draw_survives_zero_uniform(self):
         a, _ = bundled_gaussian_tree_pair()
-        sampler = _TreeSampler(a)
-        uniforms = np.zeros((1, sampler.draws_per_trial))
-        _, emitted = sampler.sample(uniforms)
+        uniforms = np.zeros((2 * a.topology.n_nodes, 1))
+        _, emitted = tree_tables(a, uniforms)
         assert np.isfinite(emitted).all()
 
 
@@ -246,12 +256,12 @@ class TestSamplePosterior:
         path = (0, 0, 0, 0, 0, 1, 1, 1, 1, 1)
         # exact posterior of this path, from the path-enumeration oracle in test_hmm
         exact = 0.004896133140185794
-        from hmtkl.montecarlo import _posterior_path_sampler, _sample_paths
+        from hmtkl import posterior_conditionals
 
-        icdf, fcdfs, _, _ = _posterior_path_sampler(a, ev)
-        (_, batch), = list(_chunked_uniforms(2024, 100_000, 10))
-        states = _sample_paths(icdf, fcdfs, batch)
-        freq = (states == np.array(path)).all(axis=1).mean()
+        initial, factors = posterior_conditionals(a, ev)
+        law = _Law(_inclusive_cdf(initial), _inclusive_cdf(factors))
+        states, _ = node_tables(np.arange(10) - 1, law, joined_uniforms(2024, 100_000, 10))
+        freq = (states.T == np.array(path)).all(axis=1).mean()
         se = math.sqrt(exact * (1 - exact) / 100_000)
         assert abs(freq - exact) <= 4 * se
 
@@ -342,3 +352,195 @@ def test_pinned_estimates_across_versions(name, trials, seed, mean, sd):
         pair = tuple(m.as_tree() for m in bundled_hmm_pair(length=30))
     est = mc_kld_no_evidence(*pair, trials, seed)
     assert (est.mean, est.sd) == (mean, sd)
+
+
+C04_EVIDENCE = Evidence.from_external([1, 1, 1, 2, 2, 2, 3, 3, 3, 3])
+
+
+def random_evidence_chain():
+    """A d = 8 chain pair of length 300 with random evidence; 40000 trials of
+    it take three chunks of 2^22 uniforms."""
+    rng = np.random.default_rng(8080)
+    d, m, n = 8, 4, 300
+
+    def one():
+        return HmmModel(
+            length=n,
+            initial=rng.dirichlet(np.ones(d)),
+            transition=rng.dirichlet(np.ones(d), size=d),
+            emission=DiscreteEmission(rng.dirichlet(np.ones(m), size=d)),
+        )
+
+    m1, m0 = one(), one()
+    return m1, m0, Evidence(rng.integers(0, m, size=n))
+
+
+def evidence_support_violation():
+    """The second chain can never leave state 0, so its posterior misses most paths."""
+    a, _ = bundled_hmm_pair()
+    stuck = HmmModel(length=10, initial=a.initial, transition=[[1.0, 0.0], [0.2, 0.8]], emission=a.emission)
+    return a, stuck, C04_EVIDENCE
+
+
+def tree_support_violation():
+    topo = HmtTopology.regular(3, 2)
+    e = DiscreteEmission([[0.6, 0.4], [0.3, 0.7]])
+    m1 = HmtModel(topology=topo, initial=[0.5, 0.5], transitions=[[0.9, 0.1], [0.2, 0.8]], emissions=e)
+    m0 = HmtModel(topology=topo, initial=[0.5, 0.5], transitions=[[1.0, 0.0], [0.2, 0.8]], emissions=e)
+    return m1, m0
+
+
+@pytest.mark.parametrize(
+    "name, trials, seed, mean, sd, infinite",
+    [
+        ("bundled", 3000, 9, 0.7234576362782561, 1.0179834491502007, 0),
+        ("random", 40000, 21, 481.306755602322, 32.35789688212708, 0),
+        ("support", 2000, 4, math.inf, math.nan, 958),
+        ("tree-support", 2000, 6, math.inf, math.nan, 568),
+    ],
+)
+def test_pinned_evidence_and_infinite_estimates_across_versions(name, trials, seed, mean, sd, infinite):
+    """Exact (mean, sd, infinite_trials) of the evidence estimator, and the
+    joint estimator's infinite_trials, recorded from the row-major sampler."""
+    if name == "tree-support":
+        est = mc_kld_no_evidence(*tree_support_violation(), trials, seed)
+    else:
+        if name == "bundled":
+            m1, m0, ev = *bundled_hmm_pair(), C04_EVIDENCE
+        elif name == "random":
+            m1, m0, ev = random_evidence_chain()
+        else:
+            m1, m0, ev = evidence_support_violation()
+        est = mc_kld_evidence(m1, m0, ev, trials, seed)
+    assert est.infinite_trials == infinite
+    if infinite:
+        assert est.mean == math.inf and math.isnan(est.sd)
+    else:
+        assert (est.mean, est.sd) == (mean, sd)
+
+
+CHUNK_CASES = {
+    "ragged": lambda: mc_kld_no_evidence(*ragged_golden_pair(), 600, 11),
+    "gaussian": lambda: mc_kld_no_evidence(*bundled_gaussian_tree_pair(), 700, 5),
+    "chain": lambda: mc_kld_no_evidence(*(m.as_tree() for m in bundled_hmm_pair(length=30)), 500, 3),
+    "evidence": lambda: mc_kld_evidence(*bundled_hmm_pair(), C04_EVIDENCE, 900, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunk_size_does_not_change_estimates(case, monkeypatch):
+    """Chunks of one trial up to chunks holding every trial give the same bits."""
+    import hmtkl.montecarlo as mc
+
+    estimates = []
+    for chunk in (8, 64, 1000, 1 << 20):
+        monkeypatch.setattr(mc, "_CHUNK", chunk)
+        estimates.append(CHUNK_CASES[case]())
+    assert estimates[0].infinite_trials == 0
+    assert all(est == estimates[0] for est in estimates)
+
+
+def test_tiles_keep_each_trial_substream(monkeypatch):
+    """Tiles of three trials inside chunks of eight: column t is still trial t's substream."""
+    import hmtkl.montecarlo as mc
+
+    per_trial, seed, trials = 10, 31, 20
+    monkeypatch.setattr(mc, "_CHUNK", 8 * 12)
+    monkeypatch.setattr(mc, "_TILE", 3 * 12)
+    chunks = list(_chunked_uniforms(seed, trials, per_trial))
+    assert [(start, block.shape) for start, block in chunks] == [(0, (10, 8)), (8, (10, 8)), (16, (10, 4))]
+    batch = np.hstack([block for _, block in chunks])
+    assert batch.flags.c_contiguous
+    for t in range(trials):
+        bits = np.random.Philox(key=seed)
+        bits.advance(t * 3)
+        np.testing.assert_array_equal(batch[:, t], np.random.Generator(bits).random(12)[:per_trial])
+
+
+def ragged_paths(n, seed):
+    """`n` breadth-first paths of a random tree with up to four children per node."""
+    rng = np.random.default_rng(seed)
+    paths, children = [""], {"": 0}
+    while len(paths) < n:
+        p = paths[int(rng.integers(len(paths)))]
+        if children[p] < 4:
+            child = p + str(children[p])
+            children[p] += 1
+            children[child] = 0
+            paths.append(child)
+    return paths
+
+
+def traced_peak(run):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["tree", "evidence"])
+def test_memory_is_bounded_whatever_the_trial_count(case, monkeypatch):
+    """Eight times the trials grows the peak by the 8-byte log-ratio of each
+    extra trial and no more (plus 1 MiB), once trials span several chunks.
+    Chunks of 2^20 uniforms keep the runs short; the code path is the same
+    for any cap."""
+    import hmtkl.montecarlo as mc
+    from hmtkl.montecarlo import _chunk_trials
+
+    monkeypatch.setattr(mc, "_CHUNK", 1 << 20)
+    if case == "tree":
+        topo = HmtTopology.from_nodes(ragged_paths(512, 3))
+        rng = np.random.default_rng(3)
+
+        def one():
+            return HmtModel(
+                topology=topo,
+                initial=rng.dirichlet(np.ones(2)),
+                transitions=rng.dirichlet(np.ones(2), size=2),
+                emissions=DiscreteEmission(rng.dirichlet(np.ones(3), size=2)),
+            )
+
+        pair = one(), one()
+        trials = 3 * _chunk_trials(2 * 512)
+        run = lambda n: mc_kld_no_evidence(*pair, n, 0)  # noqa: E731
+    else:
+        m1, m0 = bundled_hmm_pair(length=1000)
+        ev = Evidence.from_external([((p - 1) // 10) % 3 + 1 for p in range(1, 1001)])
+        trials = 3 * _chunk_trials(1000)
+        run = lambda n: mc_kld_evidence(m1, m0, ev, n, 0)  # noqa: E731
+    small = traced_peak(lambda: run(trials))
+    large = traced_peak(lambda: run(8 * trials))
+    assert large - small <= 8 * 7 * trials + (1 << 20)
+
+
+def test_evidence_chunks_at_1e5_trials_stay_within_the_draw_cap():
+    """Size arithmetic for N = 1e4 evidence and 1e5 trials: no uniform block
+    above 8 x _CHUNK bytes.  Only the first chunk is drawn."""
+    import hmtkl.montecarlo as mc
+
+    length, trials = 10_000, 100_000
+    start, block = next(mc._chunked_uniforms(0, trials, length))
+    assert start == 0
+    assert block.shape == (length, mc._chunk_trials(length))
+    # every later chunk has this many trials, or fewer in the last one
+    assert block.nbytes <= 8 * mc._CHUNK
+    assert -(-trials // block.shape[1]) * block.shape[1] >= trials
+    tile = max(1, mc._TILE // length) * length * 8
+    assert tile <= 8 * mc._CHUNK
+
+
+def test_loglik_joint_rejects_states_and_symbols_out_of_range():
+    a, _ = small_discrete_pair()
+    states = {"": 0, "0": 1, "1": 0}
+    symbols = {"": 1, "0": 0, "1": 1}
+    assert loglik_joint(a, symbols, states) < 0.0
+    with pytest.raises(ValueError, match="states"):
+        loglik_joint(a, symbols, dict(states, **{"1": 2}))
+    with pytest.raises(ValueError, match="states"):
+        loglik_joint(a, symbols, dict(states, **{"": -1}))
+    with pytest.raises(ValueError, match="symbols"):
+        loglik_joint(a, dict(symbols, **{"0": 2}), states)
