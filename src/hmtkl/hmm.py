@@ -6,7 +6,9 @@ doubling in O(d^3 log N)), its large-N rate, a spectral O(d^3 log N)
 evaluation, the classical upper bound (which equals the exact value, and is
 summed in O(N d^3) along an independent route), and the divergence between
 the two models' hidden-path posteriors given a fully observed emission
-sequence.
+sequence.  The evidence route keeps the ``(N, d)`` backward tables and walks
+the posterior factors in backward blocks of at most
+`divergence._BLOCK_ENTRIES` terms, so its memory is O(N d) plus one block.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr
 
+from . import divergence
 from .divergence import _check_kinds, emission_kl_per_state, local_k_root, local_k_vector, weighted_sum
 from .errors import SpectralError, StationaryError, ZeroLikelihoodError
 from .model import Evidence, HmmModel, check_evidence
@@ -248,28 +251,57 @@ def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
     position of the symbol at which all backward mass vanishes.
     """
     check_evidence(model, evidence)
-    x = evidence.symbols
     n = model.length
-    emis = model.emission.matrix
+    emitted = model.emission.matrix.T[evidence.symbols]  # row i-1 is e(., x_i)
     pi = model.transition
     values = np.ones((n, model.n_states))
     log_scale = np.zeros(n)
-    b = values[-1]
-    acc = 0.0
-    for i in range(n, 1, -1):
-        raw = pi @ (emis[:, x[i - 1]] * b)
-        top = raw.max()
+    acc, b = 0.0, values[-1]
+    peak, divide, log = np.maximum.reduce, np.divide, math.log
+    # position i reads row i-1 of `emitted` and writes row i-2 of `values`
+    for i, e, out in zip(range(n, 1, -1), emitted[:0:-1], values[-2::-1]):
+        raw = pi @ (e * b)
+        top = peak(raw)
         if not top > 0:
             raise ZeroLikelihoodError(i)
-        b = raw / top
-        acc += math.log(top)
-        values[i - 2] = b
+        b = divide(raw, top, out=out)
+        acc += log(top)
         log_scale[i - 2] = acc
-    mass = model.initial * emis[:, x[0]] * values[0]
-    total = mass.sum()
+    total = (model.initial * emitted[0] * values[0]).sum()
     if not total > 0:
         raise ZeroLikelihoodError(1)
     return BackwardTable(values, log_scale, math.log(total) + acc)
+
+
+def _posterior_weights(model: HmmModel, evidence: Evidence):
+    """The initial posterior P(S_1 | X = x) and the ``(N-1, d)`` weights
+    ``e(s, x_i) B_i(s)`` of positions i = 2..N, from which `_factor_block`
+    builds the posterior conditionals."""
+    table = backward_quantities(model, evidence)
+    emitted = model.emission.matrix.T[evidence.symbols]
+    mass = model.initial * emitted[0] * table.values[0]
+    return mass / mass.sum(), np.multiply(emitted[1:], table.values[1:], out=emitted[1:])
+
+
+def _factor_blocks(n: int, d: int):
+    """``(lo, hi)`` ranges that cover a stack of n ``(d, d)`` factors in
+    blocks of at most `divergence._BLOCK_ENTRIES` terms (and at least one
+    factor), the last block first."""
+    block = max(1, divergence._BLOCK_ENTRIES // (d * d))
+    return [(max(0, hi - block), hi) for hi in range(n, 0, -block)]
+
+
+def _factor_block(transition, weights, out=None) -> np.ndarray:
+    """Posterior factors ``pi(r, s) w[i, s]``, normalised per row, for the
+    rows `weights` of `_posterior_weights`; a row whose state cannot occur
+    given the evidence sums to 0 and stays all-zero.
+
+    Every step is elementwise or along the last axis, so a factor does not
+    depend on the block it is computed in.
+    """
+    factors = np.multiply(transition, weights[:, None, :], out=out)
+    row_sums = factors.sum(axis=2, keepdims=True)
+    return np.divide(factors, row_sums, out=factors, where=row_sums > 0)
 
 
 def posterior_conditionals(model: HmmModel, evidence: Evidence):
@@ -278,29 +310,25 @@ def posterior_conditionals(model: HmmModel, evidence: Evidence):
     Returns ``(initial, conditionals)`` where ``conditionals[i-2]`` is the
     row-stochastic matrix for position i (i = 2..N).  Rows whose state cannot
     occur given the evidence are left all-zero; chaining the returned factors
-    reproduces the posterior probability of any hidden path.
+    reproduces the posterior probability of any hidden path.  The whole
+    ``(N-1, d, d)`` stack is returned, filled block by block; past the stack
+    itself the memory is O(N d) plus one block.
     """
-    table = backward_quantities(model, evidence)
-    x = evidence.symbols
-    n = model.length
-    emis = model.emission.matrix
-    mass = model.initial * emis[:, x[0]] * table.values[0]
-    initial = mass / mass.sum()
-    # factors[i-2][r, s] ~ pi(r, s) e(s, x_i) B_i(s), normalized per row
-    factors = model.transition[None, :, :] * (emis[:, x[1:]].T * table.values[1:])[:, None, :]
-    row_sums = factors.sum(axis=2)
-    positive = row_sums > 0
-    factors[positive] /= row_sums[positive][:, None]
-    factors[~positive] = 0.0
+    initial, weights = _posterior_weights(model, evidence)
+    d = model.n_states
+    factors = np.empty((model.length - 1, d, d))
+    for lo, hi in _factor_blocks(model.length - 1, d):
+        _factor_block(model.transition, weights[lo:hi], out=factors[lo:hi])
     return initial, factors
 
 
-def _posterior_pair(m1: HmmModel, m0: HmmModel, evidence: Evidence):
-    """`posterior_conditionals` of both models; a ZeroLikelihoodError names the model."""
+def _posterior_pair(m1: HmmModel, m0: HmmModel, evidence: Evidence, posterior):
+    """`posterior` (`posterior_conditionals` or `_posterior_weights`) of both
+    models; a ZeroLikelihoodError names the model."""
     pair = []
     for name, model in (("first", m1), ("second", m0)):
         try:
-            pair.append(posterior_conditionals(model, evidence))
+            pair.append(posterior(model, evidence))
         except ZeroLikelihoodError as exc:
             message = f"zero likelihood under the {name} model (position {exc.position})"
             raise ZeroLikelihoodError(exc.position, message) from None
@@ -312,13 +340,25 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
 
     Runs the inward recursion on the evidence-conditioned chain: from
     K_N = 0 down to K_1 through the posterior conditionals, then aggregates
-    under the first model's posterior of S_1.  Raises ZeroLikelihoodError
-    (stating which model) when the evidence is impossible under either model.
+    under the first model's posterior of S_1.  The conditionals and their row
+    divergences are built in backward blocks of at most
+    `divergence._BLOCK_ENTRIES` terms and dropped once the recursion has
+    passed them, so the memory is O(N d) (the backward tables) plus one
+    block, and no value depends on the block size.  Raises
+    ZeroLikelihoodError (stating which model) when the evidence is impossible
+    under either model.
     """
     _check_pair(m1, m0)
-    (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence)
-    rows = rel_entr(factors1, factors0).sum(axis=2)
+    (initial1, weights1), (initial0, weights0) = _posterior_pair(m1, m0, evidence, _posterior_weights)
     inward = np.zeros(m1.n_states)
-    for i in range(m1.length - 2, -1, -1):
-        inward = rows[i] + weighted_sum(factors1[i], inward)
+    for lo, hi in _factor_blocks(m1.length - 1, m1.n_states):
+        factors1 = _factor_block(m1.transition, weights1[lo:hi])
+        factors0 = _factor_block(m0.transition, weights0[lo:hi])
+        rows = rel_entr(factors1, factors0, out=factors0).sum(axis=2)
+        # finite rows keep a finite recursion finite (divergences stay far
+        # below overflow), so one test covers the block and `weighted_sum`'s
+        # 0 * inf rule is needed only where a block holds +inf
+        step = np.matmul if np.isfinite(rows).all() and np.isfinite(inward).all() else weighted_sum
+        for row, factor in zip(rows[::-1], factors1[::-1]):
+            inward = row + step(factor, inward)
     return float(rel_entr(initial1, initial0).sum() + weighted_sum(initial1, inward))

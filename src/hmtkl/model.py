@@ -760,4 +760,7 @@ def load_evidence(text: str) -> Evidence:
         raise ModelFormatError(f"evidence file: {exc}") from exc
     if min(values) < 1:
         raise ModelFormatError("evidence symbols are 1-based and must be >= 1")
+    largest = max(values)
+    if largest > np.iinfo(np.int64).max:
+        raise ModelFormatError(f"evidence symbol {tokens[values.index(largest)]} is too large")
     return Evidence.from_external(values)

@@ -311,7 +311,7 @@ def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int,
     """
     _check_pair(m1, m0)
     _check_mc_args(trials, seed)
-    (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence)
+    (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence, posterior_conditionals)
     draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1))
     with np.errstate(divide="ignore"):
         # the posterior stacks are fresh: their logs overwrite them, so one CDF

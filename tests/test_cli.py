@@ -406,3 +406,20 @@ def test_impossible_allocation_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("Unable to allocate") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evidence-exact"],
+        ["mc", "--trials", "10"],
+        ["sweep", "--n-min", "2", "--n-max", "4", "--trials", "10"],
+    ],
+)
+def test_evidence_symbol_beyond_int64_exits_2(capsys, tmp_path, command):
+    ev = tmp_path / "ev.txt"
+    ev.write_text("1 2 99999999999999999999999 1 1 1 1 1 1 1\n")
+    assert main([*command, "--model-a", HMM_A, "--model-b", HMM_B, "--evidence", str(ev)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "evidence symbol 99999999999999999999999 is too large\n"
