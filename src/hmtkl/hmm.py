@@ -4,7 +4,9 @@ Implements the closed form for the unconditional divergence (the chain is
 the one-child tree, so it is the tree's geometric sum, evaluated by binary
 doubling in O(d^3 log N)), its large-N rate, a spectral O(d^3 log N)
 evaluation, the classical upper bound (which equals the exact value, and is
-summed in O(N d^3) along an independent route), and the divergence between
+summed along an independent route: binary doubling on the matrix pair
+``(P^n, sum_{i<n} P^i)`` in O(d^3 log N), the power's rows renormalised to
+sum to 1 after each product), and the divergence between
 the two models' hidden-path posteriors given a fully observed emission
 sequence.  The evidence route keeps the ``(N, d)`` backward tables and walks
 the posterior factors in backward blocks of at most
@@ -107,25 +109,52 @@ def kld_rate(m1: HmmModel, m0: HmmModel) -> float:
     return float(weighted_sum(nu, step))
 
 
+def _compose(first, second):
+    """``(P^a, S_a) o (P^b, S_b) = (P^(a+b), S_a + P^a S_b)`` for
+    ``S_n = sum_{i<n} P^i``, with the rows of the new power renormalised to
+    sum to 1 so that rounding cannot compound over the doublings."""
+    (power_a, sums_a), (power_b, sums_b) = first, second
+    power = power_a @ power_b
+    power /= power.sum(axis=1, keepdims=True)
+    return power, sums_a + power_a @ sums_b
+
+
 def do_bound(m1: HmmModel, m0: HmmModel) -> float:
     """The classical decomposition-based upper bound, which is in fact exact.
 
     U = D(mu) + mu1 @ ( sum_{i=1}^{N-1} pi1^(i-1) [D(pi) + D(e)] + pi1^(N-1) D(e) ),
     where D(mu), D(pi), D(e) are the row divergences of the initial laws,
-    transition rows and emission rows.  Always equals kld_hmm_no_evidence up to
-    rounding; the two are computed along different routes on purpose.
+    transition rows and emission rows.  The pair ``(pi1^(N-1), S_(N-1))``,
+    ``S_n = sum_{i<n} pi1^i``, is built by binary doubling over the bits of
+    N - 1 in O(d^3 log N), the power's rows renormalised after each product
+    (see `_compose`).  Always equals kld_hmm_no_evidence up to rounding; the
+    two are computed along different routes on purpose (a matrix pair here,
+    an affine vector map there).  Raises OverflowError, as
+    kld_hmm_no_evidence does, when the sum is not finite while every row
+    divergence is.
     """
     _check_pair(m1, m0)
     d_initial = float(rel_entr(m1.initial, m0.initial).sum())
     d_emission = emission_kl_per_state(m1.emission, m0.emission)
     d_transition = rel_entr(m1.transition, m0.transition).sum(axis=1)
     step = d_transition + d_emission
-    acc = np.zeros(m1.n_states)
-    power = np.eye(m1.n_states)
-    for _ in range(m1.length - 1):
-        acc = acc + weighted_sum(power, step)
-        power = power @ m1.transition
-    acc = acc + weighted_sum(power, d_emission)
+    d = m1.n_states
+    # result is (P^r, S_r) for the low bits of N - 1 read so far, square is (P^(2^j), S_(2^j))
+    result, square = (np.eye(d), np.zeros((d, d))), (m1.transition, np.eye(d))
+    n = m1.length - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n:
+            if n & 1:
+                result = _compose(result, square)
+            n >>= 1
+            if n:
+                square = _compose(square, square)
+        power, sums = result
+        # a zero divergence adds nothing, even where S_(N-1) has overflowed
+        live = step != 0
+        acc = weighted_sum(sums[:, live], step[live]) + weighted_sum(power, d_emission)
+    if np.isnan(acc).any() or (np.isfinite(step).all() and np.isinf(acc).any()):
+        raise OverflowError(f"decomposition bound overflows 64-bit floats (length={m1.length})")
     return float(d_initial + weighted_sum(m1.initial, acc))
 
 

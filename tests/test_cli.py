@@ -237,6 +237,21 @@ class TestBound:
         exact_line = capsys.readouterr().out
         assert bound_line.split("=")[1].split()[0] == exact_line.split("=")[1].split()[0]
 
+    def test_huge_length_matches_exact(self, capsys):
+        n = ["--n", "1000000000"]
+        assert main(["bound", "--model-a", HMM_A, "--model-b", HMM_B, *n]) == 0
+        bound_line = capsys.readouterr().out
+        assert main(["exact", "--model-a", HMM_A, "--model-b", HMM_B, *n]) == 0
+        exact_line = capsys.readouterr().out
+        assert bound_line.split("=")[1].split()[0] == exact_line.split("=")[1].split()[0]
+
+    @pytest.mark.parametrize("command", ["exact", "bound"])
+    def test_overflow_exit_3(self, capsys, command):
+        assert main([command, "--model-a", HMM_A, "--model-b", HMM_B, "--n", str(10**400)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows 64-bit floats" in captured.err and captured.err.count("\n") == 1
+
 
 class TestEvidenceExact:
     def test_value(self, capsys, tmp_path):

@@ -245,6 +245,62 @@ class TestDoBound:
             a, b = random_hmm(rng, n, d, m), random_hmm(rng, n, d, m)
             assert abs(do_bound(a, b) - kld_hmm_no_evidence(a, b)) <= 1e-12
 
+    def test_overflow_raises_as_the_closed_form_does(self):
+        a, b = bundled_hmm_pair(length=10**310)
+        for route in (kld_hmm_no_evidence, do_bound):
+            with pytest.raises(OverflowError, match="overflows 64-bit floats"):
+                route(a, b)
+
+    def test_overflow_with_a_zero_row_divergence_raises_not_nan(self):
+        # state 0 has a zero row divergence: the overflowed sum of powers meets 0 there
+        emission = DiscreteEmission([[0.5, 0.5], [0.2, 0.8]])
+        a = HmmModel(length=10**310, initial=[0.5, 0.5], transition=[[0.9, 0.1], [0.4, 0.6]], emission=emission)
+        b = HmmModel(length=10**310, initial=[0.5, 0.5], transition=[[0.9, 0.1], [0.05, 0.95]], emission=emission)
+        for route in (kld_hmm_no_evidence, do_bound):
+            with pytest.raises(OverflowError, match="overflows 64-bit floats"):
+                route(a, b)
+
+    def test_zero_divergence_stays_zero_past_overflow(self):
+        a, _ = bundled_hmm_pair(length=10**310)
+        assert do_bound(a, a) == kld_hmm_no_evidence(a, a) == 0.0
+
+
+def coarse_hmm(rng, length, states, symbols, p_zero):
+    """Chain whose parameters are multiples of 1/20 of their row, hard zeros
+    included: every nonzero entry is at least 1/(20 * 6) for up to six
+    states or symbols, so no product of a few entries underflows."""
+
+    def row(n):
+        while True:
+            weights = rng.integers(1, 21, size=n) * (rng.random(n) >= p_zero)
+            if weights.any():
+                return weights / weights.sum()
+
+    return HmmModel(
+        length=length,
+        initial=row(states),
+        transition=np.array([row(states) for _ in range(states)]),
+        emission=DiscreteEmission(np.array([row(symbols) for _ in range(states)])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.one_of(st.sampled_from([1, 2, 10**4, 10**9, 10**12, 10**15]), st.integers(3, 60)),
+    d=st.integers(1, 6),
+    m=st.integers(1, 4),
+    p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bound_matches_the_closed_form(length, d, m, p_zero, seed):
+    rng = np.random.default_rng(seed)
+    a, b = coarse_hmm(rng, length, d, m, p_zero), coarse_hmm(rng, length, d, m, p_zero)
+    expected = kld_hmm_no_evidence(a, b)
+    value = do_bound(a, b)
+    assert math.isinf(value) == math.isinf(expected)
+    if math.isfinite(expected):
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
 
 class TestFastPath:
     def test_length_two_single_term(self):
