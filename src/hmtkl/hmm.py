@@ -2,8 +2,9 @@
 
 Implements the closed form for the unconditional divergence (the chain is
 the one-child tree, so it is the tree's geometric sum, evaluated by binary
-doubling in O(d^3 log N)), its large-N rate, a spectral O(d^3 log N)
-evaluation, the classical upper bound (which equals the exact value, and is
+doubling in O(d^3 log N)), its large-N rate, a fast path that checks the
+eigendecomposition preconditions and then runs the same doubling, the
+classical upper bound (which equals the exact value, and is
 summed along an independent route: binary doubling on the matrix pair
 ``(P^n, sum_{i<n} P^i)`` in O(d^3 log N), the power's rows renormalised to
 sum to 1 after each product), and the divergence between
@@ -68,6 +69,11 @@ def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
     """
     _check_pair(m1, m0)
     root, step = _local_terms(m1, m0)
+    return _chain_sum(m1, root, step)
+
+
+def _chain_sum(m1: HmmModel, root, step) -> float:
+    """The value of `kld_hmm_no_evidence`, which the fast path shares."""
     return float(root + weighted_sum(m1.initial, geometric_weighted_sum(m1.transition, step, 1, m1.length)))
 
 
@@ -176,20 +182,26 @@ class Spectral:
     unit_index: int
 
 
-def spectral_split(pi, unit_tol=1e-10, contraction_margin=1e-10, residual_tol=1e-9) -> Spectral:
+#: Tolerances of `spectral_split`.
+_UNIT_TOL = 1e-10
+_CONTRACTION_MARGIN = 1e-10
+_RESIDUAL_TOL = 1e-9
+
+
+def spectral_split(pi) -> Spectral:
     """Eigendecompose `pi`, requiring a simple unit eigenvalue and all other
-    eigenvalue moduli below 1 by `contraction_margin`.
+    eigenvalue moduli below 1 by `_CONTRACTION_MARGIN`.
 
     Raises SpectralError when the preconditions fail (defective basis,
     multiple unit eigenvalues, or a periodic chain).
     """
     pi = np.asarray(pi, dtype=float)
     eigenvalues, basis = np.linalg.eig(pi)
-    unit = np.abs(eigenvalues - 1.0) <= unit_tol
+    unit = np.abs(eigenvalues - 1.0) <= _UNIT_TOL
     n_unit = int(unit.sum())
     if n_unit != 1:
         raise SpectralError(f"eigenvalue 1 must be simple, found multiplicity {n_unit}")
-    if (np.abs(eigenvalues[~unit]) > 1.0 - contraction_margin).any():
+    if (np.abs(eigenvalues[~unit]) > 1.0 - _CONTRACTION_MARGIN).any():
         worst = np.abs(eigenvalues[~unit]).max()
         raise SpectralError(f"second-largest eigenvalue modulus {worst:.12g} is too close to 1")
     try:
@@ -197,55 +209,31 @@ def spectral_split(pi, unit_tol=1e-10, contraction_margin=1e-10, residual_tol=1e
     except np.linalg.LinAlgError as exc:
         raise SpectralError("eigenvector basis is singular (matrix not diagonalizable)") from exc
     residual = np.abs(basis @ np.diag(eigenvalues) @ basis_inv - pi).max()
-    if residual > residual_tol:
-        raise SpectralError(f"eigendecomposition residual {residual:.3g} exceeds {residual_tol:.3g}")
+    if residual > _RESIDUAL_TOL:
+        raise SpectralError(f"eigendecomposition residual {residual:.3g} exceeds {_RESIDUAL_TOL:.3g}")
     return Spectral(eigenvalues, basis, basis_inv, int(np.flatnonzero(unit)[0]))
 
 
-def _spectral_series(split: Spectral, k, n_terms: int) -> np.ndarray:
-    """``sum_{i=0}^{n_terms-1} pi^i @ k`` through the eigendecomposition.
-
-    Splitting k along the unit eigenvector turns the divergent direction into
-    the linear term ``n_terms * k1 * v1``; the remainder is a convergent
-    geometric series of the contraction obtained by zeroing the unit
-    eigenvalue, with its power taken by binary decomposition of the exponent.
-    """
-    k = np.asarray(k, dtype=complex)
-    unit = split.unit_index
-    v1 = split.basis[:, unit]
-    k1 = (split.basis_inv @ k)[unit]
-    k_rest = k - k1 * v1
-    contraction_eigs = split.eigenvalues.copy()
-    contraction_eigs[unit] = 0.0
-    contraction = split.basis @ (contraction_eigs[:, None] * split.basis_inv)
-    identity = np.eye(k.shape[0], dtype=complex)
-    power = np.linalg.matrix_power(contraction, n_terms)
-    series = n_terms * k1 * v1 + (identity - power) @ np.linalg.solve(identity - contraction, k_rest)
-    scale = max(1.0, float(np.abs(series.real).max()))
-    if np.abs(series.imag).max() > 1e-9 * scale:
-        raise SpectralError("spectral series has a non-negligible imaginary part")
-    return series.real
-
-
 def _kld_hmm_spectral(m1: HmmModel, m0: HmmModel) -> float:
-    """Fast-path value; raises SpectralError when the preconditions fail."""
+    """Fast-path value, `kld_hmm_no_evidence`'s bit for bit; raises
+    SpectralError when the preconditions fail."""
     _check_pair(m1, m0)
     root, step = _local_terms(m1, m0)
     if m1.length == 1:
         return float(root)
     if not (np.isfinite(step).all() and math.isfinite(root)):
         raise SpectralError("local divergences are infinite; the spectral series does not apply")
-    split = spectral_split(m1.transition)
-    series = _spectral_series(split, step, m1.length - 1)
-    return float(root + m1.initial @ series)
+    spectral_split(m1.transition)
+    return _chain_sum(m1, root, step)
 
 
 def kld_hmm_fast(m1: HmmModel, m0: HmmModel) -> float:
-    """kld_hmm_no_evidence in O(d^3 log N) when the transition matrix allows it.
+    """kld_hmm_no_evidence, bit for bit, after checking the eigendecomposition
+    preconditions: finite local divergences and a transition matrix that
+    `spectral_split` accepts.
 
     Falls back to `kld_hmm_no_evidence` (with a warning naming the reason)
-    whenever the eigendecomposition preconditions fail, so the result is never
-    wrong.
+    whenever a precondition fails.
     """
     try:
         return _kld_hmm_spectral(m1, m0)

@@ -101,9 +101,9 @@ def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
     entry of `k` within depth - 2 steps on the support graph of `pi` (the
     ``0 * inf = 0`` rule), decided on that graph rather than from floating
     products that can underflow to 0.  The partial sums grow like
-    ``children^(depth-1)``; if the sum stops being finite while `k` is
-    finite, the depth is too large for 64-bit floats and an OverflowError is
-    raised.
+    ``children^(depth-1)``; if the sum stops being finite at a state that
+    reaches no infinite entry, the depth is too large for 64-bit floats and
+    an OverflowError is raised.
     """
     if children < 1:
         raise ValueError("children count must be >= 1")
@@ -138,7 +138,7 @@ def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
             power /= power.sum(axis=1, keepdims=True)
             mantissa, shift = math.frexp(mantissa * mantissa)
             exponent = min(2 * exponent + shift, _MAX_EXPONENT)
-    if not infinite.any() and not np.isfinite(acc).all():
+    if not np.isfinite(acc[~reach]).all():
         raise OverflowError(f"geometric sum overflows 64-bit floats (children={children}, depth={depth})")
     acc[reach] = np.inf
     return acc

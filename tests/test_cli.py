@@ -143,6 +143,31 @@ class TestExact:
         assert "method=closed-form" in captured.out
         assert "fast path unavailable" in captured.err
 
+    @pytest.mark.parametrize("n", ["10", "1000", "1000000000"])
+    def test_fast_prints_the_closed_form_value(self, capsys, n):
+        assert main(["exact", "--model-a", HMM_A, "--model-b", HMM_B, "--n", n]) == 0
+        direct = capsys.readouterr().out.split()[0]
+        assert main(["exact", "--model-a", HMM_A, "--model-b", HMM_B, "--n", n, "--fast"]) == 0
+        assert capsys.readouterr().out.split()[0] == direct
+
+    @pytest.mark.parametrize("fast", [[], ["--fast"]])
+    def test_overflow_beside_an_unreached_infinite_term_exits_3(self, capsys, tmp_path, fast):
+        paths = []
+        for name, transition, emission in [
+            ("a", [[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]], [[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]),
+            ("b", [[0.5, 0.5, 0.0], [0.4, 0.6, 0.0], [0.0, 0.0, 1.0]], [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]]),
+        ]:
+            doc = {"type": "hmm", "states": 3, "alphabet": 2, "length": 10, "initial": [0.5, 0.5, 0.0], "transition": transition}
+            doc["emission"] = {"kind": "discrete", "matrix": emission}
+            paths += ["--model-" + name, str(tmp_path / f"{name}.json")]
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert main(["exact", *paths, "--n", "100000", *fast]) == 0
+        assert capsys.readouterr().out.startswith("exact_kld=4493.41973562 ")
+        assert main(["exact", *paths, "--n", str(10**310), *fast]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("geometric sum overflows 64-bit floats")
+
     def test_mixed_types_rejected(self, capsys):
         assert main(["exact", "--model-a", HMM_A, "--model-b", TREE_A]) == 2
 

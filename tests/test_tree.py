@@ -318,6 +318,11 @@ class TestGeometricSum:
         with pytest.raises(OverflowError, match="overflow"):
             geometric_weighted_sum(pi, np.ones(2), 2, 1200)
 
+    def test_overflow_raises_beside_an_unreached_infinite_entry(self):
+        pi = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(OverflowError, match="overflow"):
+            geometric_weighted_sum(pi, np.array([1.0, 1.0, math.inf]), 2, 1200)
+
     def test_legitimate_inf_propagates(self):
         pi = np.array([[0.5, 0.5], [0.5, 0.5]])
         out = geometric_weighted_sum(pi, np.array([1.0, math.inf]), 2, 3)
@@ -327,15 +332,17 @@ class TestGeometricSum:
 def horner_geometric_sum(pi, k, children, depth):
     """``sum_{i=1}^{depth-1} children^i pi^(i-1) @ k`` by the Horner fold
     ``acc <- children * (k + pi @ acc)``, one step per level, with the same
-    +inf and overflow rules as `geometric_weighted_sum`."""
+    +inf and overflow rules as `geometric_weighted_sum`: a state whose fold
+    ends non-finite without reaching an infinite entry of k raises."""
     k = np.asarray(k, dtype=float)
-    legitimate_inf = bool(np.isinf(k).any())
     acc = np.zeros_like(k)
+    reach = np.zeros(k.shape, dtype=bool)  # the states that met an infinite entry so far
     with np.errstate(over="ignore"):
         for _ in range(depth - 1):
             acc = children * (k + weighted_sum(pi, acc))
-            if not legitimate_inf and not np.isfinite(acc).all():
-                raise OverflowError("geometric sum overflows 64-bit floats")
+            reach = np.isinf(k) | (pi.astype(bool) & reach).any(axis=1)
+    if not np.isfinite(acc[~reach]).all():
+        raise OverflowError("geometric sum overflows 64-bit floats")
     return acc
 
 
