@@ -23,7 +23,7 @@ import functools
 import sys
 
 from .errors import EnumerationBudgetError, ModelError, ModelValidationError, PreconditionError, SpectralError
-from .hmm import _kld_hmm_spectral, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
+from .hmm import _check_pair, _kld_hmm_spectral, _rate_at, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
 from .model import HmmModel, HmtModel, load_evidence, load_model
 from .montecarlo import mc_kld_evidence, mc_kld_no_evidence
 from .tree import kld_exact_tree, kld_homogeneous_tree
@@ -106,7 +106,8 @@ def cmd_exact(args) -> int:
 def cmd_rate(args) -> int:
     m_a, m_b = _load_hmm_pair(args)
     nu = stationary_distribution(m_a.transition)
-    rate = kld_rate(m_a, m_b)
+    _check_pair(m_a, m_b)
+    rate = _rate_at(nu, m_a, m_b)
     print(f"nu={','.join(f'{v:.6f}' for v in nu)} rate={_fmt(rate)}")
     return 0
 

@@ -12,6 +12,13 @@ the two models' hidden-path posteriors given a fully observed emission
 sequence.  The evidence route keeps the ``(N, d)`` backward tables and walks
 the posterior factors in backward blocks of at most
 `divergence._BLOCK_ENTRIES` terms, so its memory is O(N d) plus one block.
+Its two recursions take one small step per position, whose cost at
+d <= 64 is mostly call overhead: the backward step (`_backward`) is one
+`ndarray.dot`, one argmax and two elementwise calls into preallocated rows,
+and the scales are logged after the loop, only by `backward_quantities`;
+the inward step is one `ndarray.dot` on blocks whose row divergences are
+finite.  The backward pass takes about 3-4 us per position at N = 1e4,
+d = 2..64 (one BLAS thread, a shared 2-vCPU machine).
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import rel_entr
@@ -110,9 +119,13 @@ def stationary_distribution(pi) -> np.ndarray:
 def kld_rate(m1: HmmModel, m0: HmmModel) -> float:
     """Per-symbol divergence rate lim D/N = nu @ k, with nu stationary for m1."""
     _check_pair(m1, m0)
-    nu = stationary_distribution(m1.transition)
-    step = local_k_vector(m1.transition, m0.transition, m1.emission, m0.emission)
-    return float(weighted_sum(nu, step))
+    return _rate_at(stationary_distribution(m1.transition), m1, m0)
+
+
+def _rate_at(nu, m1: HmmModel, m0: HmmModel) -> float:
+    """The rate ``nu @ k`` of a checked pair, given the first model's
+    stationary law `nu`."""
+    return float(weighted_sum(nu, local_k_vector(m1.transition, m0.transition, m1.emission, m0.emission)))
 
 
 def _compose(first, second):
@@ -260,6 +273,40 @@ class BackwardTable:
     log_likelihood: float
 
 
+def _backward(model: HmmModel, evidence: Evidence):
+    """The scaled backward recursion behind `backward_quantities` and
+    `_posterior_weights`.
+
+    Returns ``(emitted, values, tops, mass)``: row i-1 of `emitted` is
+    e(., x_i); `values` is the table of `BackwardTable.values`; ``tops[k]``
+    is the maximum that row N-2-k was divided by; `mass` is
+    ``mu(s) e(s, x_1) B_1(s)``, scaled.  The scales are turned into logs
+    only by the caller that reads them.
+    """
+    check_evidence(model, evidence)
+    emitted = model.emission.matrix.T[evidence.symbols]
+    pi = model.transition
+    values = np.ones((model.length, model.n_states))
+    tops = []
+    b, w = values[-1], np.empty(model.n_states)
+    # `dot` copies a strided matrix for BLAS where `@` sums it in a loop, so
+    # only a BLAS-ready matrix takes it and every layout keeps its bits
+    dot = pi.dot if pi.flags.c_contiguous or pi.flags.f_contiguous else partial(np.matmul, pi)
+    multiply, divide, append = np.multiply, np.divide, tops.append
+    # position i reads row i-1 of `emitted` and writes row i-2 of `values`
+    for i, e, row in zip(range(model.length, 1, -1), emitted[:0:-1], values[-2::-1]):
+        raw = dot(multiply(e, b, out=w))
+        top = raw[raw.argmax()]
+        if not top > 0:
+            raise ZeroLikelihoodError(i)
+        b = divide(raw, top, out=row)
+        append(top)
+    mass = model.initial * emitted[0] * values[0]
+    if not mass.sum() > 0:
+        raise ZeroLikelihoodError(1)
+    return emitted, values, tops, mass
+
+
 def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
     """Backward recursion B_{i-1}(r) = sum_s pi(r,s) e(s, x_i) B_i(s), scaled.
 
@@ -267,37 +314,20 @@ def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
     as ``log_likelihood``.  Raises ZeroLikelihoodError carrying the 1-based
     position of the symbol at which all backward mass vanishes.
     """
-    check_evidence(model, evidence)
-    n = model.length
-    emitted = model.emission.matrix.T[evidence.symbols]  # row i-1 is e(., x_i)
-    pi = model.transition
-    values = np.ones((n, model.n_states))
-    log_scale = np.zeros(n)
-    acc, b = 0.0, values[-1]
-    peak, divide, log = np.maximum.reduce, np.divide, math.log
-    # position i reads row i-1 of `emitted` and writes row i-2 of `values`
-    for i, e, out in zip(range(n, 1, -1), emitted[:0:-1], values[-2::-1]):
-        raw = pi @ (e * b)
-        top = peak(raw)
-        if not top > 0:
-            raise ZeroLikelihoodError(i)
-        b = divide(raw, top, out=out)
-        acc += log(top)
-        log_scale[i - 2] = acc
-    total = (model.initial * emitted[0] * values[0]).sum()
-    if not total > 0:
-        raise ZeroLikelihoodError(1)
-    return BackwardTable(values, log_scale, math.log(total) + acc)
+    _, values, tops, mass = _backward(model, evidence)
+    # running sums of the logs of the scales, last position first
+    sums = list(accumulate(map(math.log, tops), initial=0.0))
+    log_scale = np.zeros(model.length)
+    log_scale[-2::-1] = sums[1:]
+    return BackwardTable(values, log_scale, math.log(mass.sum()) + sums[-1])
 
 
 def _posterior_weights(model: HmmModel, evidence: Evidence):
     """The initial posterior P(S_1 | X = x) and the ``(N-1, d)`` weights
     ``e(s, x_i) B_i(s)`` of positions i = 2..N, from which `_factor_block`
     builds the posterior conditionals."""
-    table = backward_quantities(model, evidence)
-    emitted = model.emission.matrix.T[evidence.symbols]
-    mass = model.initial * emitted[0] * table.values[0]
-    return mass / mass.sum(), np.multiply(emitted[1:], table.values[1:], out=emitted[1:])
+    emitted, values, _, mass = _backward(model, evidence)
+    return mass / mass.sum(), np.multiply(emitted[1:], values[1:], out=emitted[1:])
 
 
 def _factor_blocks(n: int, d: int):
@@ -318,7 +348,10 @@ def _factor_block(transition, weights, out=None) -> np.ndarray:
     """
     factors = np.multiply(transition, weights[:, None, :], out=out)
     row_sums = factors.sum(axis=2, keepdims=True)
-    return np.divide(factors, row_sums, out=factors, where=row_sums > 0)
+    positive = row_sums > 0
+    if positive.all():  # the mask slows the division; only impossible states need it
+        return np.divide(factors, row_sums, out=factors)
+    return np.divide(factors, row_sums, out=factors, where=positive)
 
 
 def posterior_conditionals(model: HmmModel, evidence: Evidence):
@@ -375,7 +408,7 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
         # finite rows keep a finite recursion finite (divergences stay far
         # below overflow), so one test covers the block and `weighted_sum`'s
         # 0 * inf rule is needed only where a block holds +inf
-        step = np.matmul if np.isfinite(rows).all() and np.isfinite(inward).all() else weighted_sum
+        step = np.ndarray.dot if np.isfinite(rows).all() and np.isfinite(inward).all() else weighted_sum
         for row, factor in zip(rows[::-1], factors1[::-1]):
             inward = row + step(factor, inward)
     return float(rel_entr(initial1, initial0).sum() + weighted_sum(initial1, inward))

@@ -98,7 +98,9 @@ def _chunked_uniforms(seed: int, trials: int, per_trial: int):
     holds trial ``start + t``'s substream.
 
     The stream is read in order, a few trials at a time, and each tile is
-    transposed into the block while it is in cache.
+    transposed into the block while it is in cache.  The generator lets go
+    of each block before it allocates the next, so a caller that drops its
+    own reference first holds one block at a time.
     """
     padded = _padded(per_trial)
     size, tile = _chunk_trials(per_trial), max(1, _TILE // padded)
@@ -109,6 +111,7 @@ def _chunked_uniforms(seed: int, trials: int, per_trial: int):
             rows = stream.random((min(tile, block.shape[1] - lo), padded))
             block[:, lo : lo + rows.shape[0]] = rows[:, :per_trial].T
         yield start, block
+        del block
 
 
 def _inclusive_cdf(rows: np.ndarray) -> np.ndarray:
@@ -236,6 +239,7 @@ def _log_ratios(parent: np.ndarray, draw: _Law, score1: _Law, score0: _Law, tria
             _score(acc1, score1, j, step, factor, x)
             _score(acc0, score0, j, step, factor, x)
         np.subtract(acc1, acc0, out=diffs[start : start + uniforms.shape[1]])
+        del uniforms  # before the next block is drawn
     return diffs
 
 

@@ -253,6 +253,16 @@ class TestRate:
         assert main(["rate", "--model-a", periodic_model_file, "--model-b", HMM_B]) == 3
         assert "no unique stationary distribution" in capsys.readouterr().err
 
+    def test_stationary_solve_precedes_the_pair_check(self, capsys, tmp_path, periodic_model_file):
+        doc = json.loads(data_text("hmm_b.json"))
+        doc["length"] += 1
+        longer = tmp_path / "longer.json"
+        longer.write_text(json.dumps(doc))
+        assert main(["rate", "--model-a", periodic_model_file, "--model-b", str(longer)]) == 3
+        assert "no unique stationary distribution" in capsys.readouterr().err
+        assert main(["rate", "--model-a", HMM_A, "--model-b", str(longer)]) == 2
+        assert "length mismatch" in capsys.readouterr().err
+
 
 class TestBound:
     def test_matches_exact(self, capsys):

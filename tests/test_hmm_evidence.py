@@ -16,6 +16,7 @@ from hmtkl import (
     Evidence,
     HmmModel,
     ZeroLikelihoodError,
+    backward_quantities,
     brute_force_kld_posterior,
     kld_hmm_evidence,
     posterior_conditionals,
@@ -251,3 +252,79 @@ def test_evidence_route_matches_enumeration(n, d, m, p_zero, seed):
         assert value == pytest.approx(expected, rel=1e-9, abs=1e-12)
     assert kld_hmm_evidence(m1, m1, ev) == 0.0
     assert kld_hmm_evidence(m0, m0, ev) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The backward recursion with one log per position, as it stood before the
+# scales were logged after the loop, kept as the bit-for-bit reference.
+
+
+def logged_backward(model, evidence):
+    n = model.length
+    emitted = model.emission.matrix.T[evidence.symbols]
+    pi = model.transition
+    values = np.ones((n, model.n_states))
+    log_scale = np.zeros(n)
+    acc, b = 0.0, values[-1]
+    for i in range(n, 1, -1):
+        raw = pi @ (emitted[i - 1] * b)
+        top = np.maximum.reduce(raw)
+        if not top > 0:
+            raise ZeroLikelihoodError(i)
+        b = np.divide(raw, top, out=values[i - 2])
+        acc += math.log(top)
+        log_scale[i - 2] = acc
+    total = (model.initial * emitted[0] * values[0]).sum()
+    if not total > 0:
+        raise ZeroLikelihoodError(1)
+    return values, log_scale, math.log(total) + acc
+
+
+def logged_posterior(model, evidence):
+    values = logged_backward(model, evidence)[0]
+    emitted = model.emission.matrix.T[evidence.symbols]
+    mass = model.initial * emitted[0] * values[0]
+    # a C-ordered stack, so the row sums add in the same order for every layout
+    factors = np.empty((model.length - 1, model.n_states, model.n_states))
+    np.multiply(model.transition, (emitted[1:] * values[1:])[:, None, :], out=factors)
+    row_sums = factors.sum(axis=2, keepdims=True)
+    return mass / mass.sum(), np.divide(factors, row_sums, out=factors, where=row_sums > 0)
+
+
+def laid_out(model, layout):
+    """`model` with its transition matrix in C order, Fortran order or as a
+    strided view."""
+    pi = model.transition
+    pi = {"C": pi, "F": np.asfortranarray(pi), "strided": np.repeat(pi, 2, axis=1)[:, ::2]}[layout]
+    return HmmModel(length=model.length, initial=model.initial, transition=pi, emission=model.emission)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.sampled_from([1, 2, 3, 5, 17, 64]),
+    m=st.integers(1, 4),
+    p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backward_and_posterior_match_the_logged_recursion_bit_for_bit(n, d, m, p_zero, layout, seed):
+    rng = np.random.default_rng(seed)
+    model = laid_out(sparse_hmm(rng, n, d, m, p_zero), layout)
+    ev = Evidence(rng.integers(0, m, size=n))
+    try:
+        values, log_scale, log_likelihood = logged_backward(model, ev)
+    except ZeroLikelihoodError as exc:
+        for route in (backward_quantities, posterior_conditionals):
+            with pytest.raises(ZeroLikelihoodError) as err:
+                route(model, ev)
+            assert err.value.position == exc.position
+        return
+    table = backward_quantities(model, ev)
+    assert table.values.tobytes() == values.tobytes()
+    assert table.log_scale.tobytes() == log_scale.tobytes()
+    assert np.float64(table.log_likelihood).tobytes() == np.float64(log_likelihood).tobytes()
+    initial, factors = posterior_conditionals(model, ev)
+    expected_initial, expected_factors = logged_posterior(model, ev)
+    assert initial.tobytes() == expected_initial.tobytes()
+    assert factors.tobytes() == expected_factors.tobytes()

@@ -517,6 +517,30 @@ def test_memory_is_bounded_whatever_the_trial_count(case, monkeypatch):
     assert large - small <= 8 * 7 * trials + (1 << 20)
 
 
+@pytest.mark.parametrize("case", ["chain", "evidence"])
+def test_peak_holds_one_uniform_block_at_a_time(case, monkeypatch):
+    """Over four chunks the peak is one uniform block, one tile, O(trials)
+    and 1 MiB: no chunk is drawn while the previous one is still alive."""
+    import hmtkl.montecarlo as mc
+    from hmtkl.montecarlo import _chunk_trials, _padded
+
+    monkeypatch.setattr(mc, "_CHUNK", 1 << 20)
+    m1, m0 = bundled_hmm_pair(length=2000)
+    if case == "chain":
+        per_trial = 2 * 2000
+        run = lambda n: mc_kld_no_evidence(m1.as_tree(), m0.as_tree(), n, 0)  # noqa: E731
+    else:
+        per_trial = 2000
+        ev = Evidence.from_external([((p - 1) // 10) % 3 + 1 for p in range(1, 2001)])
+        run = lambda n: mc_kld_evidence(m1, m0, ev, n, 0)  # noqa: E731
+    size = _chunk_trials(per_trial)
+    trials = 3 * size + 1
+    block = 8 * per_trial * size
+    tile = 8 * _padded(per_trial) * max(1, mc._TILE // _padded(per_trial))
+    assert block > 4 * 2**20
+    assert traced_peak(lambda: run(trials)) <= block + tile + 64 * trials + 2**20
+
+
 def test_evidence_chunks_at_1e5_trials_stay_within_the_draw_cap():
     """Size arithmetic for N = 1e4 evidence and 1e5 trials: no uniform block
     above 8 x _CHUNK bytes.  Only the first chunk is drawn."""
