@@ -13,11 +13,10 @@ sequence.  The evidence route keeps the ``(N, d)`` backward tables and walks
 the posterior factors in backward blocks of at most
 `divergence._BLOCK_ENTRIES` terms, so its memory is O(N d) plus one block.
 Its two recursions take one small step per position, whose cost at
-d <= 64 is mostly call overhead: the backward step (`_backward`) is one
-`ndarray.dot`, one argmax and two elementwise calls into preallocated rows,
-and the scales are logged after the loop, only by `backward_quantities`;
-the inward step is one `ndarray.dot` on blocks whose row divergences are
-finite.  The backward pass takes about 3-4 us per position at N = 1e4,
+d <= 64 is mostly call overhead: the backward step is one `ndarray.dot`,
+one argmax and two elementwise calls into preallocated rows, and the
+scales are logged after the loop; the inward step is one `ndarray.dot` on
+blocks whose row divergences are finite.  The backward pass takes about 3-4 us per position at N = 1e4,
 d = 2..64 (one BLAS thread, a shared 2-vCPU machine).
 """
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -273,40 +271,6 @@ class BackwardTable:
     log_likelihood: float
 
 
-def _backward(model: HmmModel, evidence: Evidence):
-    """The scaled backward recursion behind `backward_quantities` and
-    `_posterior_weights`.
-
-    Returns ``(emitted, values, tops, mass)``: row i-1 of `emitted` is
-    e(., x_i); `values` is the table of `BackwardTable.values`; ``tops[k]``
-    is the maximum that row N-2-k was divided by; `mass` is
-    ``mu(s) e(s, x_1) B_1(s)``, scaled.  The scales are turned into logs
-    only by the caller that reads them.
-    """
-    check_evidence(model, evidence)
-    emitted = model.emission.matrix.T[evidence.symbols]
-    pi = model.transition
-    values = np.ones((model.length, model.n_states))
-    tops = []
-    b, w = values[-1], np.empty(model.n_states)
-    # `dot` copies a strided matrix for BLAS where `@` sums it in a loop, so
-    # only a BLAS-ready matrix takes it and every layout keeps its bits
-    dot = pi.dot if pi.flags.c_contiguous or pi.flags.f_contiguous else partial(np.matmul, pi)
-    multiply, divide, append = np.multiply, np.divide, tops.append
-    # position i reads row i-1 of `emitted` and writes row i-2 of `values`
-    for i, e, row in zip(range(model.length, 1, -1), emitted[:0:-1], values[-2::-1]):
-        raw = dot(multiply(e, b, out=w))
-        top = raw[raw.argmax()]
-        if not top > 0:
-            raise ZeroLikelihoodError(i)
-        b = divide(raw, top, out=row)
-        append(top)
-    mass = model.initial * emitted[0] * values[0]
-    if not mass.sum() > 0:
-        raise ZeroLikelihoodError(1)
-    return emitted, values, tops, mass
-
-
 def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
     """Backward recursion B_{i-1}(r) = sum_s pi(r,s) e(s, x_i) B_i(s), scaled.
 
@@ -314,20 +278,39 @@ def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
     as ``log_likelihood``.  Raises ZeroLikelihoodError carrying the 1-based
     position of the symbol at which all backward mass vanishes.
     """
-    _, values, tops, mass = _backward(model, evidence)
+    check_evidence(model, evidence)
+    n = model.length
+    emitted = model.emission.matrix.T[evidence.symbols]  # row i-1 is e(., x_i)
+    values = np.ones((n, model.n_states))
+    tops = []
+    b, w = values[-1], np.empty(model.n_states)
+    dot, multiply, divide, append = model.transition.dot, np.multiply, np.divide, tops.append
+    # position i reads row i-1 of `emitted` and writes row i-2 of `values`
+    for i, e, row in zip(range(n, 1, -1), emitted[:0:-1], values[-2::-1]):
+        raw = dot(multiply(e, b, out=w))
+        top = raw[raw.argmax()]
+        if not top > 0:
+            raise ZeroLikelihoodError(i)
+        b = divide(raw, top, out=row)
+        append(top)
+    total = (model.initial * emitted[0] * values[0]).sum()
+    if not total > 0:
+        raise ZeroLikelihoodError(1)
     # running sums of the logs of the scales, last position first
     sums = list(accumulate(map(math.log, tops), initial=0.0))
-    log_scale = np.zeros(model.length)
+    log_scale = np.zeros(n)
     log_scale[-2::-1] = sums[1:]
-    return BackwardTable(values, log_scale, math.log(mass.sum()) + sums[-1])
+    return BackwardTable(values, log_scale, math.log(total) + sums[-1])
 
 
 def _posterior_weights(model: HmmModel, evidence: Evidence):
     """The initial posterior P(S_1 | X = x) and the ``(N-1, d)`` weights
     ``e(s, x_i) B_i(s)`` of positions i = 2..N, from which `_factor_block`
     builds the posterior conditionals."""
-    emitted, values, _, mass = _backward(model, evidence)
-    return mass / mass.sum(), np.multiply(emitted[1:], values[1:], out=emitted[1:])
+    table = backward_quantities(model, evidence)
+    emitted = model.emission.matrix.T[evidence.symbols]
+    mass = model.initial * emitted[0] * table.values[0]
+    return mass / mass.sum(), np.multiply(emitted[1:], table.values[1:], out=emitted[1:])
 
 
 def _factor_blocks(n: int, d: int):
@@ -348,10 +331,10 @@ def _factor_block(transition, weights, out=None) -> np.ndarray:
     """
     factors = np.multiply(transition, weights[:, None, :], out=out)
     row_sums = factors.sum(axis=2, keepdims=True)
-    positive = row_sums > 0
-    if positive.all():  # the mask slows the division; only impossible states need it
-        return np.divide(factors, row_sums, out=factors)
-    return np.divide(factors, row_sums, out=factors, where=positive)
+    # a row sums to 0 only when all of it is 0; dividing it by 1 keeps it so,
+    # and costs less than masking the division
+    row_sums[row_sums == 0] = 1.0
+    return np.divide(factors, row_sums, out=factors)
 
 
 def posterior_conditionals(model: HmmModel, evidence: Evidence):

@@ -292,10 +292,8 @@ def logged_posterior(model, evidence):
 
 
 def laid_out(model, layout):
-    """`model` with its transition matrix in C order, Fortran order or as a
-    strided view."""
-    pi = model.transition
-    pi = {"C": pi, "F": np.asfortranarray(pi), "strided": np.repeat(pi, 2, axis=1)[:, ::2]}[layout]
+    """`model` with its transition matrix in C or Fortran order."""
+    pi = model.transition if layout == "C" else np.asfortranarray(model.transition)
     return HmmModel(length=model.length, initial=model.initial, transition=pi, emission=model.emission)
 
 
@@ -305,7 +303,7 @@ def laid_out(model, layout):
     d=st.sampled_from([1, 2, 3, 5, 17, 64]),
     m=st.integers(1, 4),
     p_zero=st.sampled_from([0.0, 0.3, 0.6]),
-    layout=st.sampled_from(["C", "F", "strided"]),
+    layout=st.sampled_from(["C", "F"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_backward_and_posterior_match_the_logged_recursion_bit_for_bit(n, d, m, p_zero, layout, seed):
