@@ -12,7 +12,7 @@ sweep           CSV over a range of chain lengths, exact vs Monte Carlo
 
 Exit codes: 0 success; 2 model, validation or usage error (such as an option
 the subcommand does not take) or an allocation the machine cannot make; 3
-mathematical precondition failure or overflow; 4 enumeration budget exceeded.
+mathematical precondition failure or overflow.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import csv
 import functools
 import sys
 
-from .errors import EnumerationBudgetError, ModelError, ModelValidationError, PreconditionError, SpectralError
-from .hmm import _check_pair, _kld_hmm_spectral, _rate_at, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
-from .model import HmmModel, HmtModel, load_evidence, load_model
+from .errors import ModelError, ModelValidationError, PreconditionError, SpectralError
+from .hmm import _kld_hmm_spectral, _rate_at, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
+from .model import HmmModel, HmtModel, check_pair, load_evidence, load_model
 from .montecarlo import mc_kld_evidence, mc_kld_no_evidence
 from .tree import kld_exact_tree, kld_homogeneous_tree
 
@@ -106,7 +106,7 @@ def cmd_exact(args) -> int:
 def cmd_rate(args) -> int:
     m_a, m_b = _load_hmm_pair(args)
     nu = stationary_distribution(m_a.transition)
-    _check_pair(m_a, m_b)
+    check_pair(m_a, m_b)
     rate = _rate_at(nu, m_a, m_b)
     print(f"nu={','.join(f'{v:.6f}' for v in nu)} rate={_fmt(rate)}")
     return 0
@@ -235,9 +235,6 @@ def main(argv=None) -> int:
         for line in exc.report:
             print(line, file=sys.stderr)
         return 2
-    except EnumerationBudgetError as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
     except PreconditionError as exc:
         print(str(exc), file=sys.stderr)
         return 3

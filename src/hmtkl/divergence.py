@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import rel_entr
 
-from .model import DiscreteEmission, EmissionSpec
+from .model import DiscreteEmission, EmissionSpec, check_emissions
 
 __all__ = [
     "kl_discrete",
@@ -65,21 +65,12 @@ def kl_gaussian(mean1, sd1, mean0, sd0) -> float:
     return (sd1**2 + (mean1 - mean0) ** 2) / (2.0 * sd0**2) + math.log(sd0 / sd1) - 0.5
 
 
-def _check_kinds(e1: EmissionSpec, e0: EmissionSpec):
-    if e1.kind != e0.kind:
-        raise ValueError(f"emission kind mismatch: {e1.kind} vs {e0.kind}")
-    if e1.n_states != e0.n_states:
-        raise ValueError(f"emission state count mismatch: {e1.n_states} vs {e0.n_states}")
-    if isinstance(e1, DiscreteEmission) and e1.n_symbols != e0.n_symbols:
-        raise ValueError(f"alphabet size mismatch: {e1.n_symbols} vs {e0.n_symbols}")
-
-
 def emission_kl_per_state(e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     """Vector of per-state emission divergences D(e1(s, .) || e0(s, .)).
 
     For stacked specs the result has one row per node.
     """
-    _check_kinds(e1, e0)
+    check_emissions(e1, e0)
     if isinstance(e1, DiscreteEmission):
         return np.maximum(rel_entr(e1.matrix, e0.matrix).sum(axis=-1), 0.0)
     if not (e0.sds > 0).all() or not (e1.sds > 0).all():
@@ -129,7 +120,7 @@ def local_k_vector(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     (emission, hidden state) pair given parent state r.  Equals, entrywise,
     the row divergences of the transition matrices plus ``pi1 @ emission KLs``.
     """
-    _check_kinds(e1, e0)
+    check_emissions(e1, e0)
     pi1 = np.asarray(pi1, dtype=float)
     pi0 = np.asarray(pi0, dtype=float)
     if pi1.shape != pi0.shape or pi1.ndim != 2 or pi1.shape[0] != pi1.shape[1]:
@@ -144,7 +135,7 @@ def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     emission specs stacked over the same n nodes, or shared by all of them.
     Row i equals `local_k_vector` of node i's parameters bit for bit.
     """
-    _check_kinds(e1, e0)
+    check_emissions(e1, e0)
     pi1 = np.asarray(pi1, dtype=float)
     pi0 = np.asarray(pi0, dtype=float)
     if pi1.shape != pi0.shape or pi1.ndim != 3 or pi1.shape[1] != pi1.shape[2]:
@@ -154,7 +145,7 @@ def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
 
 def local_k_root(mu1, mu0, e1: EmissionSpec, e0: EmissionSpec) -> float:
     """Divergence of the root's (emission, hidden state) pair under the two models."""
-    _check_kinds(e1, e0)
+    check_emissions(e1, e0)
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
     if mu1.shape != mu0.shape or mu1.ndim != 1:

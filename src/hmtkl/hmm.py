@@ -16,8 +16,7 @@ Its two recursions take one small step per position, whose cost at
 d <= 64 is mostly call overhead: the backward step is one `ndarray.dot`,
 one argmax and two elementwise calls into preallocated rows, and the
 scales are logged after the loop; the inward step is one `ndarray.dot` on
-blocks whose row divergences are finite.  The backward pass takes about 3-4 us per position at N = 1e4,
-d = 2..64 (one BLAS thread, a shared 2-vCPU machine).
+blocks whose row divergences are finite.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ import numpy as np
 from scipy.special import rel_entr
 
 from . import divergence
-from .divergence import _check_kinds, emission_kl_per_state, local_k_root, local_k_vector, weighted_sum
+from .divergence import emission_kl_per_state, local_k_root, local_k_vector, weighted_sum
 from .errors import SpectralError, StationaryError, ZeroLikelihoodError
-from .model import Evidence, HmmModel, check_evidence
+from .model import Evidence, HmmModel, check_evidence, check_pair
 from .tree import geometric_weighted_sum
 
 __all__ = [
@@ -51,14 +50,6 @@ __all__ = [
 ]
 
 
-def _check_pair(m1: HmmModel, m0: HmmModel):
-    if m1.length != m0.length:
-        raise ValueError(f"length mismatch: {m1.length} vs {m0.length}")
-    if m1.n_states != m0.n_states:
-        raise ValueError(f"state count mismatch: {m1.n_states} vs {m0.n_states}")
-    _check_kinds(m1.emission, m0.emission)
-
-
 def _local_terms(m1: HmmModel, m0: HmmModel):
     root = local_k_root(m1.initial, m0.initial, m1.emission, m0.emission)
     step = local_k_vector(m1.transition, m0.transition, m1.emission, m0.emission)
@@ -74,7 +65,7 @@ def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
     the value +inf when the first model reaches its state with positive
     probability.
     """
-    _check_pair(m1, m0)
+    check_pair(m1, m0)
     root, step = _local_terms(m1, m0)
     return _chain_sum(m1, root, step)
 
@@ -116,7 +107,7 @@ def stationary_distribution(pi) -> np.ndarray:
 
 def kld_rate(m1: HmmModel, m0: HmmModel) -> float:
     """Per-symbol divergence rate lim D/N = nu @ k, with nu stationary for m1."""
-    _check_pair(m1, m0)
+    check_pair(m1, m0)
     return _rate_at(stationary_distribution(m1.transition), m1, m0)
 
 
@@ -150,7 +141,7 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
     kld_hmm_no_evidence does, when the sum is not finite while every row
     divergence is.
     """
-    _check_pair(m1, m0)
+    check_pair(m1, m0)
     d_initial = float(rel_entr(m1.initial, m0.initial).sum())
     d_emission = emission_kl_per_state(m1.emission, m0.emission)
     d_transition = rel_entr(m1.transition, m0.transition).sum(axis=1)
@@ -228,7 +219,7 @@ def spectral_split(pi) -> Spectral:
 def _kld_hmm_spectral(m1: HmmModel, m0: HmmModel) -> float:
     """Fast-path value, `kld_hmm_no_evidence`'s bit for bit; raises
     SpectralError when the preconditions fail."""
-    _check_pair(m1, m0)
+    check_pair(m1, m0)
     root, step = _local_terms(m1, m0)
     if m1.length == 1:
         return float(root)
@@ -344,15 +335,12 @@ def posterior_conditionals(model: HmmModel, evidence: Evidence):
     row-stochastic matrix for position i (i = 2..N).  Rows whose state cannot
     occur given the evidence are left all-zero; chaining the returned factors
     reproduces the posterior probability of any hidden path.  The whole
-    ``(N-1, d, d)`` stack is returned, filled block by block; past the stack
-    itself the memory is O(N d) plus one block.
+    ``(N-1, d, d)`` stack is returned, built in place by one `_factor_block`
+    call; past the stack itself the memory is O(N d).
     """
     initial, weights = _posterior_weights(model, evidence)
     d = model.n_states
-    factors = np.empty((model.length - 1, d, d))
-    for lo, hi in _factor_blocks(model.length - 1, d):
-        _factor_block(model.transition, weights[lo:hi], out=factors[lo:hi])
-    return initial, factors
+    return initial, _factor_block(model.transition, weights, out=np.empty((model.length - 1, d, d)))
 
 
 def _posterior_pair(m1: HmmModel, m0: HmmModel, evidence: Evidence, posterior):
@@ -381,7 +369,7 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
     ZeroLikelihoodError (stating which model) when the evidence is impossible
     under either model.
     """
-    _check_pair(m1, m0)
+    check_pair(m1, m0)
     (initial1, weights1), (initial0, weights0) = _posterior_pair(m1, m0, evidence, _posterior_weights)
     inward = np.zeros(m1.n_states)
     for lo, hi in _factor_blocks(m1.length - 1, m1.n_states):

@@ -49,7 +49,7 @@ MAX_NODES = 1 << 20
 
 
 def _freeze(array, dtype=float):
-    out = np.asarray(array, dtype=dtype)
+    out = np.asarray(array, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -488,6 +488,33 @@ class Evidence:
         if n > len(self):
             raise ValueError(f"cannot truncate evidence of length {len(self)} to {n}")
         return Evidence(self.symbols[:n])
+
+
+def check_emissions(e1: EmissionSpec, e0: EmissionSpec) -> None:
+    """Raise ValueError unless the two emission specs share kind, state count and alphabet."""
+    if e1.kind != e0.kind:
+        raise ValueError(f"emission kind mismatch: {e1.kind} vs {e0.kind}")
+    if e1.n_states != e0.n_states:
+        raise ValueError(f"emission state count mismatch: {e1.n_states} vs {e0.n_states}")
+    if isinstance(e1, DiscreteEmission) and e1.n_symbols != e0.n_symbols:
+        raise ValueError(f"alphabet size mismatch: {e1.n_symbols} vs {e0.n_symbols}")
+
+
+def check_pair(m1: Union[HmmModel, HmtModel], m0: Union[HmmModel, HmtModel]) -> None:
+    """Raise ValueError unless the two models share a length (chains) or a
+    topology (trees), a state count and an emission kind and alphabet: the
+    pairs between which the divergence is defined."""
+    if isinstance(m1, HmmModel):
+        if m1.length != m0.length:
+            raise ValueError(f"length mismatch: {m1.length} vs {m0.length}")
+        e1, e0 = m1.emission, m0.emission
+    else:
+        if m1.topology != m0.topology:
+            raise ValueError("models must share the same topology")
+        e1, e0 = m1.emission_stack, m0.emission_stack
+    if m1.n_states != m0.n_states:
+        raise ValueError(f"state count mismatch: {m1.n_states} vs {m0.n_states}")
+    check_emissions(e1, e0)
 
 
 def check_evidence(model: HmmModel, evidence: Evidence) -> None:

@@ -28,9 +28,8 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .model import Evidence, HmmModel, HmtModel
-from .hmm import _check_pair, _posterior_pair, posterior_conditionals
-from .tree import _check_same_shape
+from .model import Evidence, HmmModel, HmtModel, check_pair
+from .hmm import _posterior_pair, posterior_conditionals
 
 __all__ = [
     "McEstimate",
@@ -285,7 +284,7 @@ def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int])
 def mc_kld_no_evidence(m1: HmtModel, m0: HmtModel, trials: int, seed: int) -> McEstimate:
     """Estimate the joint KL divergence as the mean log-likelihood ratio over
     i.i.d. draws from the first model."""
-    _check_same_shape(m1, m0)
+    check_pair(m1, m0)
     _check_mc_args(trials, seed)
     draw, score1, score0 = _tree_law(m1, _inclusive_cdf), _tree_law(m1, np.log), _tree_law(m0, np.log)
     return _estimate(_log_ratios(m1.topology.parent, draw, score1, score0, trials, seed), seed)
@@ -313,7 +312,7 @@ def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int,
     Position i of a path is drawn from the first model's posterior factor
     for i given position i - 1, and both posteriors score it in the same pass.
     """
-    _check_pair(m1, m0)
+    check_pair(m1, m0)
     _check_mc_args(trials, seed)
     (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence, posterior_conditionals)
     draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1))

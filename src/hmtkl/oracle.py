@@ -15,8 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import EnumerationBudgetError
-from .model import Evidence, HmmModel, HmtModel, check_evidence
-from .tree import _check_same_shape
+from .model import Evidence, HmmModel, HmtModel, check_evidence, check_pair
 
 __all__ = ["DEFAULT_BUDGET", "enumeration_budget", "brute_force_kld_joint", "brute_force_kld_posterior"]
 
@@ -64,7 +63,7 @@ def brute_force_kld_joint(m1: HmtModel, m0: HmtModel, budget: int | None = None)
     Only defined for discrete emissions; Gaussian outcomes are continuous and
     cannot be enumerated.
     """
-    _check_same_shape(m1, m0)
+    check_pair(m1, m0)
     if m1.emission_kind != "discrete":
         raise ValueError("joint enumeration requires discrete emissions")
     nodes = m1.topology.nodes
@@ -94,11 +93,10 @@ def brute_force_kld_posterior(m1: HmmModel, m0: HmmModel, evidence: Evidence, bu
     Path posteriors are obtained by normalizing the enumerated joint log
     probabilities under each model.
     """
+    check_pair(m1, m0)
     check_evidence(m1, evidence)
     check_evidence(m0, evidence)
     d = m1.n_states
-    if d != m0.n_states:
-        raise ValueError(f"state count mismatch: {d} vs {m0.n_states}")
     n = m1.length
     _check_budget(d**n, budget)
 

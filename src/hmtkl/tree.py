@@ -17,18 +17,9 @@ import warnings
 import numpy as np
 
 from .divergence import local_k_root, local_k_stack, local_k_vector, weighted_sum, weighted_sum_rows
-from .model import HmtModel
+from .model import HmtModel, check_pair
 
 __all__ = ["inward_pass", "kld_exact_tree", "kld_homogeneous_tree"]
-
-
-def _check_same_shape(m1: HmtModel, m0: HmtModel):
-    if m1.topology != m0.topology:
-        raise ValueError("models must share the same topology")
-    if m1.n_states != m0.n_states:
-        raise ValueError(f"state count mismatch: {m1.n_states} vs {m0.n_states}")
-    if m1.emission_kind != m0.emission_kind:
-        raise ValueError(f"emission kind mismatch: {m1.emission_kind} vs {m0.emission_kind}")
 
 
 def _inward(m1: HmtModel, m0: HmtModel):
@@ -60,7 +51,7 @@ def _inward(m1: HmtModel, m0: HmtModel):
 
 def inward_pass(m1: HmtModel, m0: HmtModel) -> dict[str, np.ndarray]:
     """Inward divergence vectors for every non-root node, keyed by node path."""
-    _check_same_shape(m1, m0)
+    check_pair(m1, m0)
     table, _, _ = _inward(m1, m0)
     return dict(zip(m1.topology.nodes[1:], table[1:]))
 
@@ -71,7 +62,7 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
     A support mismatch makes the result +inf; a warning then names the first
     offending node in document order.
     """
-    _check_same_shape(m1, m0)
+    check_pair(m1, m0)
     _, down, first_infinite = _inward(m1, m0)
     root_term = local_k_root(m1.initial, m0.initial, m1.emission_stack.for_nodes(0), m0.emission_stack.for_nodes(0))
     total = root_term
@@ -154,7 +145,7 @@ def kld_homogeneous_tree(m1: HmtModel, m0: HmtModel, children: int | None = None
     closed form for a tree of that shape without materializing it.  Depth 1
     reduces to the root term.
     """
-    _check_same_shape(m1, m0)
+    check_pair(m1, m0)
     for name, m in (("first", m1), ("second", m0)):
         if not m.homogeneous:
             raise ValueError(f"{name} model is not homogeneous")

@@ -473,3 +473,78 @@ def test_evidence_symbol_beyond_int64_exits_2(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "evidence symbol 99999999999999999999999 is too large\n"
+
+
+#: Chain and tree documents that differ from `_PAIR_BASE` in one respect.
+_PAIR_BASE = {
+    "hmm": {
+        "type": "hmm", "states": 2, "alphabet": 3, "length": 10, "initial": [0.5, 0.5],
+        "transition": [[0.9, 0.1], [0.2, 0.8]],
+        "emission": {"kind": "discrete", "matrix": [[0.1, 0.3, 0.6], [0.2, 0.1, 0.7]]},
+    },
+    "hmt": {
+        "type": "hmt", "states": 2, "alphabet": 3, "depth": 3, "children": 2, "initial": [0.6, 0.4],
+        "transition": [[0.7, 0.3], [0.4, 0.6]],
+        "emission": {"kind": "discrete", "matrix": [[0.1, 0.3, 0.6], [0.5, 0.25, 0.25]]},
+    },
+}
+_PAIR_VARIANTS = {
+    ("hmm", "alphabet"): {"alphabet": 2, "emission": {"kind": "discrete", "matrix": [[0.4, 0.6], [0.3, 0.7]]}},
+    ("hmm", "states"): {
+        "states": 3, "initial": [0.2, 0.3, 0.5], "transition": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+        "emission": {"kind": "discrete", "matrix": [[0.1, 0.3, 0.6], [0.2, 0.1, 0.7], [0.3, 0.3, 0.4]]},
+    },
+    ("hmm", "kind"): {"alphabet": "gaussian", "emission": {"kind": "gaussian", "means": [0.0, 1.0], "sds": [1.0, 2.0]}},
+    ("hmm", "length"): {"length": 11},
+    ("hmt", "alphabet"): {"alphabet": 2, "emission": {"kind": "discrete", "matrix": [[0.4, 0.6], [0.3, 0.7]]}},
+    ("hmt", "depth"): {"depth": 2},
+}
+_PAIR_COMMANDS = {
+    "hmm": {
+        "exact": ["exact"],
+        "exact --fast": ["exact", "--fast"],
+        "rate": ["rate"],
+        "bound": ["bound"],
+        "evidence-exact": ["evidence-exact", "--evidence", "EVIDENCE"],
+        "mc": ["mc", "--trials", "50"],
+        "mc --evidence": ["mc", "--evidence", "EVIDENCE", "--trials", "50"],
+        "sweep": ["sweep", "--trials", "50"],
+    },
+    "hmt": {"exact": ["exact"], "mc": ["mc", "--trials", "50"]},
+}
+
+
+def _pair_message(field, first, second, command):
+    """The one stderr line of `command` on a pair that differs in `field`."""
+    if field == "alphabet":
+        return f"alphabet size mismatch: {first['alphabet']} vs {second['alphabet']}"
+    if field == "states":
+        return f"state count mismatch: {first['states']} vs {second['states']}"
+    if field == "kind":
+        return f"emission kind mismatch: {first['emission']['kind']} vs {second['emission']['kind']}"
+    if field == "length" and command != "mc":  # mc runs a chain as its one-child tree
+        return f"length mismatch: {first['length']} vs {second['length']}"
+    return "models must share the same topology"
+
+
+@pytest.mark.parametrize("base_first", [True, False], ids=["base-first", "variant-first"])
+@pytest.mark.parametrize(
+    "kind, field, command",
+    [(kind, field, command) for kind, field in _PAIR_VARIANTS for command in _PAIR_COMMANDS[kind]],
+)
+def test_mismatched_pair_exits_2_on_every_pair_command(capsys, tmp_path, kind, field, command, base_first):
+    base = _PAIR_BASE[kind]
+    variant = {**base, **_PAIR_VARIANTS[kind, field]}
+    pair = (base, variant) if base_first else (variant, base)
+    paths = []
+    for name, doc in zip("ab", pair):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    evidence = tmp_path / "evidence.txt"
+    evidence.write_text("1 2 3 1 2 3 1 2 1 2\n")
+    argv = [str(evidence) if arg == "EVIDENCE" else arg for arg in _PAIR_COMMANDS[kind][command]]
+    assert main([*argv, "--model-a", paths[0], "--model-b", paths[1]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _pair_message(field, *pair, command) + "\n"

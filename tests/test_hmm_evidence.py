@@ -152,6 +152,32 @@ def test_values_do_not_depend_on_the_block_size(entries, monkeypatch):
             assert factors.tobytes() == expected_factors.tobytes()
 
 
+def test_values_do_not_depend_on_the_memory_layout():
+    # a model stores its parameters C-ordered, so Fortran-ordered inputs give
+    # the same bits on every evidence route
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        n, d, m = int(rng.integers(1, 40)), int(rng.integers(3, 65)), int(rng.integers(2, 5))
+        pair = [
+            (rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d), size=d), rng.dirichlet(np.ones(m), size=d))
+            for _ in range(2)
+        ]
+        ev = Evidence(rng.integers(0, m, size=n))
+        routes = []
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            m1, m0 = (
+                HmmModel(length=n, initial=mu, transition=order(pi), emission=DiscreteEmission(order(e)))
+                for mu, pi, e in pair
+            )
+            table = backward_quantities(m1, ev)
+            initial, factors = posterior_conditionals(m1, ev)
+            routes.append(
+                [table.values, table.log_scale, np.float64(table.log_likelihood), initial, factors, np.float64(kld_hmm_evidence(m1, m0, ev))]
+            )
+        for c_ordered, fortran_ordered in zip(*routes):
+            assert c_ordered.tobytes() == fortran_ordered.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Memory
 

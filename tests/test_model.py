@@ -30,8 +30,7 @@ from hmtkl import (
     validate,
 )
 from hmtkl.bundled import data_text
-from hmtkl.model import MAX_NODES
-from hmtkl.tree import _check_same_shape
+from hmtkl.model import MAX_NODES, check_pair
 
 
 def random_hmm(rng, length=None, states=None, symbols=None):
@@ -143,7 +142,7 @@ def test_topology_properties(t):
     assert np.array_equal(relabelled.parent, t.parent) and hash(relabelled) == hash(t)
     assert relabelled != t and t != relabelled
     with pytest.raises(ValueError, match="models must share the same topology"):
-        _check_same_shape(one_state_model(t), one_state_model(relabelled))
+        check_pair(one_state_model(t), one_state_model(relabelled))
     text = save_model(one_state_model(relabelled))
     assert "nodes" in json.loads(text)
     again = load_model(text).topology
@@ -158,7 +157,7 @@ def test_relabelled_siblings_are_another_topology():
     assert zero == chain and chain == zero and hash(zero) == hash(chain)
     assert one != zero and one != chain and chain != one
     with pytest.raises(ValueError, match="models must share the same topology"):
-        _check_same_shape(one_state_model(one), one_state_model(chain))
+        check_pair(one_state_model(one), one_state_model(chain))
 
 
 def test_path_walks_the_parent_array():
@@ -214,7 +213,7 @@ def test_as_tree_at_max_nodes_runs_in_bounded_memory():
         ta, tb = a.as_tree(), b.as_tree()
         assert ta.topology.n_nodes == MAX_NODES
         assert validate(ta) == [] and validate(tb) == []
-        _check_same_shape(ta, tb)
+        check_pair(ta, tb)
 
     assert peak_mib(run) < 64
 

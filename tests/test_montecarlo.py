@@ -196,6 +196,15 @@ class TestMcNoEvidence:
         assert est.mean == math.inf
         assert est.infinite_trials > 0
 
+    def test_alphabet_mismatch_rejected(self):
+        topo = HmtTopology.regular(3, 2)
+        m1, m0 = (
+            HmtModel(topology=topo, initial=[0.5, 0.5], transitions=[[0.7, 0.3], [0.4, 0.6]], emissions=DiscreteEmission(e))
+            for e in ([[0.4, 0.6], [0.3, 0.7]], [[0.1, 0.3, 0.6], [0.5, 0.25, 0.25]])
+        )
+        with pytest.raises(ValueError, match="^alphabet size mismatch: 2 vs 3$"):
+            mc_kld_no_evidence(m1, m0, 50, 0)
+
     def test_trials_validation(self):
         a, b = bundled_gaussian_tree_pair()
         with pytest.raises(ValueError, match="trials"):

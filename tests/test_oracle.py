@@ -59,6 +59,14 @@ class TestJointOracle:
         with pytest.raises(ValueError, match="discrete"):
             brute_force_kld_joint(a, b)
 
+    def test_alphabet_mismatch_rejected(self):
+        a, b = (
+            HmmModel(length=3, initial=[0.5, 0.5], transition=[[0.7, 0.3], [0.4, 0.6]], emission=DiscreteEmission(e)).as_tree()
+            for e in ([[0.4, 0.6], [0.3, 0.7]], [[0.1, 0.3, 0.6], [0.5, 0.25, 0.25]])
+        )
+        with pytest.raises(ValueError, match="^alphabet size mismatch: 2 vs 3$"):
+            brute_force_kld_joint(a, b)
+
 
 class TestPosteriorOracle:
     def test_equal_models_zero(self):
