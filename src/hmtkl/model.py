@@ -25,11 +25,13 @@ threads.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -102,22 +104,32 @@ class HmtTopology:
 
     @staticmethod
     def from_nodes(paths) -> "HmtTopology":
-        """Topology from an explicit node list; parents of every path must be present."""
-        node_set = set()
-        for p in paths:
-            if not isinstance(p, str) or (p and not (p.isascii() and p.isdigit())):
-                raise ValueError(f"node path {p!r} is not a string over '0'..'9'")
-            node_set.add(p)
+        """Topology from an explicit node list; parents of every path must be present.
+
+        The paths are checked, sorted and linked to their parents in bulk;
+        only when a check fails is the list scanned for the offending path
+        (the first bad path in input order, the first orphan in node order).
+        """
+        paths = list(paths)
+        try:
+            joined = "".join(paths)
+        except TypeError:  # a path that is not a string
+            joined = None
+        if joined is None or (joined and not (joined.isascii() and joined.isdigit())):
+            for p in paths:
+                if not isinstance(p, str) or (p and not (p.isascii() and p.isdigit())):
+                    raise ValueError(f"node path {p!r} is not a string over '0'..'9'")
+        node_set = set(paths)
         if ROOT not in node_set:
             raise ValueError('node list must contain the root ""')
-        nodes = tuple(sorted(node_set, key=lambda p: (len(p), p)))
-        index = {p: j for j, p in enumerate(nodes)}
-        parent = [-1]
-        for p in nodes[1:]:
-            if p[:-1] not in index:
-                raise ValueError(f"node {p!r} has no parent {p[:-1]!r} in the node list")
-            parent.append(index[p[:-1]])
-        parent = _freeze(parent, dtype=np.intp)
+        nodes = tuple(sorted(sorted(node_set), key=len))  # stable: by (len, path)
+        index = dict(zip(nodes, range(len(nodes))))
+        try:
+            parent = [index[p[:-1]] for p in nodes[1:]]
+        except KeyError:
+            p = next(p for p in nodes[1:] if p[:-1] not in index)
+            raise ValueError(f"node {p!r} has no parent {p[:-1]!r} in the node list") from None
+        parent = _freeze([-1, *parent], dtype=np.intp)
         depth = len(nodes[-1]) + 1
         # Regular: every node before the first leaf has the same children
         # count, and that first leaf (hence every leaf) is at the deepest level.
@@ -276,20 +288,50 @@ def _stack_specs(specs) -> EmissionSpec:
     return GaussianEmission(np.asarray([s.means for s in specs]), np.asarray([s.sds for s in specs]))
 
 
+def _stack_lists(items, shape):
+    """`items`, nested lists of numbers as a JSON document gives them, as one
+    float array of `shape`, or None when they are not exactly that.
+
+    The lists are checked level by level in C (every entry a list of the
+    expected length) and the numbers read in one ``np.fromiter`` pass, which
+    converts each one with ``float()`` as ``np.asarray(..., dtype=float)``
+    does.  Any other type, any other length and any number ``float()``
+    refuses give None, and the caller takes its general path.
+    """
+    level = items
+    for size in shape[1:]:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    try:
+        return np.fromiter(level, float, count=math.prod(shape)).reshape(shape)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _transition_stack(transitions, topology, d) -> np.ndarray:
-    """The shared (d, d) matrix, or the (n_nodes - 1, d, d) stack in node order."""
+    """The shared (d, d) matrix, or the (n_nodes - 1, d, d) stack in node order.
+
+    A mapping of nested lists is read in one pass (`_stack_lists`).  When
+    that fails, one ``np.asarray`` over the nodes' matrices is tried, and
+    when that does not give the stack either, every matrix is read on its
+    own in node order, which names the first malformed node.
+    """
     shape = (topology.n_nodes - 1, d, d)
     if isinstance(transitions, Mapping):
         paths = topology.nodes[1:]
         if set(transitions) != set(paths):
             raise ValueError("per-node transitions must cover exactly the non-root nodes")
-        try:
-            stack = np.asarray([transitions[p] for p in paths], dtype=float)
-        except ValueError:
-            stack = None
+        matrices = [transitions[p] for p in paths]
+        stack = _stack_lists(matrices, shape)
+        if stack is None:
+            try:
+                stack = np.asarray(matrices, dtype=float)
+            except ValueError:
+                stack = None
         if stack is None or stack.shape != shape:
             # name the first malformed node, in node order
-            stack = np.asarray([_as_square_matrix(transitions[p], d, f"transition at node {p!r}") for p in paths])
+            stack = np.asarray([_as_square_matrix(m, d, f"transition at node {p!r}") for p, m in zip(paths, matrices)])
             stack = stack.reshape(shape)
         return _freeze(stack)
     stack = np.asarray(transitions, dtype=float)
@@ -638,10 +680,11 @@ def _parse_emission_spec(obj, alphabet, context):
 def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
     """One spec stacked over `nodes`, in that order, from a per-node emission object.
 
-    Each parameter becomes one array through a single ``np.asarray`` over the
-    nodes' lists.  When that does not give a well-formed stack, every entry
-    goes through the per-node parser in node order, which names the first
-    malformed node.
+    When every entry is an object of the document's emission kind, each
+    parameter is read in one pass over the nodes' lists (`_stack_lists`),
+    and failing that through one ``np.asarray`` over them.  When neither
+    gives a well-formed stack, every entry goes through the per-node parser
+    in node order, which names the first malformed node.
     """
     if set(raw) != set(nodes):
         raise ValueError("per-node emissions must cover exactly the node set")
@@ -650,10 +693,12 @@ def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
     shape = (len(nodes), d) if kind == "gaussian" else (len(nodes), d, alphabet)
     entries = [raw[p] for p in nodes]
     if all(type(e) is dict and e.get("kind") == kind for e in entries):
-        try:
-            arrays = [np.asarray([e[k] for e in entries], dtype=float) for k in keys]
-        except (KeyError, TypeError, ValueError):
-            arrays = []
+        arrays = [_stack_lists([e.get(k) for e in entries], shape) for k in keys]
+        if any(a is None for a in arrays):
+            try:
+                arrays = [np.asarray([e[k] for e in entries], dtype=float) for k in keys]
+            except (KeyError, TypeError, ValueError):
+                arrays = []
         if arrays and all(a.shape == shape for a in arrays):
             return DiscreteEmission(*arrays) if kind == "discrete" else GaussianEmission(*arrays)
     specs = []
@@ -667,12 +712,29 @@ def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
 def load_model(document: str):
     """Parse a UTF-8 JSON model document into an HmmModel or HmtModel.
 
-    Per-node tree parameters are read straight into stacks in node order.
+    Per-node tree parameters are read straight into stacks in node order,
+    each in one pass over the document's lists.  Python's cyclic garbage
+    collector is paused during the call: a decoded document holds no
+    cycles, so each collection over its many lists would be wasted work.
+    The collector state found on entry is restored on return, once the
+    document is freed, and on error.  (A load in another thread that ends
+    first may resume the collector early, which costs only time.)
+
     Raises ModelFormatError on malformed documents (a ``depth``/``children``
-    pair describing more than `MAX_NODES` nodes included) and
-    ModelValidationError (with the full report) when the parsed model
-    violates an invariant.
+    pair describing more than `MAX_NODES` nodes, and an integer too large
+    for a float, included) and ModelValidationError (with the full report)
+    when the parsed model violates an invariant.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_document(document)  # the document dies with its frame
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_document(document: str):
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -715,7 +777,9 @@ def load_model(document: str):
             model = HmtModel(topology=topology, initial=initial, transitions=transitions, emissions=emissions)
         else:
             raise ModelFormatError(f'model: type must be "hmm" or "hmt", got {mtype!r}')
-    except (TypeError, ValueError) as exc:  # TypeError: a non-numeric JSON value inside a parameter list
+    # TypeError: a non-numeric JSON value inside a parameter list;
+    # OverflowError: an integer too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model: {exc}") from exc
 
     if model.n_states != d:

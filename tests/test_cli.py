@@ -402,10 +402,12 @@ class TestSweep:
 
 class TestConsoleScript:
     def test_module_invocation(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(hmtkl.__file__).resolve().parents[1])}
         result = subprocess.run(
             [sys.executable, "-m", "hmtkl.cli", "exact", "--model-a", TREE_A, "--model-b", TREE_B],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout.startswith("exact_kld=0.68952288455")
@@ -473,6 +475,47 @@ def test_evidence_symbol_beyond_int64_exits_2(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "evidence symbol 99999999999999999999999 is too large\n"
+
+
+def _oversized_hmm_initial(doc):
+    doc["initial"][0] = 10**400
+
+
+def _oversized_hmm_transition(doc):
+    doc["transition"][0][1] = 10**400
+
+
+def _oversized_per_node_transition(doc):
+    doc.update(type="hmt", nodes=["", "0"], transition={"0": [[0.5, 0.5], [10**400, 0.5]]})
+    del doc["length"]
+
+
+@pytest.mark.parametrize("edit", [_oversized_hmm_initial, _oversized_hmm_transition, _oversized_per_node_transition])
+@pytest.mark.parametrize("command", ["validate", "exact"])
+def test_integer_too_large_for_a_float_exits_2(capsys, tmp_path, edit, command):
+    doc = json.loads(data_text("hmm_a.json"))
+    edit(doc)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--model-a", str(path), "--model-b", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "model: int too large to convert to float\n"
+
+
+def test_oversized_length_is_an_overflow_and_exits_3(capsys, tmp_path):
+    paths = []
+    for name in ("hmm_a.json", "hmm_b.json"):
+        doc = json.loads(data_text(name))
+        doc["length"] = 10**400
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    assert main(["validate", "--model-a", str(paths[0]), "--model-b", str(paths[1])]) == 0
+    capsys.readouterr()
+    assert main(["exact", "--model-a", str(paths[0]), "--model-b", str(paths[1])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows 64-bit floats" in captured.err and captured.err.count("\n") == 1
 
 
 #: Chain and tree documents that differ from `_PAIR_BASE` in one respect.

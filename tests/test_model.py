@@ -1,9 +1,14 @@
 """Model types, validation, and the JSON document format."""
 
+import gc
 import json
 import math
+import sys
+import threading
 import time
 import tracemalloc
+from collections.abc import Mapping
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,8 +34,9 @@ from hmtkl import (
     save_model,
     validate,
 )
+from hmtkl import model as model_module
 from hmtkl.bundled import data_text
-from hmtkl.model import MAX_NODES, check_pair
+from hmtkl.model import MAX_NODES, PATH_ALPHABET, check_pair
 
 
 def random_hmm(rng, length=None, states=None, symbols=None):
@@ -362,6 +368,195 @@ class TestLoadModel:
             load_model(json.dumps(doc))
 
 
+TREE_NODES = ["", "0", "1", "00"]
+
+
+def per_node_tree_doc(gaussian=False):
+    """A valid two-state tree document with per-node transitions and emissions."""
+    if gaussian:
+        alphabet, emission = "gaussian", {"kind": "gaussian", "means": [0.0, 1.0], "sds": [1.0, 2.0]}
+    else:
+        alphabet, emission = 2, {"kind": "discrete", "matrix": [[0.5, 0.5], [0.25, 0.75]]}
+    return {
+        "type": "hmt",
+        "states": 2,
+        "alphabet": alphabet,
+        "nodes": list(TREE_NODES),
+        "initial": [0.5, 0.5],
+        "transition": {p: [[0.75, 0.25], [0.5, 0.5]] for p in TREE_NODES[1:]},
+        "emission": {p: dict(emission) for p in TREE_NODES},
+    }
+
+
+def hmm_doc():
+    return json.loads(data_text("hmm_a.json"))
+
+
+def set_transition(path, value):
+    return lambda doc: doc["transition"].__setitem__(path, value)
+
+
+def set_matrix(path, value):
+    return lambda doc: doc["emission"][path].__setitem__("matrix", value)
+
+
+BIG_INT = 10**400
+OVERFLOW = (ModelFormatError, "model: int too large to convert to float")
+INHOMOGENEOUS = (
+    "model: setting an array element with a sequence. The requested array has an inhomogeneous shape after {} "
+    "dimensions. The detected shape was {} + inhomogeneous part."
+)
+
+#: name: (document, edit, outcome).  The outcome is the exception type and
+#: its message (a ModelValidationError's report), or the transition stack of
+#: a document that loads.
+MALFORMED_DOCUMENTS = {
+    "ragged transition row": (
+        per_node_tree_doc,
+        set_transition("1", [[0.75, 0.25], [1.0]]),
+        (ModelFormatError, INHOMOGENEOUS.format(1, "(2,)")),
+    ),
+    "transition row count": (
+        per_node_tree_doc,
+        set_transition("1", [[0.75, 0.25]]),
+        (ModelFormatError, "model: transition at node '1' must have shape (2, 2), got (1, 2)"),
+    ),
+    "every transition of one wrong shape": (
+        per_node_tree_doc,
+        lambda doc: doc.__setitem__("transition", {p: [[1.0]] for p in TREE_NODES[1:]}),
+        (ModelFormatError, "model: transition at node '0' must have shape (2, 2), got (1, 1)"),
+    ),
+    "ragged emission row": (
+        per_node_tree_doc,
+        set_matrix("00", [[0.5, 0.5], [1.0]]),
+        (ModelFormatError, INHOMOGENEOUS.format(1, "(2,)")),
+    ),
+    "emission row count": (
+        per_node_tree_doc,
+        set_matrix("0", [[0.5, 0.5]]),
+        (ModelFormatError, "model: emission at node '0' covers 1 states, model has 2"),
+    ),
+    "nested transition leaf": (
+        per_node_tree_doc,
+        set_transition("0", [[[0.75], 0.25], [0.5, 0.5]]),
+        (ModelFormatError, INHOMOGENEOUS.format(2, "(2, 2)")),
+    ),
+    "nested emission leaf": (
+        per_node_tree_doc,
+        set_matrix("1", [[0.5, [0.5]], [0.25, 0.75]]),
+        (ModelFormatError, INHOMOGENEOUS.format(2, "(2, 2)")),
+    ),
+    "null transition leaf": (
+        per_node_tree_doc,
+        set_transition("0", [[None, 0.25], [0.5, 0.5]]),
+        (ModelValidationError, ["transition at node '0' row 1 sums to nan"]),
+    ),
+    "null emission leaf": (
+        per_node_tree_doc,
+        set_matrix("0", [[0.5, 0.5], [None, 0.75]]),
+        (ModelValidationError, ["emission at node '0' matrix row 2 sums to nan"]),
+    ),
+    "null gaussian sd": (
+        lambda: per_node_tree_doc(gaussian=True),
+        lambda doc: doc["emission"]["1"].__setitem__("sds", [1.0, None]),
+        (ModelValidationError, ["emission at node '1' sd for state 2 is not positive"]),
+    ),
+    "numeric-string leaves": (
+        per_node_tree_doc,
+        set_transition("0", [["0.75", " 0.25 "], ["5_0e-2", "0.5"]]),
+        [[[0.75, 0.25], [0.5, 0.5]]] * 3,
+    ),
+    "bool leaves": (
+        per_node_tree_doc,
+        set_transition("1", [[True, False], [False, True]]),
+        [[[0.75, 0.25], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]], [[0.75, 0.25], [0.5, 0.5]]],
+    ),
+    "object leaf": (
+        per_node_tree_doc,
+        set_transition("1", [[{}, 0.25], [0.5, 0.5]]),
+        (ModelFormatError, "model: float() argument must be a string or a real number, not 'dict'"),
+    ),
+    "missing transition node": (
+        per_node_tree_doc,
+        lambda doc: doc["transition"].pop("00"),
+        (ModelFormatError, "model: per-node transitions must cover exactly the non-root nodes"),
+    ),
+    "extra emission node": (
+        per_node_tree_doc,
+        lambda doc: doc["emission"].__setitem__("01", doc["emission"]["0"]),
+        (ModelFormatError, "model: per-node emissions must cover exactly the node set"),
+    ),
+    "emission of the wrong kind": (
+        per_node_tree_doc,
+        lambda doc: doc["emission"].__setitem__("0", {"kind": "gaussian", "means": [0.0, 0.0], "sds": [1.0, 1.0]}),
+        (ModelFormatError, "emission at node '0': gaussian emission requires \"alphabet\": \"gaussian\""),
+    ),
+    "emission without a kind": (
+        per_node_tree_doc,
+        lambda doc: doc["emission"]["1"].pop("kind"),
+        (ModelFormatError, "emission at node '1': missing required key 'kind'"),
+    ),
+    "emission that is not an object": (
+        per_node_tree_doc,
+        lambda doc: doc["emission"].__setitem__("1", [[0.5, 0.5], [0.25, 0.75]]),
+        (ModelFormatError, "emission at node '1': key '1' has unexpected type list"),
+    ),
+    "mixed alphabets": (
+        per_node_tree_doc,
+        set_matrix("1", [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]),
+        (ModelFormatError, "emission at node '1': emission matrix has 3 columns, alphabet is 2"),
+    ),
+    "non-string path": (
+        per_node_tree_doc,
+        lambda doc: doc.__setitem__("nodes", ["", "0", 1, "00"]),
+        (ModelFormatError, "model: node path 1 is not a string over '0'..'9'"),
+    ),
+    "non-digit path": (
+        per_node_tree_doc,
+        lambda doc: doc.__setitem__("nodes", ["", "0", "x", "00"]),
+        (ModelFormatError, "model: node path 'x' is not a string over '0'..'9'"),
+    ),
+    "missing root": (
+        per_node_tree_doc,
+        lambda doc: doc.__setitem__("nodes", ["0", "1", "00"]),
+        (ModelFormatError, 'model: node list must contain the root ""'),
+    ),
+    "missing parent": (
+        per_node_tree_doc,
+        lambda doc: doc.__setitem__("nodes", ["", "1", "00"]),
+        (ModelFormatError, "model: node '00' has no parent '0' in the node list"),
+    ),
+    "oversized int in an hmm initial law": (hmm_doc, lambda doc: doc["initial"].__setitem__(0, BIG_INT), OVERFLOW),
+    "oversized int in an hmm transition": (hmm_doc, lambda doc: doc["transition"][1].__setitem__(0, BIG_INT), OVERFLOW),
+    "oversized int in a per-node transition": (
+        per_node_tree_doc,
+        set_transition("1", [[0.75, BIG_INT], [0.5, 0.5]]),
+        OVERFLOW,
+    ),
+    "oversized int in a per-node emission": (
+        per_node_tree_doc,
+        set_matrix("00", [[0.5, 0.5], [BIG_INT, 0.75]]),
+        OVERFLOW,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_per_node_documents(name):
+    make, edit, outcome = MALFORMED_DOCUMENTS[name]
+    doc = make()
+    edit(doc)
+    text = json.dumps(doc)
+    if isinstance(outcome, list):
+        assert load_model(text).transition_stack.tolist() == outcome
+        return
+    kind, message = outcome
+    with pytest.raises(kind) as exc:
+        load_model(text)
+    assert type(exc.value) is kind
+    assert (exc.value.report if kind is ModelValidationError else str(exc.value)) == message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["hmm_a", "hmm_b", "gauss_tree_a", "gauss_tree_b"])
     def test_bundled_files_round_trip(self, name):
@@ -541,3 +736,241 @@ def test_stacked_validation_matches_per_row_reference(n, d, m, gaussian, shared,
     emissions = GaussianEmission(means, sds) if gaussian else DiscreteEmission(matrix)
     model = HmtModel(topology=topo, initial=np.eye(d)[0], transitions=transitions, emissions=emissions)
     assert validate(model) == reference_report(model)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass loader against np.asarray stacking
+
+
+def reference_from_nodes(paths):
+    """Reference for `HmtTopology.from_nodes`: one Python step per path."""
+    node_set = set()
+    for p in paths:
+        if not isinstance(p, str) or (p and not (p.isascii() and p.isdigit())):
+            raise ValueError(f"node path {p!r} is not a string over '0'..'9'")
+        node_set.add(p)
+    if "" not in node_set:
+        raise ValueError('node list must contain the root ""')
+    nodes = tuple(sorted(node_set, key=lambda p: (len(p), p)))
+    index = {p: j for j, p in enumerate(nodes)}
+    parent = [-1]
+    for p in nodes[1:]:
+        if p[:-1] not in index:
+            raise ValueError(f"node {p!r} has no parent {p[:-1]!r} in the node list")
+        parent.append(index[p[:-1]])
+    parent = model_module._freeze(parent, dtype=np.intp)
+    depth = len(nodes[-1]) + 1
+    counts = np.bincount(parent[1:], minlength=len(nodes))
+    first_leaf = int(np.argmin(counts))
+    regular = depth > 1 and len(nodes[first_leaf]) == depth - 1 and (counts[:first_leaf] == counts[0]).all()
+    return HmtTopology(parent, depth, int(counts[0]) if regular else None, nodes)
+
+
+def reference_transition_stack(transitions, topology, d):
+    """Reference for `model._transition_stack`: one ``np.asarray`` over the nested lists."""
+    shape = (topology.n_nodes - 1, d, d)
+    if isinstance(transitions, Mapping):
+        paths = topology.nodes[1:]
+        if set(transitions) != set(paths):
+            raise ValueError("per-node transitions must cover exactly the non-root nodes")
+        try:
+            stack = np.asarray([transitions[p] for p in paths], dtype=float)
+        except ValueError:
+            stack = None
+        if stack is None or stack.shape != shape:
+            square = model_module._as_square_matrix
+            stack = np.asarray([square(transitions[p], d, f"transition at node {p!r}") for p in paths])
+            stack = stack.reshape(shape)
+        return model_module._freeze(stack)
+    stack = np.asarray(transitions, dtype=float)
+    if stack.ndim == 3:
+        if stack.shape != shape:
+            raise ValueError(f"transition stack must have shape {shape}, got {stack.shape}")
+        return model_module._freeze(stack)
+    return model_module._as_square_matrix(stack, d, "transition")
+
+
+def reference_emission_stack(raw, nodes, alphabet, d):
+    """Reference for `model._parse_emission_stack`: one ``np.asarray`` per parameter."""
+    if set(raw) != set(nodes):
+        raise ValueError("per-node emissions must cover exactly the node set")
+    kind = "gaussian" if alphabet == "gaussian" else "discrete"
+    keys = ("means", "sds") if kind == "gaussian" else ("matrix",)
+    shape = (len(nodes), d) if kind == "gaussian" else (len(nodes), d, alphabet)
+    entries = [raw[p] for p in nodes]
+    if all(type(e) is dict and e.get("kind") == kind for e in entries):
+        try:
+            arrays = [np.asarray([e[k] for e in entries], dtype=float) for k in keys]
+        except (KeyError, TypeError, ValueError):
+            arrays = []
+        if arrays and all(a.shape == shape for a in arrays):
+            return DiscreteEmission(*arrays) if kind == "discrete" else GaussianEmission(*arrays)
+    specs = []
+    for p in nodes:
+        context = f"emission at node {p!r}"
+        spec = model_module._parse_emission_spec(model_module._require(raw, p, dict, context), alphabet, context)
+        specs.append(model_module._check_emission(spec, d, context))
+    return model_module._stack_specs(specs)
+
+
+def load_outcome(text):
+    """The loaded stacks, parent array and labels as bytes, or the exception
+    type with its message (a ModelValidationError's report)."""
+    try:
+        model = load_model(text)
+    except ModelValidationError as exc:
+        return ModelValidationError, exc.report
+    except Exception as exc:  # every type is compared, whatever it is
+        return type(exc), str(exc)
+    spec = model.emission_stack
+    parameters = (spec.matrix,) if spec.kind == "discrete" else (spec.means, spec.sds)
+    arrays = (model.transition_stack, model.topology.parent, *parameters)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], model.topology.nodes
+
+
+LEAF_STYLES = ("float", "string", "one-hot int", "one-hot bool")
+#: Faults that replace one number of a parameter row.
+LEAF_FAULTS = {"null": None, "nested list": [0.5], "big int": 10**400, "object": {}, "word": "x1"}
+RESHAPE_FAULTS = ("short row", "long row")
+DOCUMENT_FAULTS = ("missing node", "extra node", "wrong kind", "int path", "letter path", "no root", "orphan")
+
+
+def spelled(x, rng):
+    """`x` as a numeric string that ``float()`` reads back exactly."""
+    text = repr(x)
+    digits = [i for i in range(len(text) - 1) if text[i].isdigit() and text[i + 1].isdigit()]
+    underscored = text[: digits[0] + 1] + "_" + text[digits[0] + 1 :] if digits else text
+    return [text, f" {text} ", text.upper(), underscored][int(rng.integers(4))]
+
+
+def styled_row(values, style, rng):
+    """A row of numbers in one of the spellings a document may use."""
+    if style == "string":
+        return [spelled(x, rng) for x in values]
+    if style.startswith("one-hot"):
+        row = [0] * len(values)
+        row[int(rng.integers(len(values)))] = 1
+        return [bool(x) for x in row] if style.endswith("bool") else row
+    return list(values)
+
+
+@st.composite
+def per_node_documents(draw):
+    """A ragged tree document of 1-300 nodes with per-node, mixed or shared
+    parameters, in assorted spellings, with up to three faults."""
+    n, d, m = draw(st.integers(1, 300)), draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    gaussian, shared_transition, shared_emission = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    styles = draw(st.lists(st.sampled_from(LEAF_STYLES), min_size=1, max_size=4))
+    kinds = st.sampled_from([*LEAF_FAULTS, *RESHAPE_FAULTS, *DOCUMENT_FAULTS])
+    faults = draw(st.lists(st.tuples(kinds, st.integers(0, 10**6)), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    paths, open_nodes, used = [""], [""], {"": set()}
+    while len(paths) < n:
+        parent = open_nodes[int(rng.integers(len(open_nodes)))]
+        digit = str(rng.choice(sorted(set(PATH_ALPHABET) - used[parent])))
+        used[parent].add(digit)
+        if len(used[parent]) == 10:
+            open_nodes.remove(parent)
+        paths.append(parent + digit)
+        open_nodes.append(paths[-1])
+        used[paths[-1]] = set()
+    rows = []  # every parameter row, for the leaf faults
+
+    def matrix(size, columns):
+        style = styles[int(rng.integers(len(styles)))]
+        out = [styled_row(r, style, rng) for r in rng.dirichlet(np.ones(columns), size=size).tolist()]
+        rows.extend(out)
+        return out
+
+    def emission():
+        if not gaussian:
+            return {"kind": "discrete", "matrix": matrix(d, m)}
+        style = styles[int(rng.integers(len(styles)))]
+        means = styled_row(rng.normal(size=d).tolist(), style, rng)
+        sds = styled_row(rng.uniform(0.5, 2.0, size=d).tolist(), style, rng)
+        rows.extend([means, sds])
+        return {"kind": "gaussian", "means": means, "sds": sds}
+
+    doc = {
+        "type": "hmt",
+        "states": d,
+        "alphabet": "gaussian" if gaussian else m,
+        "nodes": [paths[i] for i in rng.permutation(n)],
+        "initial": rng.dirichlet(np.ones(d)).tolist(),
+        "transition": matrix(d, d) if shared_transition else {p: matrix(d, d) for p in paths[1:]},
+        "emission": emission() if shared_emission else {p: emission() for p in paths},
+    }
+    for fault, at in faults:
+        row = rows[at % len(rows)]
+        per_node = [doc[k] for k in ("transition", "emission") if isinstance(doc[k], dict) and "kind" not in doc[k]]
+        if fault in LEAF_FAULTS and row:
+            row[at // len(rows) % len(row)] = LEAF_FAULTS[fault]
+        elif fault in RESHAPE_FAULTS and row:
+            row.pop() if fault == "short row" else row.append(0.0)
+        elif fault in ("missing node", "extra node") and per_node:
+            mapping = per_node[at % len(per_node)]
+            if fault == "extra node":
+                mapping[paths[-1] + "0"] = None
+            elif mapping:
+                del mapping[sorted(mapping)[at % len(mapping)]]
+        elif fault == "wrong kind" and isinstance(doc["emission"].get(paths[at % n]), dict):
+            doc["emission"][paths[at % n]]["kind"] = "discrete" if gaussian else "gaussian"
+        elif fault in ("int path", "letter path") and doc["nodes"]:
+            nodes = doc["nodes"]
+            nodes[at % len(nodes)] = at if fault == "int path" else f"a{nodes[at % len(nodes)]}"
+        elif fault == "no root":
+            doc["nodes"] = [p for p in doc["nodes"] if p != ""]
+        elif fault == "orphan":
+            inner = sorted({p[:-1] for p in paths[1:]} - {""})
+            if inner:
+                doc["nodes"] = [p for p in doc["nodes"] if p != inner[at % len(inner)]]
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=per_node_documents(), collector=st.booleans())
+def test_one_pass_loader_matches_asarray_stacking(doc, collector):
+    text = json.dumps(doc)
+    with (
+        patch.object(HmtTopology, "from_nodes", staticmethod(reference_from_nodes)),
+        patch.object(model_module, "_transition_stack", reference_transition_stack),
+        patch.object(model_module, "_parse_emission_stack", reference_emission_stack),
+    ):
+        expected = load_outcome(text)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if collector else gc.disable()
+        got = load_outcome(text)
+        assert gc.isenabled() is collector
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert got == expected
+
+
+def test_concurrent_loads_restore_the_collector():
+    text = json.dumps(per_node_tree_doc())
+    errors = []
+
+    def work():
+        try:
+            for _ in range(100):
+                load_model(text)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval, was_enabled = sys.getswitchinterval(), gc.isenabled()
+    sys.setswitchinterval(1e-6)
+    try:
+        gc.enable()
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable() if was_enabled else gc.disable()

@@ -305,6 +305,67 @@ class TestHomogeneousClosedForm:
         assert kld_homogeneous_tree(m1, m0) == pytest.approx(kld_exact_tree(m1, m0), abs=1e-10)
 
 
+#: Deepest regular tree of each children count with at most 4096 nodes.
+MAX_DEPTH_WITHIN_4096_NODES = {1: 4096, 2: 12, 3: 8, 4: 6}
+
+
+def with_zeros(laws, zeros):
+    """`laws` (rows summing to 1) with entry ``zeros[i]`` of row i set to 0
+    where that leaves the row some mass, renormalised."""
+    laws = np.array(laws, ndmin=2)
+    for row, column in zip(laws, zeros):
+        if row.sum() > row[column % row.size]:
+            row[column % row.size] = 0.0
+            row /= row.sum()
+    return laws
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    children=st.integers(1, 4),
+    depth_at=st.integers(0, 10**6),
+    states=st.integers(1, 4),
+    symbols=st.integers(1, 4),
+    gaussian=st.booleans(),
+    zeros=st.lists(st.tuples(st.sampled_from(["initial", "transition", "emission"]), st.integers(0, 10**6)), max_size=3),
+    zeros_in_both=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_matches_recursion_on_generated_trees(
+    children, depth_at, states, symbols, gaussian, zeros, zeros_in_both, seed
+):
+    rng = np.random.default_rng(seed)
+    depth = 1 + depth_at % MAX_DEPTH_WITHIN_4096_NODES[children]
+    topo = HmtTopology.regular(depth, children)
+    assert topo.n_nodes <= 4096
+
+    def model(hard_zeros):
+        initial = rng.dirichlet(np.ones(states))
+        transition = rng.dirichlet(np.ones(states), size=states)
+        if gaussian:
+            emission = GaussianEmission(rng.normal(size=states), rng.uniform(0.5, 2.0, size=states))
+        else:
+            emission = DiscreteEmission(rng.dirichlet(np.ones(symbols), size=states))
+        for where, at in hard_zeros:
+            if where == "initial":
+                initial = with_zeros(initial, [at])[0]
+            elif where == "transition":
+                transition = with_zeros(transition, [at] * states if at % 2 else [at])
+            elif not gaussian:
+                emission = DiscreteEmission(with_zeros(emission.matrix, [at]))
+        return HmtModel(topology=topo, initial=initial, transitions=transition, emissions=emission)
+
+    # zeros in the second model alone can make the divergence +inf
+    m1, m0 = model(zeros if zeros_in_both else []), model(zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the recursion warns on +inf
+        recursion = kld_exact_tree(m1, m0)
+    closed = kld_homogeneous_tree(m1, m0)
+    assert math.isinf(closed) == math.isinf(recursion)
+    if not math.isinf(closed):
+        assert math.isclose(closed, recursion, rel_tol=1e-12, abs_tol=0.0)
+
+
 class TestGeometricSum:
     def test_small_case_by_hand(self):
         pi = np.array([[0.5, 0.5], [0.25, 0.75]])
