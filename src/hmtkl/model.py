@@ -28,7 +28,9 @@ from __future__ import annotations
 import gc
 import json
 import math
+import threading
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
@@ -312,10 +314,9 @@ def _stack_lists(items, shape):
 def _transition_stack(transitions, topology, d) -> np.ndarray:
     """The shared (d, d) matrix, or the (n_nodes - 1, d, d) stack in node order.
 
-    A mapping of nested lists is read in one pass (`_stack_lists`).  When
-    that fails, one ``np.asarray`` over the nodes' matrices is tried, and
-    when that does not give the stack either, every matrix is read on its
-    own in node order, which names the first malformed node.
+    A mapping is read in one pass (`_stack_lists`); one that pass refuses
+    is read matrix by matrix in node order, which names the first malformed
+    node.
     """
     shape = (topology.n_nodes - 1, d, d)
     if isinstance(transitions, Mapping):
@@ -325,11 +326,6 @@ def _transition_stack(transitions, topology, d) -> np.ndarray:
         matrices = [transitions[p] for p in paths]
         stack = _stack_lists(matrices, shape)
         if stack is None:
-            try:
-                stack = np.asarray(matrices, dtype=float)
-            except ValueError:
-                stack = None
-        if stack is None or stack.shape != shape:
             # name the first malformed node, in node order
             stack = np.asarray([_as_square_matrix(m, d, f"transition at node {p!r}") for p, m in zip(paths, matrices)])
             stack = stack.reshape(shape)
@@ -681,10 +677,9 @@ def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
     """One spec stacked over `nodes`, in that order, from a per-node emission object.
 
     When every entry is an object of the document's emission kind, each
-    parameter is read in one pass over the nodes' lists (`_stack_lists`),
-    and failing that through one ``np.asarray`` over them.  When neither
-    gives a well-formed stack, every entry goes through the per-node parser
-    in node order, which names the first malformed node.
+    parameter is read in one pass over the nodes' lists (`_stack_lists`).
+    When that does not give every parameter, each entry goes through the
+    per-node parser in node order, which names the first malformed node.
     """
     if set(raw) != set(nodes):
         raise ValueError("per-node emissions must cover exactly the node set")
@@ -694,12 +689,7 @@ def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
     entries = [raw[p] for p in nodes]
     if all(type(e) is dict and e.get("kind") == kind for e in entries):
         arrays = [_stack_lists([e.get(k) for e in entries], shape) for k in keys]
-        if any(a is None for a in arrays):
-            try:
-                arrays = [np.asarray([e[k] for e in entries], dtype=float) for k in keys]
-            except (KeyError, TypeError, ValueError):
-                arrays = []
-        if arrays and all(a.shape == shape for a in arrays):
+        if all(a is not None for a in arrays):
             return DiscreteEmission(*arrays) if kind == "discrete" else GaussianEmission(*arrays)
     specs = []
     for p in nodes:
@@ -707,6 +697,36 @@ def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
         spec = _parse_emission_spec(_require(raw, p, dict, context), alphabet, context)
         specs.append(_check_emission(spec, d, context))
     return _stack_specs(specs)
+
+
+#: Guards the two below: the loads in flight and the collector state the
+#: first of them found.  The collector is paused while any load runs.
+_gc_lock = threading.Lock()
+_gc_loads = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block.
+
+    Pauses nest across threads: the first block to enter saves the
+    collector's state and disables it, and the last to leave restores that
+    state, so concurrent loads cannot leave it switched off.
+    """
+    global _gc_loads, _gc_was_enabled
+    with _gc_lock:
+        if _gc_loads == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_loads += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_loads -= 1
+            if _gc_loads == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 def load_model(document: str):
@@ -717,21 +737,16 @@ def load_model(document: str):
     collector is paused during the call: a decoded document holds no
     cycles, so each collection over its many lists would be wasted work.
     The collector state found on entry is restored on return, once the
-    document is freed, and on error.  (A load in another thread that ends
-    first may resume the collector early, which costs only time.)
+    document is freed, and on error; concurrent loads share one pause, which
+    the last of them ends (`_collector_paused`).
 
     Raises ModelFormatError on malformed documents (a ``depth``/``children``
     pair describing more than `MAX_NODES` nodes, and an integer too large
     for a float, included) and ModelValidationError (with the full report)
     when the parsed model violates an invariant.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         return _load_document(document)  # the document dies with its frame
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _load_document(document: str):

@@ -557,6 +557,23 @@ def test_malformed_per_node_documents(name):
     assert (exc.value.report if kind is ModelValidationError else str(exc.value)) == message
 
 
+@pytest.mark.parametrize("leaf", [{}, BIG_INT], ids=["object", "oversized int"])
+def test_node_with_a_wrong_shape_is_named_before_a_later_bad_leaf(leaf):
+    """When every node's matrix has the same wrong shape, the first node is
+    named even if a later node holds a number no float can take."""
+    doc = per_node_tree_doc()
+    doc["transition"] = {p: [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]] for p in TREE_NODES[1:]}
+    doc["transition"]["1"][1][2] = leaf
+    with pytest.raises(ModelFormatError, match=r"^model: transition at node '0' must have shape \(2, 2\), got \(2, 3\)$"):
+        load_model(json.dumps(doc))
+    doc = per_node_tree_doc()
+    for p in TREE_NODES:
+        doc["emission"][p]["matrix"] = [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]
+    doc["emission"]["1"]["matrix"][1][2] = leaf
+    with pytest.raises(ModelFormatError, match=r"^emission at node '': emission matrix has 3 columns, alphabet is 2$"):
+        load_model(json.dumps(doc))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["hmm_a", "hmm_b", "gauss_tree_a", "gauss_tree_b"])
     def test_bundled_files_round_trip(self, name):
@@ -767,7 +784,11 @@ def reference_from_nodes(paths):
 
 
 def reference_transition_stack(transitions, topology, d):
-    """Reference for `model._transition_stack`: one ``np.asarray`` over the nested lists."""
+    """Reference for `model._transition_stack`: one ``np.asarray`` over the
+    nested lists, and any error there sends every matrix through the
+    per-node check.  (Before the one-pass read, a TypeError or OverflowError
+    from that ``np.asarray`` escaped; the test of a wrong shape before a
+    later bad leaf pins the change.)"""
     shape = (topology.n_nodes - 1, d, d)
     if isinstance(transitions, Mapping):
         paths = topology.nodes[1:]
@@ -775,7 +796,7 @@ def reference_transition_stack(transitions, topology, d):
             raise ValueError("per-node transitions must cover exactly the non-root nodes")
         try:
             stack = np.asarray([transitions[p] for p in paths], dtype=float)
-        except ValueError:
+        except (TypeError, ValueError, OverflowError):
             stack = None
         if stack is None or stack.shape != shape:
             square = model_module._as_square_matrix
@@ -791,7 +812,9 @@ def reference_transition_stack(transitions, topology, d):
 
 
 def reference_emission_stack(raw, nodes, alphabet, d):
-    """Reference for `model._parse_emission_stack`: one ``np.asarray`` per parameter."""
+    """Reference for `model._parse_emission_stack`: one ``np.asarray`` per
+    parameter, and any error there sends every entry through the per-node
+    parser (before the one-pass read, an OverflowError there escaped)."""
     if set(raw) != set(nodes):
         raise ValueError("per-node emissions must cover exactly the node set")
     kind = "gaussian" if alphabet == "gaussian" else "discrete"
@@ -801,7 +824,7 @@ def reference_emission_stack(raw, nodes, alphabet, d):
     if all(type(e) is dict and e.get("kind") == kind for e in entries):
         try:
             arrays = [np.asarray([e[k] for e in entries], dtype=float) for k in keys]
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             arrays = []
         if arrays and all(a.shape == shape for a in arrays):
             return DiscreteEmission(*arrays) if kind == "discrete" else GaussianEmission(*arrays)
@@ -946,6 +969,31 @@ def test_one_pass_loader_matches_asarray_stacking(doc, collector):
     finally:
         gc.enable() if was_enabled else gc.disable()
     assert got == expected
+
+
+def test_the_last_of_overlapping_pauses_resumes_the_collector():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with model_module._collector_paused():
+            entered.set()
+            release.wait(timeout=60)
+
+    was_enabled = gc.isenabled()
+    holder = threading.Thread(target=hold)
+    try:
+        gc.enable()
+        with model_module._collector_paused():
+            holder.start()
+            assert entered.wait(timeout=60)
+        assert not gc.isenabled()  # the pause that began first has ended, the other has not
+        release.set()
+        holder.join(timeout=60)
+        assert not holder.is_alive()
+        assert gc.isenabled()
+    finally:
+        release.set()
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_concurrent_loads_restore_the_collector():
