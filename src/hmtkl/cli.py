@@ -18,6 +18,7 @@ mathematical precondition failure or overflow.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import sys
@@ -39,6 +40,16 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
+
+
+def _open_out(path):
+    """`path` opened for writing, or stdout (left open) when no path is given."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_pair(args):
@@ -155,33 +166,29 @@ def cmd_sweep(args) -> int:
     evidence = load_evidence(_read(args.evidence)) if args.evidence else None
     if evidence is not None and len(evidence) < args.n_max:
         raise ModelError(f"evidence has {len(evidence)} symbols, sweep needs {args.n_max}")
-    try:
-        rate = kld_rate(m_a, m_b)
-    except PreconditionError:
-        rate = float("nan")
+    with _open_out(args.out) as handle:  # an unwritable --out fails before any row is computed
+        try:
+            rate = kld_rate(m_a, m_b)
+        except PreconditionError:
+            rate = float("nan")
 
-    rows = []
-    for n in range(args.n_min, args.n_max + 1, args.step):
-        a, b = m_a.with_length(n), m_b.with_length(n)
-        if evidence is None:
-            exact = kld_hmm_no_evidence(a, b)
-            est = mc_kld_no_evidence(a.as_tree(), b.as_tree(), args.trials, args.seed)
-        else:
-            ev = evidence.truncated(n)
-            exact = kld_hmm_evidence(a, b, ev)
-            est = mc_kld_evidence(a, b, ev, args.trials, args.seed)
-        rows.append(
-            [n, _fmt(exact), _fmt(exact / n), _fmt(rate), _fmt(est.mean), _fmt(est.ci_lo), _fmt(est.ci_hi), est.trials, est.seed]
-        )
+        rows = []
+        for n in range(args.n_min, args.n_max + 1, args.step):
+            a, b = m_a.with_length(n), m_b.with_length(n)
+            if evidence is None:
+                exact = kld_hmm_no_evidence(a, b)
+                est = mc_kld_no_evidence(a.as_tree(), b.as_tree(), args.trials, args.seed)
+            else:
+                ev = evidence.truncated(n)
+                exact = kld_hmm_evidence(a, b, ev)
+                est = mc_kld_evidence(a, b, ev, args.trials, args.seed)
+            rows.append(
+                [n, _fmt(exact), _fmt(exact / n), _fmt(rate), _fmt(est.mean), _fmt(est.ci_lo), _fmt(est.ci_hi), est.trials, est.seed]
+            )
 
-    handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
         writer = csv.writer(handle)
         writer.writerow(["N", "exact", "exact_per_n", "rate", "mc_mean", "ci_lo", "ci_hi", "trials", "seed"])
         writer.writerows(rows)
-    finally:
-        if args.out:
-            handle.close()
     return 0
 
 

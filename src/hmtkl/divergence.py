@@ -1,6 +1,11 @@
 """Elementary KL divergences and the local divergence vectors used by every
 exact recursion.
 
+A local term is the divergence of a child's (emission, hidden state) pair
+given its parent's state r.  By the chain rule it is, for both emission
+kinds, ``D(pi1(r, .) || pi0(r, .)) + sum_s pi1(r, s) D(e1(s) || e0(s))``;
+only `emission_kl_per_state` depends on the emission kind.
+
 All divergences are in nats.  The conventions ``0 * log(0/q) = 0`` and
 ``p * log(p/0) = +inf`` for ``p > 0`` are applied throughout; a support
 mismatch therefore surfaces as an ``inf`` entry rather than an exception.
@@ -26,7 +31,7 @@ __all__ = [
 
 _DIST_TOL = 1e-9
 
-#: Terms in one ``(block, d, d, m)`` temporary of the local divergences:
+#: Terms in one ``(block, rows, d)`` temporary of the local divergences:
 #: 2^17 float64 values, 1 MiB.
 _BLOCK_ENTRIES = 1 << 17
 
@@ -80,36 +85,25 @@ def emission_kl_per_state(e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
 
 
 def _weighted_local_kl(w1, w0, e1, e0):
-    """``sum_{s,x} w1[i,r,s] e1_i(s,x) log[w1[i,r,s] e1_i(s,x) / (w0[i,r,s] e0_i(s,x))]``
-    for every node i and weight row r.
+    """``D(w1[i,r,:] || w0[i,r,:]) + sum_s w1[i,r,s] D(e1_i(s) || e0_i(s))`` for
+    every node i and weight row r: by the chain rule, the divergence of the
+    (hidden state, emission) pair whose state law is the weight row.
 
     `w1` and `w0` are ``(n, rows, d)`` weights, and `e1`, `e0` emission specs
-    stacked over the n nodes or shared by all of them.  For Gaussian emissions
-    the x-sum collapses to the per-state Gaussian KL, weighted by w1.  Every
-    (i, r) entry is summed over its own contiguous block of terms, so a
-    node's value does not depend on the nodes computed with it.  Nodes go in
-    blocks of at most `_BLOCK_ENTRIES` terms, which bounds the temporaries.
+    stacked over the n nodes or shared by all of them.  A state of zero weight
+    adds nothing even where its emission divergence is +inf.  Nodes go in
+    blocks of at most `_BLOCK_ENTRIES` terms, which bounds the temporaries,
+    and a node's value does not depend on the nodes computed with it.
     """
     n, rows, d = w1.shape
     if d != e1.n_states:
         raise ValueError(f"dimension mismatch: weights cover {d} states, emission {e1.n_states}")
+    per_state = np.broadcast_to(emission_kl_per_state(e1, e0), (n, d))
     out = np.empty((n, rows))
-    if isinstance(e1, DiscreteEmission):
-        m = e1.n_symbols
-        emis1 = np.broadcast_to(e1.matrix, (n, d, m))
-        emis0 = np.broadcast_to(e0.matrix, (n, d, m))
-        block = max(1, _BLOCK_ENTRIES // (rows * d * m))
-        for lo in range(0, n, block):
-            hi = lo + block
-            joint1 = w1[lo:hi, :, :, None] * emis1[lo:hi, None, :, :]
-            joint0 = w0[lo:hi, :, :, None] * emis0[lo:hi, None, :, :]
-            out[lo:hi] = rel_entr(joint1, joint0).sum(axis=(2, 3))
-    else:
-        gauss = np.broadcast_to(emission_kl_per_state(e1, e0), (n, d))
-        block = max(1, _BLOCK_ENTRIES // (rows * d))
-        for lo in range(0, n, block):
-            hi = lo + block
-            out[lo:hi] = (rel_entr(w1[lo:hi], w0[lo:hi]) + w1[lo:hi] * gauss[lo:hi, None, :]).sum(axis=2)
+    block = max(1, _BLOCK_ENTRIES // (rows * d))
+    for lo in range(0, n, block):
+        hi = lo + block
+        out[lo:hi] = rel_entr(w1[lo:hi], w0[lo:hi]).sum(axis=2) + weighted_sum_rows(w1[lo:hi], per_state[lo:hi])
     return np.maximum(out, 0.0)
 
 
@@ -117,8 +111,10 @@ def local_k_vector(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     """Per-parent-state divergence of one (transition, emission) step.
 
     Entry r is the KL divergence between the two models' laws of a child's
-    (emission, hidden state) pair given parent state r.  Equals, entrywise,
-    the row divergences of the transition matrices plus ``pi1 @ emission KLs``.
+    (emission, hidden state) pair given parent state r, computed by the chain
+    rule: the row divergence ``D(pi1[r] || pi0[r])`` plus ``pi1[r] @`` the
+    per-state emission divergences, where a zero transition into a state of
+    infinite emission divergence adds nothing.
     """
     check_emissions(e1, e0)
     pi1 = np.asarray(pi1, dtype=float)
@@ -174,7 +170,7 @@ def weighted_sum_rows(weights, values) -> np.ndarray:
     """`weighted_sum` of each node of a stack: row i is
     ``weighted_sum(weights[i], values[i])`` bit for bit.
 
-    `weights` is ``(n, d, d)`` and `values` ``(n, d)``.  Rows whose values are
+    `weights` is ``(n, rows, d)`` and `values` ``(n, d)``.  Rows whose values are
     all finite take one stacked ``np.matmul`` (at once when every row is
     finite); the others apply the ``0 * inf = 0`` rule.
     """

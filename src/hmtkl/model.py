@@ -523,7 +523,8 @@ class Evidence:
         return self.symbols.shape[0]
 
     def truncated(self, n: int) -> "Evidence":
-        if n > len(self):
+        """The first n symbols, for n in 0..len(self)."""
+        if not 0 <= n <= len(self):
             raise ValueError(f"cannot truncate evidence of length {len(self)} to {n}")
         return Evidence(self.symbols[:n])
 
@@ -741,9 +742,10 @@ def load_model(document: str):
     the last of them ends (`_collector_paused`).
 
     Raises ModelFormatError on malformed documents (a ``depth``/``children``
-    pair describing more than `MAX_NODES` nodes, and an integer too large
-    for a float, included) and ModelValidationError (with the full report)
-    when the parsed model violates an invariant.
+    pair describing more than `MAX_NODES` nodes, an integer too large for a
+    float and arrays nested past the decoder's recursion limit, included)
+    and ModelValidationError (with the full report) when the parsed model
+    violates an invariant.
     """
     with _collector_paused():
         return _load_document(document)  # the document dies with its frame
@@ -754,6 +756,8 @@ def _load_document(document: str):
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+        raise ModelFormatError("JSON is nested too deeply to decode") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level JSON value must be an object")
 

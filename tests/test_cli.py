@@ -1,16 +1,24 @@
 """CLI subcommands, output formats, and exit codes."""
 
+import copy
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmtkl
+from hmtkl import HmmModel, ModelError, load_model
 from hmtkl.bundled import data_path, data_text
 from hmtkl.cli import main
 
@@ -399,6 +407,46 @@ class TestSweep:
         assert main(args) == 0
         assert capsys.readouterr().out.startswith("N,exact,")
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_before_any_row(self, capsys, monkeypatch, tmp_path, where):
+        out = tmp_path / "absent" / "sweep.csv" if where == "missing-directory" else tmp_path
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed before --out was opened")
+
+        for name in ("kld_rate", "kld_hmm_no_evidence", "mc_kld_no_evidence"):
+            monkeypatch.setattr(hmtkl.cli, name, no_rows)
+        args = ["sweep", "--model-a", HMM_A, "--model-b", HMM_B, "--n-min", "1", "--n-max", "3", "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
+class TestNestedJson:
+    """Arrays nested past the decoder's recursion limit are a format error."""
+
+    @staticmethod
+    def nested_copy(tmp_path, depth):
+        doc = json.loads(data_text("hmm_a.json"))
+        text = json.dumps(doc)[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}"
+        path = tmp_path / f"nested_{depth}.json"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["validate", "exact"])
+    def test_too_deep_exits_2_with_one_line(self, capsys, tmp_path, command):
+        args = [command, "--model-a", self.nested_copy(tmp_path, 1100), "--model-b", HMM_B]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "JSON is nested too deeply to decode\n"
+
+    def test_shallower_nesting_loads(self, capsys, tmp_path):
+        assert main(["validate", "--model-a", self.nested_copy(tmp_path, 900)]) == 0
+        assert capsys.readouterr().out.endswith(": ok\n")
+
 
 class TestConsoleScript:
     def test_module_invocation(self):
@@ -591,3 +639,96 @@ def test_mismatched_pair_exits_2_on_every_pair_command(capsys, tmp_path, kind, f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == _pair_message(field, *pair, command) + "\n"
+
+
+#: What a mutation may put in place of a value.
+HOSTILE_VALUES = [None, True, False, "0.5", math.nan, math.inf, -math.inf, 10**400, -1, [], {}, [[0.5, [0.5]], []]]
+
+#: Each bundled model file and the file it is paired with.
+PARTNERS = {"hmm_a.json": "hmm_b.json", "hmm_b.json": "hmm_a.json", "gauss_tree_a.json": "gauss_tree_b.json", "gauss_tree_b.json": "gauss_tree_a.json"}
+
+#: Levels of arrays that the decoder cannot descend.
+TOO_DEEP = 1100
+
+
+def value_slots(doc):
+    """(container, key) of every value below the top level, found without recursion."""
+    slots, stack = [], [doc]
+    while stack:
+        container = stack.pop()
+        for key in list(container) if isinstance(container, dict) else range(len(container)):
+            slots.append((container, key))
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])
+    return slots
+
+
+def mutate(doc, nests, data):
+    """Apply one drawn mutation to `doc` in place; adding or dropping an item
+    of a value that is not a non-empty list replaces the value instead.  A
+    value wrapped in `TOO_DEEP` arrays is held as a token string, and its
+    text in `nests` (the encoder cannot nest that deep either)."""
+    container, key = data.draw(st.sampled_from(value_slots(doc)))
+    value = container[key]
+    action = data.draw(st.sampled_from(["delete", "replace", "add", "drop", "wrap"]))
+    if action == "delete":
+        del container[key]
+    elif action == "add" and isinstance(value, list):
+        value.insert(data.draw(st.integers(0, len(value))), copy.deepcopy(value[-1]) if value else 0.5)
+    elif action == "drop" and value and isinstance(value, list):
+        del value[data.draw(st.integers(0, len(value) - 1))]
+    elif action == "wrap":
+        token = f"nest-{len(nests)}"
+        nests[token] = "[" * TOO_DEEP + render(value, nests) + "]" * TOO_DEEP
+        container[key] = token
+    else:
+        container[key] = copy.deepcopy(data.draw(st.sampled_from(HOSTILE_VALUES)))
+
+
+def render(doc, nests):
+    text = json.dumps(doc)
+    for token, nested in nests.items():
+        text = text.replace(json.dumps(token), nested)
+    return text
+
+
+def described_nodes(text):
+    """Nodes of the model a document describes, 0 if it does not load."""
+    try:
+        model = load_model(text)
+    except (ModelError, ValueError):
+        return 0
+    return model.length if isinstance(model, HmmModel) else model.topology.n_nodes
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(PARTNERS)), mutations=st.integers(1, 3), mutated_first=st.booleans(), data=st.data())
+def test_hostile_documents_exit_cleanly(name, mutations, mutated_first, data):
+    doc, nests = json.loads(data_text(name)), {}
+    for _ in range(mutations):
+        if value_slots(doc):
+            mutate(doc, nests, data)
+    text = render(doc, nests)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        pair = [path, data_path(PARTNERS[name])]
+        if not mutated_first:
+            pair.reverse()
+        pair_args = ["--model-a", pair[0], "--model-b", pair[1]]
+        commands = [["validate", "--model-a", path], ["exact", *pair_args]]
+        if described_nodes(text) <= 10**4:
+            commands.append(["mc", *pair_args, "--trials", "20"])
+        for argv in commands:
+            code, out = run_in_process(argv)
+            assert code in (0, 2, 3), argv
+            for value in re.findall(r"(?:exact_kld|mc_mean)=(\S+)", out):
+                assert value != "nan", (argv, out)

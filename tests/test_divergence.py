@@ -1,9 +1,12 @@
 """Elementary divergence primitives against independent oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hmtkl.divergence
@@ -231,7 +234,7 @@ class TestStacks:
             e1 = DiscreteEmission(rng.dirichlet(np.ones(m), size=lead + (d,)))
             e0 = DiscreteEmission(rng.dirichlet(np.ones(m), size=lead + (d,)))
         # blocks of two nodes: every block boundary falls inside the stack
-        monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", 2 * d * d * m)
+        monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", 2 * d * d)
         stacked = local_k_stack(pi1, pi0, e1, e0)
         assert np.isinf(stacked).any()
         for i in range(n):
@@ -249,3 +252,84 @@ class TestStacks:
         for i in range(9):
             np.testing.assert_array_equal(rows[i], weighted_sum(weights[i], values[i]))
         assert np.isfinite(rows[::6]).all()
+
+
+def enumerated_local_term(w1, w0, e1, e0):
+    """The local term as the joint sum over (state, symbol) pairs of
+    ``p log(p / q)``, ``p = w1[s] e1(s, x)``, ``q = w0[s] e0(s, x)``.
+
+    `e1` and `e0` are one node's spec; for Gaussian emissions the symbol sum
+    of state s is ``w1[s] (log(w1[s] / w0[s]) + D(e1(s) || e0(s)))`` with the
+    closed-form Gaussian divergence written out.
+    """
+    acc = 0.0
+    for s in range(len(w1)):
+        if isinstance(e1, DiscreteEmission):
+            pairs = [(w1[s] * p1, w0[s] * p0) for p1, p0 in zip(e1.matrix[s], e0.matrix[s])]
+            for p, q in pairs:
+                if p > 0:
+                    acc += p * math.log(p / q) if q > 0 else math.inf
+        elif w1[s] > 0:
+            m1, s1, m0, s0 = e1.means[s], e1.sds[s], e0.means[s], e0.sds[s]
+            gauss = (s1 * s1 + (m1 - m0) ** 2) / (2 * s0 * s0) + math.log(s0 / s1) - 0.5
+            acc += w1[s] * (math.log(w1[s] / w0[s]) + gauss) if w0[s] > 0 else math.inf
+    return acc
+
+
+def sparse_laws(rng, shape, p_zero):
+    """Random distributions along the last axis with entries zeroed at rate `p_zero`."""
+    laws = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    laws[rng.random(shape) < p_zero] = 0.0
+    laws[..., 0] += laws.sum(axis=-1) == 0.0  # every law keeps some mass
+    return laws / laws.sum(axis=-1, keepdims=True)
+
+
+def assert_same_local_terms(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    np.testing.assert_array_equal(np.isposinf(got), np.isposinf(expected))
+    finite = np.isfinite(expected)
+    np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-13, atol=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    d=st.integers(1, 8),
+    m=st.integers(1, 6),
+    gaussian=st.booleans(),
+    shared=st.booleans(),
+    p_zero=st.sampled_from([0.0, 0.2, 0.5]),
+    plant=st.booleans(),
+    nodes_per_block=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_terms_match_the_joint_enumeration(n, d, m, gaussian, shared, p_zero, plant, nodes_per_block, seed):
+    rng = np.random.default_rng(seed)
+    lead = () if shared else (n,)
+    mu1, mu0 = sparse_laws(rng, (d,), p_zero), sparse_laws(rng, (d,), p_zero)
+    pi1, pi0 = sparse_laws(rng, (n, d, d), p_zero), sparse_laws(rng, (n, d, d), p_zero)
+    if gaussian:
+        e1 = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.3, 3.0, size=lead + (d,)))
+        e0 = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.3, 3.0, size=lead + (d,)))
+    else:
+        emis1, emis0 = sparse_laws(rng, lead + (d, m), p_zero), sparse_laws(rng, lead + (d, m), p_zero)
+        if plant and d > 1 and m > 1:
+            # State 0 gets an infinite emission divergence on some nodes, and
+            # zero transitions into it from some parent states: 0 * inf adds 0.
+            hit = rng.random(lead) < 0.7
+            emis1[hit, 0] = 1.0 / m
+            emis0[hit, 0] = np.r_[0.0, np.full(m - 1, 1.0 / (m - 1))]
+            pi1[rng.random((n, d)) < 0.6, 0] = 0.0
+            pi1[..., 1] += pi1.sum(axis=-1) == 0.0
+            pi1 /= pi1.sum(axis=-1, keepdims=True)
+            mu1[0], mu1[1] = 0.0, mu1[1] + mu1[0]
+        e1, e0 = DiscreteEmission(emis1), DiscreteEmission(emis0)
+
+    expected = [[enumerated_local_term(pi1[i, r], pi0[i, r], e1.for_nodes(i), e0.for_nodes(i)) for r in range(d)] for i in range(n)]
+    with mock.patch.object(hmtkl.divergence, "_BLOCK_ENTRIES", nodes_per_block * d * d):
+        stacked = local_k_stack(pi1, pi0, e1, e0)
+    assert_same_local_terms(stacked, expected)
+    for i in range(n):
+        assert_same_local_terms(local_k_vector(pi1[i], pi0[i], e1.for_nodes(i), e0.for_nodes(i)), expected[i])
+        root = local_k_root(mu1, mu0, e1.for_nodes(i), e0.for_nodes(i))
+        assert_same_local_terms([root], [enumerated_local_term(mu1, mu0, e1.for_nodes(i), e0.for_nodes(i))])

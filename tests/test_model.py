@@ -640,8 +640,11 @@ class TestEvidence:
     def test_truncated(self):
         ev = Evidence.from_external([1, 2, 3])
         assert ev.truncated(2).symbols.tolist() == [0, 1]
-        with pytest.raises(ValueError, match="truncate"):
-            ev.truncated(4)
+        assert len(ev.truncated(0)) == 0
+        assert ev.truncated(3).symbols.tolist() == [0, 1, 2]
+        for n in (4, -1, -3):  # negative lengths would slice off a suffix
+            with pytest.raises(ValueError, match="truncate"):
+                ev.truncated(n)
 
     def test_load_evidence(self):
         ev = load_evidence("1 2  3\n")
