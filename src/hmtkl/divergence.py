@@ -9,6 +9,11 @@ only `emission_kl_per_state` depends on the emission kind.
 All divergences are in nats.  The conventions ``0 * log(0/q) = 0`` and
 ``p * log(p/0) = +inf`` for ``p > 0`` are applied throughout; a support
 mismatch therefore surfaces as an ``inf`` entry rather than an exception.
+
+Every ``p * log(p/q)`` term comes from `_rel_entr`, a NumPy kernel that takes
+the cases and branches of `scipy.special.rel_entr`.  It exists so that the
+exact routes without evidence load NumPy only: importing `scipy.special`
+costs a process about 0.27 s and 25 MB before it reads an argument.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .model import DiscreteEmission, EmissionSpec, check_emissions
 
@@ -27,6 +31,7 @@ __all__ = [
     "local_k_vector",
     "local_k_stack",
     "local_k_root",
+    "local_k_terms",
 ]
 
 _DIST_TOL = 1e-9
@@ -34,6 +39,57 @@ _DIST_TOL = 1e-9
 #: Terms in one ``(block, rows, d)`` temporary of the local divergences:
 #: 2^17 float64 values, 1 MiB.
 _BLOCK_ENTRIES = 1 << 17
+
+#: Bounds of the ratio in `_rel_entr`.  A comparison with a 0-d array skips
+#: the conversion of a Python float that NumPy makes on every call.
+_ZERO, _HALF, _TWO = np.array(0.0), np.array(0.5), np.array(2.0)
+_TINY, _INF = np.array(np.finfo(float).tiny), np.array(np.inf)
+
+
+def _rel_entr(x, y) -> np.ndarray:
+    """``x * log(x / y)`` elementwise in float64, case for case as
+    `scipy.special.rel_entr`:
+
+    * NaN in x or y gives NaN;
+    * x = 0 gives 0 when y >= 0; any other x <= 0 or y <= 0 gives +inf;
+    * 0.5 < x/y < 2 gives ``x * log1p((x - y) / y)``, which keeps the digits
+      that ``log(x / y)`` loses when x and y are close;
+    * an x/y that is not a normal number (it underflows or overflows) gives
+      ``x * (log(x) - log(y))``;
+    * any other x/y gives ``x * log(x / y)``.
+
+    It broadcasts like a ufunc, size-0 axes included.  NumPy's `log` and
+    `log1p` are not the C library's, so an entry can differ from SciPy's in
+    its last bits (by at most 2 ulp on the tests' draws).  Each entry takes
+    the same steps whatever array holds it, so no value depends on how the
+    callers block their arrays.
+
+    The cost is a fixed number of NumPy calls, which dominates on the tiny
+    arrays of a chain: when every x is positive and every x/y normal, the
+    masks of the other cases are never built.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim == 0 and y.ndim == 0:
+        return _rel_entr(x[None], y[None])[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = x / y
+        out = np.log(ratio)
+        close = x - y
+        close /= y
+        np.putmask(out, (ratio > _HALF) & (ratio < _TWO), np.log1p(close, out=close))
+        out *= x
+        normal = (x > _ZERO) & (ratio > _TINY) & (ratio < _INF)
+        if np.count_nonzero(normal) == normal.size:
+            return out
+        zero = (x == _ZERO) & (y >= _ZERO)
+        np.putmask(out, zero, 0.0)
+        if np.count_nonzero(normal) + np.count_nonzero(zero) == normal.size:
+            return out
+        positive = (x > _ZERO) & (y > _ZERO)
+        np.putmask(out, positive & ~normal, x * (np.log(x) - np.log(y)))
+        np.putmask(out, ~(positive | zero | np.isnan(x) | np.isnan(y)), np.inf)
+    return out
 
 
 def _check_distribution(p, name):
@@ -57,7 +113,7 @@ def kl_discrete(p, q) -> float:
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape[0]} vs {q.shape[0]}")
     # rounding noise in near-equal inputs can leave -1e-16; divergences are nonnegative
-    return max(float(rel_entr(p, q).sum()), 0.0)
+    return max(float(_rel_entr(p, q).sum()), 0.0)
 
 
 def kl_gaussian(mean1, sd1, mean0, sd0) -> float:
@@ -70,41 +126,105 @@ def kl_gaussian(mean1, sd1, mean0, sd0) -> float:
     return (sd1**2 + (mean1 - mean0) ** 2) / (2.0 * sd0**2) + math.log(sd0 / sd1) - 0.5
 
 
+def _row_divergences(*pairs) -> list:
+    """``_rel_entr(p, q).sum(axis=-1)`` of each ``(p, q)`` pair of arrays, from
+    one kernel call over all their entries.
+
+    On a chain's few small arrays the kernel's fixed cost, not its work, is
+    what counts.  Each row sums the same terms in the same order as a call of
+    its own would, so its bits do not depend on the other pairs.
+    """
+    if len(pairs) == 1:
+        ((p, q),) = pairs
+        return [_rel_entr(p, q).sum(axis=-1)]
+    pairs = [(p, q) if p.shape == q.shape else np.broadcast_arrays(p, q) for p, q in pairs]
+    terms = _rel_entr(np.concatenate([p.ravel() for p, _ in pairs]), np.concatenate([q.ravel() for _, q in pairs]))
+    rows, lo = [], 0
+    for p, _ in pairs:
+        rows.append(terms[lo : lo + p.size].reshape(p.shape).sum(axis=-1))
+        lo += p.size
+    return rows
+
+
+def _emission_rows(e1: EmissionSpec, e0: EmissionSpec, *pairs):
+    """The row divergences of `pairs` (see `_row_divergences`) and the
+    per-state emission divergences of `e1` and `e0`; a discrete spec's rows
+    join the same kernel call."""
+    check_emissions(e1, e0)
+    if isinstance(e1, DiscreteEmission):
+        *rows, per_state = _row_divergences(*pairs, (e1.matrix, e0.matrix))
+        return rows, np.maximum(per_state, 0.0)
+    if not (e0.sds > 0).all() or not (e1.sds > 0).all():
+        raise ValueError("standard deviations must be positive")
+    per_state = (e1.sds**2 + (e1.means - e0.means) ** 2) / (2.0 * e0.sds**2) + np.log(e0.sds / e1.sds) - 0.5
+    return (_row_divergences(*pairs) if pairs else []), np.maximum(per_state, 0.0)
+
+
 def emission_kl_per_state(e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     """Vector of per-state emission divergences D(e1(s, .) || e0(s, .)).
 
     For stacked specs the result has one row per node.
     """
-    check_emissions(e1, e0)
-    if isinstance(e1, DiscreteEmission):
-        return np.maximum(rel_entr(e1.matrix, e0.matrix).sum(axis=-1), 0.0)
-    if not (e0.sds > 0).all() or not (e1.sds > 0).all():
-        raise ValueError("standard deviations must be positive")
-    out = (e1.sds**2 + (e1.means - e0.means) ** 2) / (2.0 * e0.sds**2) + np.log(e0.sds / e1.sds) - 0.5
-    return np.maximum(out, 0.0)
+    return _emission_rows(e1, e0)[1]
 
 
-def _weighted_local_kl(w1, w0, e1, e0):
-    """``D(w1[i,r,:] || w0[i,r,:]) + sum_s w1[i,r,s] D(e1_i(s) || e0_i(s))`` for
-    every node i and weight row r: by the chain rule, the divergence of the
-    (hidden state, emission) pair whose state law is the weight row.
+def _check_states(w1, e1: EmissionSpec):
+    if w1.shape[-1] != e1.n_states:
+        raise ValueError(f"dimension mismatch: weights cover {w1.shape[-1]} states, emission {e1.n_states}")
 
-    `w1` and `w0` are ``(n, rows, d)`` weights, and `e1`, `e0` emission specs
-    stacked over the n nodes or shared by all of them.  A state of zero weight
-    adds nothing even where its emission divergence is +inf.  Nodes go in
-    blocks of at most `_BLOCK_ENTRIES` terms, which bounds the temporaries,
-    and a node's value does not depend on the nodes computed with it.
+
+def _local_rows(e1: EmissionSpec, e0: EmissionSpec, *weights) -> list:
+    """``D(w1[r,:] || w0[r,:]) + sum_s w1[r,s] D(e1(s) || e0(s))`` for every
+    row r of each ``(w1, w0)`` pair of ``(rows, d)`` weights: by the chain
+    rule, the divergence of the (hidden state, emission) pair whose state law
+    is the weight row.  A state of zero weight adds nothing even where its
+    emission divergence is +inf.  One kernel call serves every pair.
+    """
+    for w1, _ in weights:
+        _check_states(w1, e1)
+    rows, per_state = _emission_rows(e1, e0, *weights)
+    return [np.maximum(r + weighted_sum_rows(w1[None], per_state[None])[0], 0.0) for r, (w1, _) in zip(rows, weights)]
+
+
+def _weighted_local_kl(w1, w0, e1: EmissionSpec, e0: EmissionSpec):
+    """`_local_rows` of every node i of ``(n, rows, d)`` weight stacks, with
+    emission specs stacked over the n nodes or shared by all of them.
+
+    Nodes go in blocks of at most `_BLOCK_ENTRIES` weight terms, and a node's
+    value does not depend on the nodes computed with it.  A block takes the
+    emission divergences of its own nodes, so that per-node emission stacks
+    are blocked too, and its weights take a kernel call of their own: joining
+    them to the emission rows would copy a broadcast transition stack.  Both
+    bound the kernel's temporaries.
     """
     n, rows, d = w1.shape
-    if d != e1.n_states:
-        raise ValueError(f"dimension mismatch: weights cover {d} states, emission {e1.n_states}")
-    per_state = np.broadcast_to(emission_kl_per_state(e1, e0), (n, d))
+    _check_states(w1, e1)
     out = np.empty((n, rows))
     block = max(1, _BLOCK_ENTRIES // (rows * d))
     for lo in range(0, n, block):
-        hi = lo + block
-        out[lo:hi] = rel_entr(w1[lo:hi], w0[lo:hi]).sum(axis=2) + weighted_sum_rows(w1[lo:hi], per_state[lo:hi])
+        nodes = slice(lo, lo + block)
+        divergences = _rel_entr(w1[nodes], w0[nodes]).sum(axis=2)
+        per_state = np.broadcast_to(emission_kl_per_state(e1.for_nodes(nodes), e0.for_nodes(nodes)), divergences.shape[:1] + (d,))
+        out[nodes] = divergences + weighted_sum_rows(w1[nodes], per_state)
     return np.maximum(out, 0.0)
+
+
+def _check_square(pi1, pi0, ndim):
+    pi1 = np.asarray(pi1, dtype=float)
+    pi0 = np.asarray(pi0, dtype=float)
+    if pi1.shape != pi0.shape or pi1.ndim != ndim or pi1.shape[-2] != pi1.shape[-1]:
+        if ndim == 2:
+            raise ValueError(f"transition matrices must be square and congruent, got {pi1.shape} vs {pi0.shape}")
+        raise ValueError(f"transition stacks must be (n, d, d) and congruent, got {pi1.shape} vs {pi0.shape}")
+    return pi1, pi0
+
+
+def _check_initial(mu1, mu0):
+    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
+    mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
+    if mu1.shape != mu0.shape or mu1.ndim != 1:
+        raise ValueError(f"initial vectors must be congruent, got {mu1.shape} vs {mu0.shape}")
+    return mu1, mu0
 
 
 def local_k_vector(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
@@ -116,12 +236,8 @@ def local_k_vector(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     per-state emission divergences, where a zero transition into a state of
     infinite emission divergence adds nothing.
     """
-    check_emissions(e1, e0)
-    pi1 = np.asarray(pi1, dtype=float)
-    pi0 = np.asarray(pi0, dtype=float)
-    if pi1.shape != pi0.shape or pi1.ndim != 2 or pi1.shape[0] != pi1.shape[1]:
-        raise ValueError(f"transition matrices must be square and congruent, got {pi1.shape} vs {pi0.shape}")
-    return _weighted_local_kl(pi1[None], pi0[None], e1, e0)[0]
+    pi1, pi0 = _check_square(pi1, pi0, 2)
+    return _local_rows(e1, e0, (pi1, pi0))[0]
 
 
 def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
@@ -131,22 +247,24 @@ def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     emission specs stacked over the same n nodes, or shared by all of them.
     Row i equals `local_k_vector` of node i's parameters bit for bit.
     """
-    check_emissions(e1, e0)
-    pi1 = np.asarray(pi1, dtype=float)
-    pi0 = np.asarray(pi0, dtype=float)
-    if pi1.shape != pi0.shape or pi1.ndim != 3 or pi1.shape[1] != pi1.shape[2]:
-        raise ValueError(f"transition stacks must be (n, d, d) and congruent, got {pi1.shape} vs {pi0.shape}")
+    pi1, pi0 = _check_square(pi1, pi0, 3)
     return _weighted_local_kl(pi1, pi0, e1, e0)
 
 
 def local_k_root(mu1, mu0, e1: EmissionSpec, e0: EmissionSpec) -> float:
     """Divergence of the root's (emission, hidden state) pair under the two models."""
-    check_emissions(e1, e0)
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
-    if mu1.shape != mu0.shape or mu1.ndim != 1:
-        raise ValueError(f"initial vectors must be congruent, got {mu1.shape} vs {mu0.shape}")
-    return float(_weighted_local_kl(mu1[None, None, :], mu0[None, None, :], e1, e0)[0, 0])
+    mu1, mu0 = _check_initial(mu1, mu0)
+    return float(_local_rows(e1, e0, (mu1[None], mu0[None]))[0][0])
+
+
+def local_k_terms(mu1, mu0, pi1, pi0, e1: EmissionSpec, e0: EmissionSpec):
+    """``(local_k_root(mu1, mu0, e1, e0), local_k_vector(pi1, pi0, e1, e0))``
+    bit for bit, from one kernel call: the root and the step of a chain,
+    which share their emission specs."""
+    mu1, mu0 = _check_initial(mu1, mu0)
+    pi1, pi0 = _check_square(pi1, pi0, 2)
+    root, step = _local_rows(e1, e0, (mu1[None], mu0[None]), (pi1, pi0))
+    return float(root[0]), step
 
 
 def weighted_sum(weights, values):

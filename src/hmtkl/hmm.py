@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import rel_entr
 
 from . import divergence
-from .divergence import emission_kl_per_state, local_k_root, local_k_vector, weighted_sum
+from .divergence import _emission_rows, local_k_terms, local_k_vector, weighted_sum
 from .errors import SpectralError, StationaryError, ZeroLikelihoodError
 from .model import Evidence, HmmModel, check_evidence, check_pair
 from .tree import geometric_weighted_sum
@@ -51,9 +50,7 @@ __all__ = [
 
 
 def _local_terms(m1: HmmModel, m0: HmmModel):
-    root = local_k_root(m1.initial, m0.initial, m1.emission, m0.emission)
-    step = local_k_vector(m1.transition, m0.transition, m1.emission, m0.emission)
-    return root, step
+    return local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
 
 
 def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
@@ -142,9 +139,9 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
     divergence is.
     """
     check_pair(m1, m0)
-    d_initial = float(rel_entr(m1.initial, m0.initial).sum())
-    d_emission = emission_kl_per_state(m1.emission, m0.emission)
-    d_transition = rel_entr(m1.transition, m0.transition).sum(axis=1)
+    (d_initial, d_transition), d_emission = _emission_rows(
+        m1.emission, m0.emission, (m1.initial, m0.initial), (m1.transition, m0.transition)
+    )
     step = d_transition + d_emission
     d = m1.n_states
     # result is (P^r, S_r) for the low bits of N - 1 read so far, square is (P^(2^j), S_(2^j))
@@ -368,7 +365,15 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
     block, and no value depends on the block size.  Raises
     ZeroLikelihoodError (stating which model) when the evidence is impossible
     under either model.
+
+    The row divergences are `scipy.special.rel_entr`'s, imported here rather
+    than at module load: the tests pin this route's values against a
+    SciPy-based whole-stack reference bit for bit, and the NumPy kernel
+    `divergence._rel_entr` can differ in the last bits.  So this route, and
+    only this exact route, loads SciPy.
     """
+    from scipy.special import rel_entr
+
     check_pair(m1, m0)
     (initial1, weights1), (initial0, weights0) = _posterior_pair(m1, m0, evidence, _posterior_weights)
     inward = np.zeros(m1.n_states)

@@ -8,7 +8,9 @@ per-trial substream is a pure function of (seed, trial index), and estimates
 are bitwise reproducible regardless of batch or chunk boundaries.
 
 Every draw consumes exactly one uniform: discrete states and symbols through
-the row CDF, Gaussian emissions through the inverse normal CDF.
+the row CDF, Gaussian emissions through the inverse normal CDF.  That is
+`scipy.special.ndtri`, imported at call time by `_inverse_normal`, so only a
+Gaussian model loads SciPy.
 
 Trials go in chunks of at most `_CHUNK` uniforms (and at least one trial),
 laid out node-major: row i of a chunk holds draw i of every trial in it, so
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import Evidence, HmmModel, HmtModel, check_pair
 from .hmm import _posterior_pair, posterior_conditionals
@@ -139,6 +140,10 @@ def _draw(cdf: np.ndarray, base, u: np.ndarray) -> np.ndarray:
 
 
 def _inverse_normal(u: np.ndarray) -> np.ndarray:
+    # SciPy's ndtri, whose bits the golden estimates pin, is imported on the
+    # first Gaussian draw: discrete models never load SciPy
+    from scipy.special import ndtri
+
     # uniforms live in [0, 1); ndtri(0) would be -inf, so nudge exact zeros
     return ndtri(np.maximum(u, 2.0**-54))
 

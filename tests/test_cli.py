@@ -471,6 +471,57 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert result.stdout.startswith("exact_kld=0.68952288455")
 
+    def test_scipy_loads_only_for_evidence_and_gaussian_draws(self, tmp_path):
+        # A fresh interpreter imports the package, builds the parser and runs
+        # each command in process; after each it reports whether
+        # scipy.special has been imported.
+        script = tmp_path / "probe.py"
+        script.write_text(
+            "import contextlib, io, json, sys\n"
+            "import hmtkl, hmtkl.cli\n"
+            "hmtkl.cli.build_parser()\n"
+            "print(json.dumps(['import', 0, '', 'scipy.special' in sys.modules]))\n"
+            "for name, argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = hmtkl.cli.main(argv)\n"
+            "    print(json.dumps([name, code, out.getvalue(), 'scipy.special' in sys.modules]))\n"
+        )
+        pair, trees = ["--model-a", HMM_A, "--model-b", HMM_B], ["--model-a", TREE_A, "--model-b", TREE_B]
+        evidence = ["--n", "100", "--evidence", EVIDENCE_100]
+        numpy_only = [
+            ("validate", ["validate", "--model-a", HMM_A, "--model-b", TREE_A]),
+            ("exact trees", ["exact", *trees]),
+            ("exact", ["exact", *pair]),
+            ("exact --fast", ["exact", *pair, "--fast"]),
+            ("rate", ["rate", *pair]),
+            ("bound", ["bound", *pair]),
+            ("mc", ["mc", *pair, "--trials", "50"]),
+            ("mc --evidence", ["mc", *pair, *evidence, "--trials", "50"]),
+            ("sweep", ["sweep", *pair, "--n-min", "2", "--n-max", "4", "--trials", "20", "--out", str(tmp_path / "s.csv")]),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(hmtkl.__file__).resolve().parents[1])}
+
+        def probe(commands):
+            result = subprocess.run(
+                [sys.executable, str(script), json.dumps(commands)], capture_output=True, text=True, env=env
+            )
+            assert result.returncode == 0, result.stderr
+            return [json.loads(line) for line in result.stdout.splitlines()]
+
+        for name, code, _, loaded in probe(numpy_only):
+            assert (name, code, loaded) == (name, 0, False)
+        # each of the two routes that need SciPy's bits loads it by itself
+        evidence_exact = probe([("evidence-exact", ["evidence-exact", *pair, *evidence])])
+        assert evidence_exact[1] == ["evidence-exact", 0, "evidence_kld=9.28460240522\n", True]
+        gaussian_mc = probe([("mc trees", ["mc", *trees, "--trials", "200", "--seed", "1"])])
+        assert gaussian_mc[1] == [
+            "mc trees",
+            0,
+            "mc_mean=0.796690799579 sd=0.894008984004 ci_lo=0.672787475833 ci_hi=0.920594123325 trials=200 seed=1\n",
+            True,
+        ]
+
 
 #: The options that each subcommand takes besides --model-a/--model-b.
 OPTIONS_TAKEN = {

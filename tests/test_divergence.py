@@ -1,13 +1,16 @@
 """Elementary divergence primitives against independent oracles."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.special import rel_entr
 
 import hmtkl.divergence
 from hmtkl import (
@@ -333,3 +336,41 @@ def test_local_terms_match_the_joint_enumeration(n, d, m, gaussian, shared, p_ze
         assert_same_local_terms(local_k_vector(pi1[i], pi0[i], e1.for_nodes(i), e0.for_nodes(i)), expected[i])
         root = local_k_root(mu1, mu0, e1.for_nodes(i), e0.for_nodes(i))
         assert_same_local_terms([root], [enumerated_local_term(mu1, mu0, e1.for_nodes(i), e0.for_nodes(i))])
+
+
+#: Terms of the kernel parity test: uniform draws, log-uniform draws from the
+#: subnormals to near the largest float (so that some ratios underflow or
+#: overflow), hard zeros, and the edge values of every case of the kernel.
+_TERMS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-1074.0, 1023.0).map(lambda e: 2.0**e),
+    st.sampled_from([0.0, math.nan, math.inf, -1.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max]),
+)
+
+#: A SciPy that predates the log1p and log-difference branches computes
+#: x log(x/y) for every positive pair, so that this ratio overflows to +inf.
+_SCIPY_BRANCHED = bool(np.isfinite(rel_entr(1.0, 1e-320)))
+
+
+@pytest.mark.skipif(not _SCIPY_BRANCHED, reason="scipy.special.rel_entr predates its log1p branch")
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_rel_entr_kernel_matches_scipy(data):
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, min_side=0, max_side=4))
+    x = data.draw(hnp.arrays(float, shapes.input_shapes[0], elements=_TERMS))
+    y = data.draw(hnp.arrays(float, shapes.input_shapes[1], elements=_TERMS))
+    if data.draw(st.booleans()):  # pairs within 1e-8 of each other
+        eps = data.draw(hnp.arrays(float, shapes.result_shape, elements=st.floats(-1e-8, 1e-8)))
+        with np.errstate(over="ignore"):
+            y = x * (1.0 + eps)
+    expected = np.asarray(rel_entr(x, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.asarray(hmtkl.divergence._rel_entr(x, y))
+    assert got.shape == expected.shape == shapes.result_shape
+    for special in (np.isnan, np.isposinf, np.isneginf):
+        np.testing.assert_array_equal(special(got), special(expected))
+    assert (got[np.broadcast_to((x == 0) & (y >= 0), got.shape)] == 0.0).all()
+    finite = np.isfinite(expected)
+    ulps = np.abs(got[finite] - expected[finite]) / np.abs(np.spacing(expected[finite]))
+    assert (ulps <= 2).all(), f"{ulps.max()} ulp apart"
