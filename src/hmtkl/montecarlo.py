@@ -12,13 +12,19 @@ the row CDF, Gaussian emissions through the inverse normal CDF.  That is
 `scipy.special.ndtri`, imported at call time by `_inverse_normal`, so only a
 Gaussian model loads SciPy.
 
-Trials go in chunks of at most `_CHUNK` uniforms (and at least one trial),
-laid out node-major: row i of a chunk holds draw i of every trial in it, so
-each node reads contiguous rows.  One pass over the nodes draws each node's
-state and emission and adds both models' log-terms to their own per-trial
-sums while those rows are in cache; only the states of nodes with children
-still to draw stay alive.  Each trial's terms are added in node order,
-transition before emission, so no bit depends on the chunk size.
+Trials go in chunks of at most `_CHUNK` uniforms and at most `_TRIALS`
+trials (and at least one trial), laid out node-major: row i of a chunk holds
+draw i of every trial in it, so each node reads contiguous rows.  The trial
+cap keeps every per-node temporary of the walk at 128 KiB, so a model with
+few nodes holds one small block rather than every trial's draws: the bundled
+Gaussian pair peaks at 4.3 MiB (`tracemalloc`) at 1e5 trials, not 22.2 MiB.
+
+One pass over the nodes draws each node's state and emission and adds both
+models' log-terms to their own per-trial sums while those rows are in cache;
+only the states of nodes with children still to draw stay alive.  Each
+draw is a binary search over the row CDF written in integer arithmetic (see
+`_draw`).  Each trial's terms are added in node order, transition before
+emission, so no bit depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ Z95 = 1.96
 _LOG_2PI = math.log(2.0 * math.pi)
 #: Uniforms in one chunk: 2^22 float64 values, 32 MiB.
 _CHUNK = 1 << 22
+#: Trials in one chunk: each per-node temporary of the walk is 2^14 values, 128 KiB.
+_TRIALS = 1 << 14
 #: Uniforms drawn by one Philox call and transposed into the chunk (128 KiB).
 _TILE = 1 << 14
 
@@ -89,8 +97,9 @@ def _padded(per_trial: int) -> int:
 
 
 def _chunk_trials(per_trial: int) -> int:
-    """Trials per chunk: as many as fit in `_CHUNK` uniforms, and at least one."""
-    return max(1, _CHUNK // _padded(per_trial))
+    """Trials per chunk: as many as fit in `_CHUNK` uniforms, at most
+    `_TRIALS`, and at least one."""
+    return max(1, min(_TRIALS, _CHUNK // _padded(per_trial)))
 
 
 def _chunked_uniforms(seed: int, trials: int, per_trial: int):
@@ -99,8 +108,9 @@ def _chunked_uniforms(seed: int, trials: int, per_trial: int):
 
     The stream is read in order, a few trials at a time, and each tile is
     transposed into the block while it is in cache.  The generator lets go
-    of each block before it allocates the next, so a caller that drops its
-    own reference first holds one block at a time.
+    of a chunk's last tile before it yields the block, and of each block
+    before it allocates the next, so a caller that drops its own reference
+    first holds one block at a time.
     """
     padded = _padded(per_trial)
     size, tile = _chunk_trials(per_trial), max(1, _TILE // padded)
@@ -110,6 +120,7 @@ def _chunked_uniforms(seed: int, trials: int, per_trial: int):
         for lo in range(0, block.shape[1], tile):
             rows = stream.random((min(tile, block.shape[1] - lo), padded))
             block[:, lo : lo + rows.shape[0]] = rows[:, :per_trial].T
+        del rows
         yield start, block
         del block
 
@@ -129,12 +140,19 @@ def _draw(cdf: np.ndarray, base, u: np.ndarray) -> np.ndarray:
     are non-decreasing; the last entry is 1 > u and is never counted, so a
     zero-probability state is never drawn.  Every index read stays inside
     the row: after each halving ``pos - base + n`` is at most width - 1.
+
+    Each halving reads entry ``pos + half`` through the shifted view
+    ``flat[half:]`` and advances by ``hit * half``: a take, a compare and an
+    add, each under 1 ns per element.  A three-array ``np.where`` select
+    costs about 3 ns per element and once took most of the search's time.
+    `base` may be shared with other callers, so `pos` is never updated in
+    place; rows of width 2 take no halving and never build the view.
     """
     n, pos = cdf.shape[-1] - 1, base
     while n > 1:
         half = n // 2
-        mid = pos + half
-        pos = np.where(cdf.take(mid) <= u, mid, pos)
+        hit = cdf.reshape(-1)[half:].take(pos) <= u
+        pos = pos + (hit if half == 1 else hit * half)
         n -= half
     return pos + (cdf.take(pos) <= u)
 
@@ -190,11 +208,13 @@ def _walk(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
 
     Row ``k * j`` of `uniforms` draws node j's states, where k is the law's
     draws per node, and row ``k * j + 1`` its emissions.  Yields, for every
-    node j in order, ``(j, states, step, factor, emitted)``: `step` indexes
-    node j's flattened initial vector or transition matrix, and `factor` its
-    flattened emission matrix or, for Gaussian emissions, its states (both
-    None without emissions).  Only the states of nodes with children still
-    to draw stay alive; children are contiguous in `parent`.
+    node j in order, ``(j, states, step, factor, x)``: `step` indexes node
+    j's flattened initial vector or transition matrix, and `factor` its
+    flattened emission matrix or, for Gaussian emissions, its states (None
+    without emissions).  `x` holds the Gaussian emissions and is None
+    otherwise: scoring needs only `factor`, and a discrete symbol is
+    ``factor - m * states`` for m symbols.  Only the states of nodes with
+    children still to draw stay alive; children are contiguous in `parent`.
     """
     n, d, k = parent.shape[0], law.first.shape[0], law.draws_per_node
     has_children = np.zeros(n, dtype=bool)
@@ -214,9 +234,7 @@ def _walk(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
             means, sds = law.gaussian
             factor, x = s, means[j].take(s) + sds[j].take(s) * _inverse_normal(uniforms[k * j + 1])
         elif law.emission is not None:
-            emission_base = s * law.emission.shape[-1]
-            factor = _draw(law.emission[j], emission_base, uniforms[k * j + 1])
-            x = factor - emission_base
+            factor = _draw(law.emission[j], s * law.emission.shape[-1], uniforms[k * j + 1])
         yield j, s, step, factor, x
 
 
@@ -255,13 +273,23 @@ def sample_joint(model: HmtModel, rng: np.random.Generator):
     advanced to a trial's substream reproduces that trial of the batch
     estimators exactly.
     """
-    nodes = model.topology.nodes
-    caster = int if model.emission_kind == "discrete" else float
+    nodes, law = model.topology.nodes, _tree_law(model, _inclusive_cdf)
     uniforms = rng.random(2 * len(nodes))[:, None]
     x, s = {}, {}
-    for j, state, _, _, emitted in _walk(model.topology.parent, _tree_law(model, _inclusive_cdf), uniforms):
-        s[nodes[j]], x[nodes[j]] = int(state[0]), caster(emitted[0])
+    for j, state, _, factor, value in _walk(model.topology.parent, law, uniforms):
+        s[nodes[j]] = int(state[0])
+        x[nodes[j]] = int(factor[0] - law.emission.shape[-1] * state[0]) if value is None else float(value[0])
     return x, s
+
+
+def _indices(values: list, size: int, what: str) -> np.ndarray:
+    """`values` as int64 indices, or ValueError unless each is an integer in
+    0..size - 1.  Python and NumPy ints and integral floats all pass; a
+    non-integral or non-finite value is refused, never truncated."""
+    flat = np.array(values, dtype=float)
+    if not ((flat >= 0) & (flat < size) & (flat == np.floor(flat))).all():
+        raise ValueError(f"{what} must be integers in 0..{size - 1}")
+    return flat.astype(np.int64)
 
 
 def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int]) -> float:
@@ -270,13 +298,14 @@ def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int])
     if set(x) != set(nodes) or set(s) != set(nodes):
         raise ValueError("assignments must cover every node exactly")
     d, discrete = model.n_states, model.emission_kind == "discrete"
-    states = np.array([s[p] for p in nodes], dtype=np.int64)
-    emitted = np.array([x[p] for p in nodes], dtype=np.int64 if discrete else float)
-    if ((states < 0) | (states >= d)).any():
-        raise ValueError(f"states must lie in 0..{d - 1}")
-    m = model.emission_stack.n_symbols if discrete else None
-    if discrete and ((emitted < 0) | (emitted >= m)).any():
-        raise ValueError(f"symbols must lie in 0..{m - 1}")
+    states = _indices([s[p] for p in nodes], d, "states")
+    if discrete:
+        m = model.emission_stack.n_symbols
+        emitted = _indices([x[p] for p in nodes], m, "symbols")
+    else:
+        emitted = np.array([x[p] for p in nodes], dtype=float)
+        if np.isnan(emitted).any():
+            raise ValueError("Gaussian emissions must not be NaN")
     steps = states.copy()
     steps[1:] += states[model.topology.parent[1:]] * d
     factors = states * m + emitted if discrete else states

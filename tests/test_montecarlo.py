@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmtkl import (
     DiscreteEmission,
@@ -23,7 +25,7 @@ from hmtkl import (
     sample_posterior,
 )
 from hmtkl.errors import ZeroLikelihoodError
-from hmtkl.montecarlo import _Law, _chunked_uniforms, _inclusive_cdf, _tree_law, _walk
+from hmtkl.montecarlo import _Law, _chunked_uniforms, _draw, _inclusive_cdf, _tree_law, _walk
 
 
 def small_discrete_pair(seed=0, depth=2, children=2):
@@ -438,12 +440,14 @@ CHUNK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
 def test_chunk_size_does_not_change_estimates(case, monkeypatch):
-    """Chunks of one trial up to chunks holding every trial give the same bits."""
+    """Chunks of one trial up to chunks holding every trial give the same
+    bits, whether the uniform cap or the trial cap sets the chunk."""
     import hmtkl.montecarlo as mc
 
     estimates = []
-    for chunk in (8, 64, 1000, 1 << 20):
+    for chunk, cap in ((8, mc._TRIALS), (64, mc._TRIALS), (1000, mc._TRIALS), (1 << 20, mc._TRIALS), (1 << 20, 1), (1 << 20, 7)):
         monkeypatch.setattr(mc, "_CHUNK", chunk)
+        monkeypatch.setattr(mc, "_TRIALS", cap)
         estimates.append(CHUNK_CASES[case]())
     assert estimates[0].infinite_trials == 0
     assert all(est == estimates[0] for est in estimates)
@@ -550,6 +554,22 @@ def test_peak_holds_one_uniform_block_at_a_time(case, monkeypatch):
     assert traced_peak(lambda: run(trials)) <= block + tile + 64 * trials + 2**20
 
 
+def test_few_nodes_at_1e5_trials_hold_one_capped_block():
+    """The bundled Gaussian pair draws 14 uniforms per trial, so 2^22
+    uniforms would hold every one of 1e5 trials.  The trial cap keeps the
+    peak within one capped block, one tile, 16 bytes per trial (the
+    log-ratios and the deviation pass of the sample sd) and 1 MiB."""
+    import hmtkl.montecarlo as mc
+    from hmtkl.montecarlo import _chunk_trials, _padded
+
+    pair, trials = bundled_gaussian_tree_pair(), 100_000
+    per_trial = 2 * pair[0].topology.n_nodes
+    mc_kld_no_evidence(*pair, 2, 0)  # SciPy's import stays out of the peak
+    block = 8 * per_trial * min(trials, _chunk_trials(per_trial))
+    tile = 8 * _padded(per_trial) * max(1, mc._TILE // _padded(per_trial))
+    assert traced_peak(lambda: mc_kld_no_evidence(*pair, trials, 0)) <= block + tile + 16 * trials + 2**20
+
+
 def test_evidence_chunks_at_1e5_trials_stay_within_the_draw_cap():
     """Size arithmetic for N = 1e4 evidence and 1e5 trials: no uniform block
     above 8 x _CHUNK bytes.  Only the first chunk is drawn."""
@@ -577,3 +597,60 @@ def test_loglik_joint_rejects_states_and_symbols_out_of_range():
         loglik_joint(a, symbols, dict(states, **{"": -1}))
     with pytest.raises(ValueError, match="symbols"):
         loglik_joint(a, dict(symbols, **{"0": 2}), states)
+    # integral floats and NumPy ints load as indices; other values never truncate
+    assert loglik_joint(a, dict(symbols, **{"": 1.0}), dict(states, **{"0": np.int32(1)})) == loglik_joint(a, symbols, states)
+    for bad in (0.5, 1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="states"):
+            loglik_joint(a, symbols, dict(states, **{"0": bad}))
+        with pytest.raises(ValueError, match="symbols"):
+            loglik_joint(a, dict(symbols, **{"1": bad}), states)
+    chain = bundled_hmm_pair(length=3)[0].as_tree()
+    chain_states = dict.fromkeys(chain.topology.nodes, 0)
+    with pytest.raises(ValueError, match="symbols"):
+        loglik_joint(chain, dict.fromkeys(chain.topology.nodes, 1.5), chain_states)
+    g, _ = bundled_gaussian_tree_pair()
+    g_states, g_values = dict.fromkeys(g.topology.nodes, 0), dict.fromkeys(g.topology.nodes, 1.0)
+    assert math.isfinite(loglik_joint(g, g_values, g_states))
+    assert loglik_joint(g, dict(g_values, **{"": math.inf}), g_states) == -math.inf
+    with pytest.raises(ValueError, match="NaN"):
+        loglik_joint(g, dict(g_values, **{"": math.nan}), g_states)
+
+
+def where_search(cdf, base, u):
+    """The inverse-CDF search as an ``np.where`` select, kept as a reference."""
+    n, pos = cdf.shape[-1] - 1, base
+    while n > 1:
+        half = n // 2
+        mid = pos + half
+        pos = np.where(cdf.take(mid) <= u, mid, pos)
+        n -= half
+    return pos + (cdf.take(pos) <= u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_draw_counts_the_cdf_entries_at_or_below_u(data):
+    """`_draw` gives the index of the ``np.where`` search and of
+    ``searchsorted(row[:-1], u, side="right")``, and never a zero-probability
+    state, on rows with hard zeros (repeated CDF entries) and uniforms on,
+    just below and between the entries."""
+    width = data.draw(st.integers(1, 17), label="width")
+    n_rows = data.draw(st.sampled_from([None, 1, 2, 5]), label="rows")  # None: a 1-D table
+    row = st.lists(st.integers(0, 3), min_size=width, max_size=width).filter(any)
+    weights = np.array(data.draw(st.lists(row, min_size=n_rows or 1, max_size=n_rows or 1), label="weights"), dtype=float)
+    cdf = np.cumsum(weights, axis=-1) / weights.sum(axis=-1, keepdims=True)  # last entry exactly 1.0
+    if n_rows is None:
+        weights, cdf = weights[0], cdf[0]
+    entries = [float(v) for v in np.unique(cdf) if v < 1.0]
+    edges = [0.0, *entries, *(float(np.nextafter(v, 0.0)) for v in entries if v > 0.0)]
+    trials = data.draw(st.integers(1, 12), label="trials")
+    u = np.array(data.draw(st.lists(st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_max=True), min_size=trials, max_size=trials), label="u"))
+    if n_rows is None and data.draw(st.booleans(), label="scalar base"):
+        base = 0  # the root's offset
+    else:
+        base = width * np.array(data.draw(st.lists(st.integers(0, (n_rows or 1) - 1), min_size=trials, max_size=trials), label="bases"))
+    got = _draw(cdf, base, u)
+    np.testing.assert_array_equal(got, where_search(cdf, base, u))
+    rows = cdf.reshape(-1, width)[np.broadcast_to(base, u.shape) // width]
+    np.testing.assert_array_equal(got - base, [np.searchsorted(r[:-1], x, side="right") for r, x in zip(rows, u)])
+    assert (weights.reshape(-1).take(got) > 0).all()
