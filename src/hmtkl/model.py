@@ -466,6 +466,8 @@ class HmmModel:
             raise ValueError("length must be >= 1")
         object.__setattr__(self, "length", int(self.length))
         initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
+        if initial.ndim != 1:
+            raise ValueError("initial must be a vector")
         object.__setattr__(self, "initial", _freeze(initial))
         d = initial.shape[0]
         object.__setattr__(self, "transition", _as_square_matrix(self.transition, d, "transition"))

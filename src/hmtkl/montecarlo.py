@@ -127,7 +127,9 @@ def _chunked_uniforms(seed: int, trials: int, per_trial: int):
 
 def _inclusive_cdf(rows: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(rows, axis=-1)
-    cdf[..., -1] = 1.0  # guard against rounding in the last bin
+    # Every entry that reaches the row's total becomes 1.0: the last, and those
+    # of trailing zero-probability states, which rounding can leave below 1.
+    np.putmask(cdf, cdf >= cdf[..., -1:], 1.0)
     return cdf
 
 

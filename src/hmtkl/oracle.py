@@ -2,8 +2,9 @@
 
 These define ground truth for the exact recursions on small instances by
 summing over every joint outcome (or every hidden path, for the posterior
-variant).  They share nothing with the recursive implementations beyond the
-model accessors, and they enumerate in log domain, normalizing at the end.
+variant).  They read only the parameter stacks and the `parent` array (a
+chain is the one-child tree), share nothing with the recursive
+implementations, and enumerate in log domain, normalizing at the end.
 """
 
 from __future__ import annotations
@@ -38,22 +39,30 @@ def _check_budget(outcomes: int, budget: int | None):
         raise EnumerationBudgetError(f"{outcomes} joint outcomes exceed the enumeration budget {limit}")
 
 
-def _tree_log_factors(model: HmtModel):
-    """(log initial, per-node log transition, per-node log emission) with -inf for zeros."""
+def _log_factors(model: HmtModel | HmmModel) -> tuple:
+    """Log initial law, log transitions ``(n - 1, d, d)`` and log emissions
+    ``(n, d, m)`` as nested lists, -inf for zeros.  A chain is the one-child
+    tree, with n = length."""
+    if isinstance(model, HmmModel):
+        n, transitions, emissions = model.length, model.transition, model.emission
+    else:
+        n, transitions, emissions = model.topology.n_nodes, model.transition_stack, model.emission_stack
     with np.errstate(divide="ignore"):
-        log_initial = np.log(model.initial)
-        log_trans = {p: np.log(model.transition(p)) for p in model.topology.nodes if p}
-        log_emis = {p: np.log(model.emission(p).matrix) for p in model.topology.nodes}
-    return log_initial, log_trans, log_emis
+        log_initial, log_trans, log_emis = np.log(model.initial), np.log(transitions), np.log(emissions.matrix)
+    # a shared matrix is listed once and referenced by every node: a long
+    # chain costs one list slot per position
+    log_trans = log_trans.tolist() if log_trans.ndim == 3 else [log_trans.tolist()] * (n - 1)
+    log_emis = log_emis.tolist() if log_emis.ndim == 3 else [log_emis.tolist()] * n
+    return log_initial.tolist(), log_trans, log_emis
 
 
-def _log_joint(nodes, parent_of, factors, states, symbols) -> float:
+def _log_joint(parent, factors, states, symbols) -> float:
+    """log P(states, symbols) of node j = 0, 1, ... with parent ``parent[j]``."""
     log_initial, log_trans, log_emis = factors
-    total = log_initial[states[0]] + log_emis[nodes[0]][states[0], symbols[0]]
-    for j in range(1, len(nodes)):
-        path = nodes[j]
-        total += log_trans[path][states[parent_of[j]], states[j]]
-        total += log_emis[path][states[j], symbols[j]]
+    total = log_initial[states[0]] + log_emis[0][states[0]][symbols[0]]
+    for j in range(1, len(states)):
+        total += log_trans[j - 1][states[parent[j]]][states[j]]
+        total += log_emis[j][states[j]][symbols[j]]
     return total
 
 
@@ -66,23 +75,20 @@ def brute_force_kld_joint(m1: HmtModel, m0: HmtModel, budget: int | None = None)
     check_pair(m1, m0)
     if m1.emission_kind != "discrete":
         raise ValueError("joint enumeration requires discrete emissions")
-    nodes = m1.topology.nodes
-    d = m1.n_states
-    m = m1.emission(nodes[0]).n_symbols
-    _check_budget((d * m) ** len(nodes), budget)
+    n, d, m = m1.topology.n_nodes, m1.n_states, m1.emission_stack.n_symbols
+    _check_budget((d * m) ** n, budget)
 
-    index = {p: j for j, p in enumerate(nodes)}
-    parent_of = [index[p[:-1]] if p else 0 for p in nodes]
-    factors1 = _tree_log_factors(m1)
-    factors0 = _tree_log_factors(m0)
+    parent = m1.topology.parent.tolist()
+    factors1 = _log_factors(m1)
+    factors0 = _log_factors(m0)
 
     total = 0.0
-    for states in product(range(d), repeat=len(nodes)):
-        for symbols in product(range(m), repeat=len(nodes)):
-            lp1 = _log_joint(nodes, parent_of, factors1, states, symbols)
+    for states in product(range(d), repeat=n):
+        for symbols in product(range(m), repeat=n):
+            lp1 = _log_joint(parent, factors1, states, symbols)
             if lp1 == -math.inf:
                 continue
-            lp0 = _log_joint(nodes, parent_of, factors0, states, symbols)
+            lp0 = _log_joint(parent, factors0, states, symbols)
             total += math.exp(lp1) * (lp1 - lp0)
     return total
 
@@ -100,20 +106,13 @@ def brute_force_kld_posterior(m1: HmmModel, m0: HmmModel, evidence: Evidence, bu
     n = m1.length
     _check_budget(d**n, budget)
 
-    x = evidence.symbols
+    x = evidence.symbols.tolist()
+    parent = range(-1, n - 1)
 
     def path_logs(model):
-        with np.errstate(divide="ignore"):
-            log_initial = np.log(model.initial)
-            log_trans = np.log(model.transition)
-            log_emis = np.log(model.emission.matrix)
-        out = np.empty(d**n)
-        for idx, states in enumerate(product(range(d), repeat=n)):
-            total = log_initial[states[0]] + log_emis[states[0], x[0]]
-            for i in range(1, n):
-                total += log_trans[states[i - 1], states[i]] + log_emis[states[i], x[i]]
-            out[idx] = total
-        return out
+        factors = _log_factors(model)
+        paths = product(range(d), repeat=n)
+        return np.fromiter((_log_joint(parent, factors, states, x) for states in paths), float, count=d**n)
 
     lp1 = path_logs(m1)
     lp0 = path_logs(m0)

@@ -18,10 +18,7 @@ import numpy as np
 import pytest
 
 from hmtkl import (
-    DiscreteEmission,
     Evidence,
-    HmmModel,
-    HmtModel,
     HmtTopology,
     block_evidence,
     bundled_gaussian_tree_pair,
@@ -39,29 +36,12 @@ from hmtkl import (
     posterior_conditionals,
     stationary_distribution,
 )
-
-
-def random_hmm(rng, length, states, symbols):
-    return HmmModel(
-        length=length,
-        initial=rng.dirichlet(np.ones(states)),
-        transition=rng.dirichlet(np.ones(states), size=states),
-        emission=DiscreteEmission(rng.dirichlet(np.ones(symbols), size=states)),
-    )
+from modelgen import chain as random_hmm
+from modelgen import tree_pair
 
 
 def random_binary_tree_pair(rng, depth):
-    topo = HmtTopology.regular(depth, 2) if depth > 1 else HmtTopology.regular(1, 1)
-
-    def one():
-        return HmtModel(
-            topology=topo,
-            initial=rng.dirichlet(np.ones(2)),
-            transitions={p: rng.dirichlet(np.ones(2), size=2) for p in topo.nodes if p},
-            emissions={p: DiscreteEmission(rng.dirichlet(np.ones(2), size=2)) for p in topo.nodes},
-        )
-
-    return one(), one()
+    return tree_pair(rng, HmtTopology.regular(depth, 2) if depth > 1 else HmtTopology.regular(1, 1))
 
 
 def test_c01_tree_golden_value():

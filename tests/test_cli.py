@@ -61,6 +61,16 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "--model-a", "/nonexistent.json"]) == 2
 
+    def test_initial_that_is_not_a_vector_exit_2(self, capsys, tmp_path):
+        doc = json.loads(data_text("hmm_a.json"))
+        doc.update(states=1, initial=[[1.0]], transition=[[1.0]], emission={"kind": "discrete", "matrix": [[0.5, 0.5, 0.0]]})
+        path = str(tmp_path / "matrix_initial.json")
+        Path(path).write_text(json.dumps(doc))
+        for argv in (["validate"], ["exact", "--model-b", path], ["mc", "--model-b", path, "--trials", "10"]):
+            assert main([*argv, "--model-a", path]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "model: initial must be a vector\n")
+
     @pytest.mark.parametrize(
         "key, value, problem",
         [

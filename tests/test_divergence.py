@@ -24,6 +24,7 @@ from hmtkl import (
     local_k_vector,
 )
 from hmtkl.divergence import local_k_stack, weighted_sum, weighted_sum_rows
+from modelgen import rows
 
 
 def naive_kl(p, q):
@@ -279,14 +280,6 @@ def enumerated_local_term(w1, w0, e1, e0):
     return acc
 
 
-def sparse_laws(rng, shape, p_zero):
-    """Random distributions along the last axis with entries zeroed at rate `p_zero`."""
-    laws = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
-    laws[rng.random(shape) < p_zero] = 0.0
-    laws[..., 0] += laws.sum(axis=-1) == 0.0  # every law keeps some mass
-    return laws / laws.sum(axis=-1, keepdims=True)
-
-
 def assert_same_local_terms(got, expected):
     got, expected = np.asarray(got), np.asarray(expected)
     np.testing.assert_array_equal(np.isposinf(got), np.isposinf(expected))
@@ -309,13 +302,13 @@ def assert_same_local_terms(got, expected):
 def test_local_terms_match_the_joint_enumeration(n, d, m, gaussian, shared, p_zero, plant, nodes_per_block, seed):
     rng = np.random.default_rng(seed)
     lead = () if shared else (n,)
-    mu1, mu0 = sparse_laws(rng, (d,), p_zero), sparse_laws(rng, (d,), p_zero)
-    pi1, pi0 = sparse_laws(rng, (n, d, d), p_zero), sparse_laws(rng, (n, d, d), p_zero)
+    mu1, mu0 = rows(rng, (d,), p_zero), rows(rng, (d,), p_zero)
+    pi1, pi0 = rows(rng, (n, d, d), p_zero), rows(rng, (n, d, d), p_zero)
     if gaussian:
         e1 = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.3, 3.0, size=lead + (d,)))
         e0 = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.3, 3.0, size=lead + (d,)))
     else:
-        emis1, emis0 = sparse_laws(rng, lead + (d, m), p_zero), sparse_laws(rng, lead + (d, m), p_zero)
+        emis1, emis0 = rows(rng, lead + (d, m), p_zero), rows(rng, lead + (d, m), p_zero)
         if plant and d > 1 and m > 1:
             # State 0 gets an infinite emission divergence on some nodes, and
             # zero transitions into it from some parent states: 0 * inf adds 0.

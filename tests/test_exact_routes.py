@@ -1,15 +1,22 @@
 """Properties every exact route shares: KL(m, m) = 0 and KL(m1, m0) >= 0,
-including a single hidden state (d = 1) and a single position (N = 1)."""
+including a single hidden state (d = 1) and a single position (N = 1); and
+the identities that bind the joint and evidence routes of a chain."""
+
+import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hmtkl import (
     DiscreteEmission,
     Evidence,
     HmmModel,
-    HmtModel,
     HmtTopology,
+    ZeroLikelihoodError,
+    backward_quantities,
     do_bound,
     kld_exact_tree,
     kld_hmm_evidence,
@@ -17,27 +24,9 @@ from hmtkl import (
     kld_hmm_no_evidence,
     kld_homogeneous_tree,
 )
+from modelgen import chain, model_pairs, tree_pair
 
 SYMBOLS = 3
-
-
-def random_chain(rng, length, states):
-    return HmmModel(
-        length=length,
-        initial=rng.dirichlet(np.ones(states)),
-        transition=rng.dirichlet(np.ones(states), size=states),
-        emission=DiscreteEmission(rng.dirichlet(np.ones(SYMBOLS), size=states)),
-    )
-
-
-def random_binary_tree(rng, depth, states):
-    """Homogeneous model on the complete binary tree of the given depth."""
-    return HmtModel(
-        topology=HmtTopology.regular(depth, 2),
-        initial=rng.dirichlet(np.ones(states)),
-        transitions=rng.dirichlet(np.ones(states), size=states),
-        emissions=DiscreteEmission(rng.dirichlet(np.ones(SYMBOLS), size=states)),
-    )
 
 
 def given_evidence(m1, m0):
@@ -47,12 +36,12 @@ def given_evidence(m1, m0):
 
 
 ROUTES = {
-    "do_bound": (random_chain, do_bound),
-    "kld_hmm_no_evidence": (random_chain, kld_hmm_no_evidence),
-    "kld_hmm_fast": (random_chain, kld_hmm_fast),
-    "kld_hmm_evidence": (random_chain, given_evidence),
-    "kld_exact_tree": (random_binary_tree, kld_exact_tree),
-    "kld_homogeneous_tree": (random_binary_tree, kld_homogeneous_tree),
+    "do_bound": do_bound,
+    "kld_hmm_no_evidence": kld_hmm_no_evidence,
+    "kld_hmm_fast": kld_hmm_fast,
+    "kld_hmm_evidence": given_evidence,
+    "kld_exact_tree": kld_exact_tree,
+    "kld_homogeneous_tree": kld_homogeneous_tree,
 }
 
 
@@ -60,10 +49,72 @@ ROUTES = {
 @pytest.mark.parametrize("length", [1, 5])
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_self_divergence_is_zero_and_divergence_nonnegative(route, length, states):
-    make, kld = ROUTES[route]
+    kld = ROUTES[route]
     rng = np.random.default_rng([length, states])
     for _ in range(5):
-        m1, m0 = make(rng, length, states), make(rng, length, states)
+        if route in ("kld_exact_tree", "kld_homogeneous_tree"):  # the complete binary tree of depth `length`
+            m1, m0 = tree_pair(rng, HmtTopology.regular(length, 2), states, SYMBOLS, shared=(True, True))
+        else:
+            m1, m0 = chain(rng, length, states, SYMBOLS), chain(rng, length, states, SYMBOLS)
         assert kld(m1, m1) == 0.0
         assert kld(m0, m0) == 0.0
         assert kld(m1, m0) >= 0.0
+
+
+def chain_rule_sum(m1, m0):
+    """``D(p1(X) || p0(X)) + sum_x p1(x) D(p1(S | x) || p0(S | x))`` over every
+    symbol string x: the marginals from the backward pass, the posterior term
+    from the evidence route."""
+    total = 0.0
+    for x in product(range(m1.emission.n_symbols), repeat=m1.length):
+        ev = Evidence(np.array(x))
+        try:
+            log_p1 = backward_quantities(m1, ev).log_likelihood
+        except ZeroLikelihoodError:
+            continue  # p1(x) = 0 adds nothing
+        try:
+            log_p0 = backward_quantities(m0, ev).log_likelihood
+        except ZeroLikelihoodError:
+            # possible under m1 only: its marginal term is +inf, and the evidence route refuses x
+            with pytest.raises(ZeroLikelihoodError, match="second model"):
+                kld_hmm_evidence(m1, m0, ev)
+            total = math.inf
+            continue
+        total += math.exp(log_p1) * (log_p1 - log_p0 + kld_hmm_evidence(m1, m0, ev))
+    return total
+
+
+#: A pair whose second model never emits symbol 2: every x that holds a 2
+#: is possible under the first model only.
+ONE_SIDED = (
+    chain(np.random.default_rng(0), 3, 2, 2),
+    HmmModel(length=3, initial=[0.5, 0.5], transition=np.full((2, 2), 0.5), emission=DiscreteEmission([[1.0, 0.0], [1.0, 0.0]])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_pairs(nodes=st.integers(1, 4), states=st.integers(1, 3), symbols=st.integers(1, 3), chains=True))
+@example(ONE_SIDED)
+def test_chain_rule_binds_the_joint_and_evidence_routes(pair):
+    joint, split = kld_hmm_no_evidence(*pair), chain_rule_sum(*pair)
+    if math.isinf(joint) or math.isinf(split):
+        assert joint == split == math.inf
+    else:
+        assert split == pytest.approx(joint, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_pairs(nodes=st.integers(1, 12), chains=True, evidence=True))
+def test_uninformative_emissions_leave_the_hidden_chain_divergence(case):
+    m1, m0, ev = case
+    row = m1.emission.matrix[0]
+    assume((row[ev.symbols] > 0).all())
+    # one emission row for every state of both models: x says nothing about S
+    blind = DiscreteEmission(np.tile(row, (m1.n_states, 1)))
+    m1, m0 = (HmmModel(length=m.length, initial=m.initial, transition=m.transition, emission=blind) for m in (m1, m0))
+    hidden = kld_hmm_no_evidence(m1, m0)  # its emission terms are all zero
+    value = kld_hmm_evidence(m1, m0, ev)
+    if math.isinf(hidden):
+        assert value == math.inf
+    else:
+        assert value == pytest.approx(hidden, rel=1e-12, abs=1e-14)

@@ -31,38 +31,10 @@ from hmtkl import (
 )
 from hmtkl.divergence import weighted_sum
 from hmtkl.errors import SpectralError
+from modelgen import chain, model_pairs
 
 COUNTEREXAMPLE_STATES = (0, 0, 0, 0, 0, 1, 1, 1, 1, 1)
 COUNTEREXAMPLE_EVIDENCE = Evidence.from_external([1, 1, 1, 2, 2, 2, 3, 3, 3, 3])
-
-
-def random_hmm(rng, length, states, symbols):
-    return HmmModel(
-        length=length,
-        initial=rng.dirichlet(np.ones(states)),
-        transition=rng.dirichlet(np.ones(states), size=states),
-        emission=DiscreteEmission(rng.dirichlet(np.ones(symbols), size=states)),
-    )
-
-
-def sparse_distribution(rng, n, p_zero=0.3):
-    """Distribution with random hard zeros, at least one positive entry."""
-    while True:
-        mask = rng.random(n) >= p_zero
-        if mask.any():
-            break
-    out = np.zeros(n)
-    out[mask] = rng.dirichlet(np.ones(int(mask.sum())))
-    return out
-
-
-def sparse_hmm(rng, length, states, symbols):
-    return HmmModel(
-        length=length,
-        initial=sparse_distribution(rng, states),
-        transition=np.array([sparse_distribution(rng, states) for _ in range(states)]),
-        emission=DiscreteEmission(np.array([sparse_distribution(rng, symbols) for _ in range(states)])),
-    )
 
 
 def enumerate_chain_kld(m1, m0):
@@ -126,7 +98,7 @@ class TestNoEvidence:
     def test_initial_law_only_difference(self):
         # identical transitions and emissions: the divergence is D(mu1 || mu0) exactly
         rng = np.random.default_rng(6)
-        base = random_hmm(rng, 20, 3, 2)
+        base = chain(rng, 20, 3, 2)
         other = HmmModel(
             length=20, initial=rng.dirichlet(np.ones(3)), transition=base.transition, emission=base.emission
         )
@@ -140,7 +112,7 @@ class TestNoEvidence:
         a, _ = bundled_hmm_pair()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="state count"):
-            kld_hmm_no_evidence(a, random_hmm(rng, 10, 3, 3))
+            kld_hmm_no_evidence(a, chain(rng, 10, 3, 3))
         with pytest.raises(ValueError, match="length"):
             kld_hmm_no_evidence(a, a.with_length(9))
 
@@ -155,7 +127,7 @@ class TestNoEvidence:
             n = int(rng.integers(1, 5))
             d = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
-            a, b = sparse_hmm(rng, n, d, m), sparse_hmm(rng, n, d, m)
+            a, b = chain(rng, n, d, m, 0.3), chain(rng, n, d, m, 0.3)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 closed = kld_hmm_no_evidence(a, b)
@@ -213,7 +185,7 @@ class TestRate:
 
     def test_initial_only_difference_has_zero_rate(self):
         rng = np.random.default_rng(10)
-        base = random_hmm(rng, 10, 2, 2)
+        base = chain(rng, 10, 2, 2)
         other = HmmModel(length=10, initial=[0.9, 0.1], transition=base.transition, emission=base.emission)
         assert kld_rate(other, base) == 0.0
         assert kld_hmm_no_evidence(other, base) > 0.0
@@ -244,7 +216,7 @@ class TestDoBound:
             n = int(rng.integers(1, 30))
             d = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
-            a, b = random_hmm(rng, n, d, m), random_hmm(rng, n, d, m)
+            a, b = chain(rng, n, d, m), chain(rng, n, d, m)
             assert abs(do_bound(a, b) - kld_hmm_no_evidence(a, b)) <= 1e-12
 
     def test_overflow_raises_as_the_closed_form_does(self):
@@ -289,36 +261,18 @@ class TestDoBound:
         assert do_bound(a, a) == kld_hmm_no_evidence(a, a) == 0.0
 
 
-def coarse_hmm(rng, length, states, symbols, p_zero):
-    """Chain whose parameters are multiples of 1/20 of their row, hard zeros
-    included: every nonzero entry is at least 1/(20 * 6) for up to six
-    states or symbols, so no product of a few entries underflows."""
-
-    def row(n):
-        while True:
-            weights = rng.integers(1, 21, size=n) * (rng.random(n) >= p_zero)
-            if weights.any():
-                return weights / weights.sum()
-
-    return HmmModel(
-        length=length,
-        initial=row(states),
-        transition=np.array([row(states) for _ in range(states)]),
-        emission=DiscreteEmission(np.array([row(symbols) for _ in range(states)])),
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    length=st.one_of(st.sampled_from([1, 2, 10**4, 10**9, 10**12, 10**15]), st.integers(3, 60)),
-    d=st.integers(1, 6),
-    m=st.integers(1, 4),
-    p_zero=st.sampled_from([0.0, 0.3, 0.6]),
-    seed=st.integers(0, 2**32 - 1),
+    model_pairs(
+        nodes=st.one_of(st.sampled_from([1, 2, 10**4, 10**9, 10**12, 10**15]), st.integers(3, 60)),
+        states=st.integers(1, 6),
+        p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+        chains=True,
+        coarse=True,
+    )
 )
-def test_bound_matches_the_closed_form(length, d, m, p_zero, seed):
-    rng = np.random.default_rng(seed)
-    a, b = coarse_hmm(rng, length, d, m, p_zero), coarse_hmm(rng, length, d, m, p_zero)
+def test_bound_matches_the_closed_form(pair):
+    a, b = pair
     expected = kld_hmm_no_evidence(a, b)
     value = do_bound(a, b)
     assert math.isinf(value) == math.isinf(expected)
@@ -345,8 +299,8 @@ class TestFastPath:
     def test_three_state_complex_spectrum(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            a = random_hmm(rng, 200, 3, 2)
-            b = random_hmm(rng, 200, 3, 2)
+            a = chain(rng, 200, 3, 2)
+            b = chain(rng, 200, 3, 2)
             assert kld_hmm_fast(a, b) == kld_hmm_no_evidence(a, b)
 
     def test_periodic_falls_back_bit_identical(self):
@@ -390,17 +344,9 @@ def folded_chain_kld(m1, m0):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    length=st.integers(1, 2000),
-    d=st.integers(1, 5),
-    m=st.integers(1, 4),
-    sparse=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_doubling_matches_the_direct_fold(length, d, m, sparse, seed):
-    rng = np.random.default_rng(seed)
-    make = sparse_hmm if sparse else random_hmm
-    a, b = make(rng, length, d, m), make(rng, length, d, m)
+@given(model_pairs(nodes=st.integers(1, 2000), states=st.integers(1, 5), p_zero=st.sampled_from([0.0, 0.3]), chains=True))
+def test_doubling_matches_the_direct_fold(pair):
+    a, b = pair
     expected = folded_chain_kld(a, b)
     value = kld_hmm_no_evidence(a, b)
     if math.isinf(expected):
@@ -483,7 +429,7 @@ class TestPosteriorConditionals:
     def test_chaining_reproduces_path_posterior(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
-            m = random_hmm(rng, 6, 2, 3)
+            m = chain(rng, 6, 2, 3)
             ev = Evidence(rng.integers(0, 3, size=6))
             posts, _ = enumerate_path_posteriors(m, ev)
             initial, factors = posterior_conditionals(m, ev)
@@ -525,8 +471,8 @@ class TestEvidenceKld:
         rng = np.random.default_rng(31)
         for _ in range(10):
             n = int(rng.integers(2, 9))
-            m1 = random_hmm(rng, n, 2, 3)
-            m0 = random_hmm(rng, n, 2, 3)
+            m1 = chain(rng, n, 2, 3)
+            m0 = chain(rng, n, 2, 3)
             ev = Evidence(rng.integers(0, 3, size=n))
             posts1, _ = enumerate_path_posteriors(m1, ev)
             posts0, _ = enumerate_path_posteriors(m0, ev)
@@ -540,8 +486,8 @@ class TestEvidenceKld:
         checked = 0
         while checked < 10:
             n = int(rng.integers(2, 7))
-            m1 = sparse_hmm(rng, n, 3, 3)
-            m0 = sparse_hmm(rng, n, 3, 3)
+            m1 = chain(rng, n, 3, 3, 0.3)
+            m0 = chain(rng, n, 3, 3, 0.3)
             ev = Evidence(rng.integers(0, 3, size=n))
             try:
                 value = kld_hmm_evidence(m1, m0, ev)

@@ -22,29 +22,7 @@ from hmtkl import (
     posterior_conditionals,
 )
 from hmtkl.divergence import weighted_sum
-
-
-def sparse_distribution(rng, n, p_zero):
-    """Distribution with random hard zeros, at least one positive entry."""
-    while True:
-        mask = rng.random(n) >= p_zero
-        if mask.any():
-            break
-    out = np.zeros(n)
-    out[mask] = rng.dirichlet(np.ones(int(mask.sum())))
-    return out
-
-
-def sparse_hmm(rng, length, states, symbols, p_zero=0.3):
-    def rows(k, m):
-        return np.array([sparse_distribution(rng, m, p_zero) for _ in range(k)])
-
-    return HmmModel(
-        length=length,
-        initial=sparse_distribution(rng, states, p_zero),
-        transition=rows(states, states),
-        emission=DiscreteEmission(rows(states, symbols)),
-    )
+from modelgen import chain, model_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +83,7 @@ def possible_cases():
     cases = []
     for k, (n, d, m) in enumerate(shapes):
         while True:
-            m1, m0 = sparse_hmm(rng, n, d, m, 0.1 * (k % 4)), sparse_hmm(rng, n, d, m, 0.1 * (k % 4))
+            m1, m0 = chain(rng, n, d, m, 0.1 * (k % 4)), chain(rng, n, d, m, 0.1 * (k % 4))
             ev = Evidence(rng.integers(0, m, size=n))
             try:
                 whole_stack_posterior(m1, ev), whole_stack_posterior(m0, ev)
@@ -182,23 +160,10 @@ def test_values_do_not_depend_on_the_memory_layout():
 # Memory
 
 
-def dense_pair(n, d, m, seed):
-    rng = np.random.default_rng(seed)
-
-    def model():
-        return HmmModel(
-            length=n,
-            initial=rng.dirichlet(np.ones(d)),
-            transition=rng.dirichlet(np.ones(d), size=d),
-            emission=DiscreteEmission(rng.dirichlet(np.ones(m), size=d)),
-        )
-
-    return model(), model(), Evidence(rng.integers(0, m, size=n))
-
-
 def evidence_peak(n, d):
     """tracemalloc peak, in bytes, of one `kld_hmm_evidence` call."""
-    m1, m0, ev = dense_pair(n, d, 8, seed=n)
+    rng = np.random.default_rng(n)
+    m1, m0, ev = chain(rng, n, d, 8), chain(rng, n, d, 8), Evidence(rng.integers(0, 8, size=n))
     tracemalloc.start()
     try:
         kld_hmm_evidence(m1, m0, ev)
@@ -251,16 +216,17 @@ def vanishing_position(model, evidence):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(1, 5),
-    d=st.integers(1, 3),
-    m=st.integers(1, 3),
-    p_zero=st.sampled_from([0.0, 0.3, 0.6]),
-    seed=st.integers(0, 2**32 - 1),
+    model_pairs(
+        nodes=st.integers(1, 5),
+        states=st.integers(1, 3),
+        symbols=st.integers(1, 3),
+        p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+        chains=True,
+        evidence=True,
+    )
 )
-def test_evidence_route_matches_enumeration(n, d, m, p_zero, seed):
-    rng = np.random.default_rng(seed)
-    m1, m0 = sparse_hmm(rng, n, d, m, p_zero), sparse_hmm(rng, n, d, m, p_zero)
-    ev = Evidence(rng.integers(0, m, size=n))
+def test_evidence_route_matches_enumeration(case):
+    m1, m0, ev = case
     for name, model in (("first", m1), ("second", m0)):
         position = vanishing_position(model, ev)
         if position is not None:
@@ -325,17 +291,18 @@ def laid_out(model, layout):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(1, 40),
-    d=st.sampled_from([1, 2, 3, 5, 17, 64]),
-    m=st.integers(1, 4),
-    p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+    case=model_pairs(
+        nodes=st.integers(1, 40),
+        states=st.sampled_from([1, 2, 3, 5, 17, 64]),
+        p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+        chains=True,
+        evidence=True,
+    ),
     layout=st.sampled_from(["C", "F"]),
-    seed=st.integers(0, 2**32 - 1),
 )
-def test_backward_and_posterior_match_the_logged_recursion_bit_for_bit(n, d, m, p_zero, layout, seed):
-    rng = np.random.default_rng(seed)
-    model = laid_out(sparse_hmm(rng, n, d, m, p_zero), layout)
-    ev = Evidence(rng.integers(0, m, size=n))
+def test_backward_and_posterior_match_the_logged_recursion_bit_for_bit(case, layout):
+    model, _, ev = case
+    model = laid_out(model, layout)
     try:
         values, log_scale, log_likelihood = logged_backward(model, ev)
     except ZeroLikelihoodError as exc:

@@ -37,17 +37,7 @@ from hmtkl import (
 from hmtkl import model as model_module
 from hmtkl.bundled import data_text
 from hmtkl.model import MAX_NODES, PATH_ALPHABET, check_pair
-
-
-def random_hmm(rng, length=None, states=None, symbols=None):
-    d = states or int(rng.integers(1, 4))
-    m = symbols or int(rng.integers(1, 4))
-    return HmmModel(
-        length=length or int(rng.integers(1, 7)),
-        initial=rng.dirichlet(np.ones(d)),
-        transition=rng.dirichlet(np.ones(d), size=d),
-        emission=DiscreteEmission(rng.dirichlet(np.ones(m), size=d)),
-    )
+from modelgen import chain
 
 
 class TestTopology:
@@ -295,6 +285,22 @@ class TestLoadModel:
         )
         m = load_model(doc)
         assert m.n_states == 1
+
+    def test_initial_that_is_not_a_vector(self):
+        for initial in ([[1.0]], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="^initial must be a vector$"):
+                HmmModel(length=3, initial=initial, transition=[[1.0]], emission=DiscreteEmission([[0.5, 0.5]]))
+        doc = {
+            "type": "hmm",
+            "states": 1,
+            "alphabet": 2,
+            "length": 3,
+            "initial": [[1.0]],
+            "transition": [[1.0]],
+            "emission": {"kind": "discrete", "matrix": [[0.5, 0.5]]},
+        }
+        with pytest.raises(ModelFormatError, match="^model: initial must be a vector$"):
+            load_model(json.dumps(doc))
 
     def test_missing_key_is_schema_error(self):
         doc = {
@@ -583,7 +589,7 @@ class TestRoundTrip:
     def test_random_models_round_trip_bitwise(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            m = random_hmm(rng)
+            m = chain(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             again = load_model(save_model(m))
             assert again.length == m.length
             assert np.array_equal(again.initial, m.initial)
@@ -616,8 +622,7 @@ class TestAsTree:
         for _ in range(10):
             d = int(rng.integers(1, 4))
             n = int(rng.integers(1, 7))
-            a = random_hmm(rng, length=n, states=d, symbols=2)
-            b = random_hmm(rng, length=n, states=d, symbols=2)
+            a, b = chain(rng, n, d, 2), chain(rng, n, d, 2)
             assert kld_exact_tree(a.as_tree(), b.as_tree()) == pytest.approx(
                 kld_hmm_no_evidence(a, b), abs=1e-12
             )

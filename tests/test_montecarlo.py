@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmtkl import (
@@ -26,21 +26,10 @@ from hmtkl import (
 )
 from hmtkl.errors import ZeroLikelihoodError
 from hmtkl.montecarlo import _Law, _chunked_uniforms, _draw, _inclusive_cdf, _tree_law, _walk
+from modelgen import chain, ragged_paths, tree, tree_pair
 
-
-def small_discrete_pair(seed=0, depth=2, children=2):
-    rng = np.random.default_rng(seed)
-    topo = HmtTopology.regular(depth, children)
-
-    def one():
-        return HmtModel(
-            topology=topo,
-            initial=rng.dirichlet(np.ones(2)),
-            transitions=rng.dirichlet(np.ones(2), size=2),
-            emissions=DiscreteEmission(rng.dirichlet(np.ones(2), size=2)),
-        )
-
-    return one(), one()
+#: The topology of the small homogeneous pairs: a root and two leaves.
+SMALL = HmtTopology.regular(2, 2)
 
 
 def node_tables(parent, law, uniforms):
@@ -91,7 +80,7 @@ class TestSubstreams:
     def test_chunk_boundaries_do_not_change_values(self, monkeypatch):
         import hmtkl.montecarlo as mc
 
-        a, b = small_discrete_pair()
+        a, b = tree_pair(np.random.default_rng(0), SMALL, shared=(True, True))
         full = mc_kld_no_evidence(a, b, 1000, 3)
         monkeypatch.setattr(mc, "_CHUNK", 64)
         chunked = mc_kld_no_evidence(a, b, 1000, 3)
@@ -143,7 +132,7 @@ class TestLoglikJoint:
         assert loglik_joint(m, {"": 0, "0": 0}, {"": 0, "0": 0}) == 0.0
 
     def test_probabilities_sum_to_one(self):
-        a, _ = small_discrete_pair(seed=5)
+        a, _ = tree_pair(np.random.default_rng(5), SMALL, shared=(True, True))
         nodes = a.topology.nodes
         total = 0.0
         for states in product(range(2), repeat=len(nodes)):
@@ -164,7 +153,7 @@ class TestLoglikJoint:
         assert loglik_joint(m, {"": 0, "0": 0}, {"": 1, "0": 0}) == -math.inf
 
     def test_incomplete_assignment(self):
-        a, _ = small_discrete_pair()
+        a, _ = tree_pair(np.random.default_rng(0), SMALL, shared=(True, True))
         with pytest.raises(ValueError, match="every node"):
             loglik_joint(a, {"": 0}, {"": 0})
 
@@ -215,7 +204,7 @@ class TestMcNoEvidence:
             mc_kld_no_evidence(a, b, 10, -1)
 
     def test_ci_width_scales_inverse_sqrt(self):
-        a, b = small_discrete_pair(seed=1)
+        a, b = tree_pair(np.random.default_rng(1), SMALL, shared=(True, True))
         ratios = []
         for seed in range(20):
             small = mc_kld_no_evidence(a, b, 1000, seed)
@@ -224,7 +213,7 @@ class TestMcNoEvidence:
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.10)
 
     def test_unbiased_at_desk_scale(self):
-        a, b = small_discrete_pair(seed=2)
+        a, b = tree_pair(np.random.default_rng(2), SMALL, shared=(True, True))
         exact = brute_force_kld_joint(a, b)
         est = mc_kld_no_evidence(a, b, 1_000_000, 17)
         assert abs(est.mean - exact) <= 3.0 * est.sd / math.sqrt(est.trials)
@@ -319,25 +308,8 @@ GOLDEN_PATHS = ["", "0", "1", "2", "00", "01", "10", "20", "21", "22", "23", "00
 
 def ragged_golden_pair():
     """Per-node first model, per-node transitions with a shared emission second."""
-    rng = np.random.default_rng(2024)
-    topo = HmtTopology.from_nodes(GOLDEN_PATHS)
-
-    def rows(k, n):
-        return rng.dirichlet(np.ones(n), size=k)
-
-    m1 = HmtModel(
-        topology=topo,
-        initial=rows(1, 3)[0],
-        transitions={p: rows(3, 3) for p in topo.nodes if p},
-        emissions={p: DiscreteEmission(rows(3, 2)) for p in topo.nodes},
-    )
-    m0 = HmtModel(
-        topology=topo,
-        initial=rows(1, 3)[0],
-        transitions={p: rows(3, 3) for p in topo.nodes if p},
-        emissions=DiscreteEmission(rows(3, 2)),
-    )
-    return m1, m0
+    rng, topo = np.random.default_rng(2024), HmtTopology.from_nodes(GOLDEN_PATHS)
+    return tree(rng, topo, 3, 2), tree(rng, topo, 3, 2, shared=(False, True))
 
 
 @pytest.mark.parametrize(
@@ -372,18 +344,7 @@ def random_evidence_chain():
     """A d = 8 chain pair of length 300 with random evidence; 40000 trials of
     it take three chunks of 2^22 uniforms."""
     rng = np.random.default_rng(8080)
-    d, m, n = 8, 4, 300
-
-    def one():
-        return HmmModel(
-            length=n,
-            initial=rng.dirichlet(np.ones(d)),
-            transition=rng.dirichlet(np.ones(d), size=d),
-            emission=DiscreteEmission(rng.dirichlet(np.ones(m), size=d)),
-        )
-
-    m1, m0 = one(), one()
-    return m1, m0, Evidence(rng.integers(0, m, size=n))
+    return chain(rng, 300, 8, 4), chain(rng, 300, 8, 4), Evidence(rng.integers(0, 4, size=300))
 
 
 def evidence_support_violation():
@@ -470,20 +431,6 @@ def test_tiles_keep_each_trial_substream(monkeypatch):
         np.testing.assert_array_equal(batch[:, t], np.random.Generator(bits).random(12)[:per_trial])
 
 
-def ragged_paths(n, seed):
-    """`n` breadth-first paths of a random tree with up to four children per node."""
-    rng = np.random.default_rng(seed)
-    paths, children = [""], {"": 0}
-    while len(paths) < n:
-        p = paths[int(rng.integers(len(paths)))]
-        if children[p] < 4:
-            child = p + str(children[p])
-            children[p] += 1
-            children[child] = 0
-            paths.append(child)
-    return paths
-
-
 def traced_peak(run):
     import tracemalloc
 
@@ -506,18 +453,9 @@ def test_memory_is_bounded_whatever_the_trial_count(case, monkeypatch):
 
     monkeypatch.setattr(mc, "_CHUNK", 1 << 20)
     if case == "tree":
-        topo = HmtTopology.from_nodes(ragged_paths(512, 3))
         rng = np.random.default_rng(3)
-
-        def one():
-            return HmtModel(
-                topology=topo,
-                initial=rng.dirichlet(np.ones(2)),
-                transitions=rng.dirichlet(np.ones(2), size=2),
-                emissions=DiscreteEmission(rng.dirichlet(np.ones(3), size=2)),
-            )
-
-        pair = one(), one()
+        topo = HmtTopology.from_nodes(ragged_paths(rng, 512, 4))
+        pair = tree_pair(rng, topo, 2, 3, shared=(True, True))
         trials = 3 * _chunk_trials(2 * 512)
         run = lambda n: mc_kld_no_evidence(*pair, n, 0)  # noqa: E731
     else:
@@ -587,7 +525,7 @@ def test_evidence_chunks_at_1e5_trials_stay_within_the_draw_cap():
 
 
 def test_loglik_joint_rejects_states_and_symbols_out_of_range():
-    a, _ = small_discrete_pair()
+    a, _ = tree_pair(np.random.default_rng(0), SMALL, shared=(True, True))
     states = {"": 0, "0": 1, "1": 0}
     symbols = {"": 1, "0": 0, "1": 1}
     assert loglik_joint(a, symbols, states) < 0.0
@@ -654,3 +592,19 @@ def test_draw_counts_the_cdf_entries_at_or_below_u(data):
     rows = cdf.reshape(-1, width)[np.broadcast_to(base, u.shape) // width]
     np.testing.assert_array_equal(got - base, [np.searchsorted(r[:-1], x, side="right") for r, x in zip(rows, u)])
     assert (weights.reshape(-1).take(got) > 0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8).map(lambda w: list(np.array(w) / math.fsum(w))),
+    zeros=st.integers(1, 4),
+)
+# the three entries sum to 1 - 2**-53 in floating point
+@example(row=[0.20381898702851367, 0.7463113329614236, 0.049869680010062596], zeros=1)
+def test_trailing_zero_states_are_never_drawn(row, zeros):
+    """The largest Philox uniform, 1 - 2**-53, draws a state of positive
+    probability also when the row ends in zero-probability states whose CDF
+    entries rounding leaves below 1."""
+    row = np.r_[row, np.zeros(zeros)]
+    drawn = _draw(_inclusive_cdf(row), 0, np.array([0.0, 0.5, 1.0 - 2.0**-53]))
+    assert (row[drawn] > 0).all()

@@ -26,25 +26,7 @@ from hmtkl import (
 )
 from hmtkl.divergence import local_k_root, local_k_vector, weighted_sum
 from hmtkl.tree import geometric_weighted_sum
-
-
-def random_tree_pair(rng, topology, states=2, symbols=2, homogeneous=False):
-    def one():
-        if homogeneous:
-            return HmtModel(
-                topology=topology,
-                initial=rng.dirichlet(np.ones(states)),
-                transitions=rng.dirichlet(np.ones(states), size=states),
-                emissions=DiscreteEmission(rng.dirichlet(np.ones(symbols), size=states)),
-            )
-        return HmtModel(
-            topology=topology,
-            initial=rng.dirichlet(np.ones(states)),
-            transitions={p: rng.dirichlet(np.ones(states), size=states) for p in topology.nodes if p},
-            emissions={p: DiscreteEmission(rng.dirichlet(np.ones(symbols), size=states)) for p in topology.nodes},
-        )
-
-    return one(), one()
+from modelgen import SEEDS, model_pairs, tree, tree_pair
 
 
 def subtree_conditional_kld(m1, m0, node, parent_state):
@@ -131,7 +113,7 @@ class TestInwardPass:
     def test_equal_models_zero_table(self):
         rng = np.random.default_rng(3)
         topo = HmtTopology.regular(3, 2)
-        m1, _ = random_tree_pair(rng, topo)
+        m1, _ = tree_pair(rng, topo)
         table = inward_pass(m1, m1)
         assert set(table) == set(topo.nodes) - {""}
         for vec in table.values():
@@ -140,7 +122,7 @@ class TestInwardPass:
     def test_matches_subtree_enumeration(self):
         rng = np.random.default_rng(21)
         topo = HmtTopology.regular(2, 2)
-        m1, m0 = random_tree_pair(rng, topo)
+        m1, m0 = tree_pair(rng, topo)
         table = inward_pass(m1, m0)
         for node in ["0", "1"]:
             for r in range(2):
@@ -149,14 +131,14 @@ class TestInwardPass:
     def test_matches_subtree_enumeration_depth3(self):
         rng = np.random.default_rng(22)
         topo = HmtTopology.regular(3, 2)
-        m1, m0 = random_tree_pair(rng, topo)
+        m1, m0 = tree_pair(rng, topo)
         table = inward_pass(m1, m0)
         assert table["0"][1] == pytest.approx(subtree_conditional_kld(m1, m0, "0", 1), abs=1e-10)
 
     def test_sibling_equality_on_homogeneous_regular_trees(self):
         rng = np.random.default_rng(8)
         topo = HmtTopology.regular(3, 3)
-        m1, m0 = random_tree_pair(rng, topo, homogeneous=True)
+        m1, m0 = tree_pair(rng, topo, shared=(True, True))
         table = inward_pass(m1, m0)
         for parent in ["", "0", "2"]:
             siblings = [topo.nodes[j] for j in np.flatnonzero(topo.parent == topo.nodes.index(parent))]
@@ -166,14 +148,14 @@ class TestInwardPass:
     def test_all_entries_nonnegative(self):
         rng = np.random.default_rng(9)
         topo = HmtTopology.regular(3, 2)
-        m1, m0 = random_tree_pair(rng, topo)
+        m1, m0 = tree_pair(rng, topo)
         for vec in inward_pass(m1, m0).values():
             assert (vec >= 0).all()
 
     def test_topology_mismatch(self):
         rng = np.random.default_rng(4)
-        a, _ = random_tree_pair(rng, HmtTopology.regular(2, 2))
-        b, _ = random_tree_pair(rng, HmtTopology.regular(3, 2))
+        a, _ = tree_pair(rng, HmtTopology.regular(2, 2))
+        b, _ = tree_pair(rng, HmtTopology.regular(3, 2))
         with pytest.raises(ValueError, match="topology"):
             inward_pass(a, b)
 
@@ -183,7 +165,7 @@ class TestKldExactTree:
         rng = np.random.default_rng(13)
         for _ in range(10):
             topo = HmtTopology.regular(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-            m, _ = random_tree_pair(rng, topo, states=int(rng.integers(1, 4)))
+            m, _ = tree_pair(rng, topo, int(rng.integers(1, 4)))
             assert kld_exact_tree(m, m) <= 1e-12
 
     def test_golden_gaussian_pair(self):
@@ -195,7 +177,7 @@ class TestKldExactTree:
     def test_matches_full_enumeration(self):
         rng = np.random.default_rng(30)
         for topo in [HmtTopology.regular(3, 1), HmtTopology.regular(2, 2), HmtTopology.from_nodes(["", "0", "1", "00"])]:
-            m1, m0 = random_tree_pair(rng, topo)
+            m1, m0 = tree_pair(rng, topo)
             assert kld_exact_tree(m1, m0) == pytest.approx(joint_tree_kld(m1, m0), abs=1e-10)
 
     def test_ragged_arities_match_enumeration(self):
@@ -204,13 +186,13 @@ class TestKldExactTree:
         for paths in [["", "0", "1", "00", "10", "11"], ["", "0", "1", "2", "00", "01", "20"]]:
             topo = HmtTopology.from_nodes(paths)
             assert topo.regular_arity is None
-            m1, m0 = random_tree_pair(rng, topo)
+            m1, m0 = tree_pair(rng, topo)
             assert kld_exact_tree(m1, m0) == pytest.approx(joint_tree_kld(m1, m0), abs=1e-10)
 
     def test_asymmetry_witnessed(self):
         rng = np.random.default_rng(14)
         topo = HmtTopology.regular(2, 2)
-        m1, m0 = random_tree_pair(rng, topo)
+        m1, m0 = tree_pair(rng, topo)
         assert abs(kld_exact_tree(m1, m0) - kld_exact_tree(m0, m1)) > 0
 
     def test_inf_warning_names_first_offender(self):
@@ -252,7 +234,7 @@ class TestHomogeneousClosedForm:
     def test_depth_one_is_root_term(self):
         rng = np.random.default_rng(2)
         topo = HmtTopology.regular(1, 1)
-        m1, m0 = random_tree_pair(rng, topo, homogeneous=True)
+        m1, m0 = tree_pair(rng, topo, shared=(True, True))
         assert kld_homogeneous_tree(m1, m0) == pytest.approx(kld_exact_tree(m1, m0), abs=1e-15)
 
     def test_chain_matches_hmm_closed_form(self):
@@ -267,7 +249,7 @@ class TestHomogeneousClosedForm:
             depth = int(rng.integers(1, 5))
             states = int(rng.integers(1, 4))
             topo = HmtTopology.regular(depth, children)
-            m1, m0 = random_tree_pair(rng, topo, states=states, homogeneous=True)
+            m1, m0 = tree_pair(rng, topo, states, shared=(True, True))
             assert kld_homogeneous_tree(m1, m0) == pytest.approx(kld_exact_tree(m1, m0), abs=1e-10)
 
     def test_explicit_shape_without_materializing(self):
@@ -309,17 +291,6 @@ class TestHomogeneousClosedForm:
 MAX_DEPTH_WITHIN_4096_NODES = {1: 4096, 2: 12, 3: 8, 4: 6}
 
 
-def with_zeros(laws, zeros):
-    """`laws` (rows summing to 1) with entry ``zeros[i]`` of row i set to 0
-    where that leaves the row some mass, renormalised."""
-    laws = np.array(laws, ndmin=2)
-    for row, column in zip(laws, zeros):
-        if row.sum() > row[column % row.size]:
-            row[column % row.size] = 0.0
-            row /= row.sum()
-    return laws
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     children=st.integers(1, 4),
@@ -327,36 +298,16 @@ def with_zeros(laws, zeros):
     states=st.integers(1, 4),
     symbols=st.integers(1, 4),
     gaussian=st.booleans(),
-    zeros=st.lists(st.tuples(st.sampled_from(["initial", "transition", "emission"]), st.integers(0, 10**6)), max_size=3),
-    zeros_in_both=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
+    p_zero=st.tuples(st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.3])),
+    seed=SEEDS,
 )
-def test_closed_form_matches_recursion_on_generated_trees(
-    children, depth_at, states, symbols, gaussian, zeros, zeros_in_both, seed
-):
+def test_closed_form_matches_recursion_on_generated_trees(children, depth_at, states, symbols, gaussian, p_zero, seed):
     rng = np.random.default_rng(seed)
     depth = 1 + depth_at % MAX_DEPTH_WITHIN_4096_NODES[children]
     topo = HmtTopology.regular(depth, children)
     assert topo.n_nodes <= 4096
-
-    def model(hard_zeros):
-        initial = rng.dirichlet(np.ones(states))
-        transition = rng.dirichlet(np.ones(states), size=states)
-        if gaussian:
-            emission = GaussianEmission(rng.normal(size=states), rng.uniform(0.5, 2.0, size=states))
-        else:
-            emission = DiscreteEmission(rng.dirichlet(np.ones(symbols), size=states))
-        for where, at in hard_zeros:
-            if where == "initial":
-                initial = with_zeros(initial, [at])[0]
-            elif where == "transition":
-                transition = with_zeros(transition, [at] * states if at % 2 else [at])
-            elif not gaussian:
-                emission = DiscreteEmission(with_zeros(emission.matrix, [at]))
-        return HmtModel(topology=topo, initial=initial, transitions=transition, emissions=emission)
-
     # zeros in the second model alone can make the divergence +inf
-    m1, m0 = model(zeros if zeros_in_both else []), model(zeros)
+    m1, m0 = (tree(rng, topo, states, symbols, (True, True), gaussian, p) for p in p_zero)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the recursion warns on +inf
         recursion = kld_exact_tree(m1, m0)
@@ -467,18 +418,6 @@ def test_infinite_entries_follow_the_support_graph(pi, k, cases):
         assert np.isinf(horner_geometric_sum(pi, k, 2, depth)).tolist() == infinite
 
 
-@st.composite
-def ragged_path_sets(draw, max_nodes=7):
-    """Digit-path node sets grown by giving frontier nodes 0-4 children, in shuffled order."""
-    paths, frontier = [""], [""]
-    while frontier and len(paths) < max_nodes:
-        node = frontier.pop(draw(st.integers(0, len(frontier) - 1)))
-        kids = [node + str(c) for c in range(draw(st.integers(0, min(4, max_nodes - len(paths)))))]
-        paths += kids
-        frontier += kids
-    return draw(st.permutations(paths))
-
-
 def path_keyed_kld(m1, m0):
     """The inward recursion over digit paths, children found by string prefix and
     summed in path order; the same arithmetic as `kld_exact_tree`."""
@@ -494,56 +433,32 @@ def path_keyed_kld(m1, m0):
 
 
 @settings(max_examples=30, deadline=None)
-@given(paths=ragged_path_sets(), seed=st.integers(0, 2**32 - 1))
-def test_ragged_topology_and_exact_value_match_brute_force(paths, seed):
-    topo = HmtTopology.from_nodes(paths)
+@given(
+    model_pairs(
+        nodes=st.integers(1, 7),
+        arity=st.integers(1, 4),
+        states=st.just(2),
+        symbols=st.just(2),
+        p_zero=st.just(0.0),
+        gaussian=st.just(False),
+        shared=st.just((False, False)),
+    )
+)
+def test_ragged_topology_and_exact_value_match_brute_force(pair):
+    m1, m0 = pair
+    topo = m1.topology
     index = {p: j for j, p in enumerate(topo.nodes)}
     assert topo.parent.tolist() == [-1] + [index[p[:-1]] for p in topo.nodes[1:]]
 
-    arity = {p: sum(1 for q in paths if q[:-1] == p and q) for p in paths}
+    arity = {p: sum(1 for q in topo.nodes if q[:-1] == p and q) for p in topo.nodes}
     internal = {c for c in arity.values() if c}
     leaves_at_bottom = all(len(p) == topo.depth - 1 for p, c in arity.items() if not c)
     expected = internal.pop() if topo.depth > 1 and len(internal) == 1 and leaves_at_bottom else None
     assert topo.regular_arity == expected
 
-    m1, m0 = random_tree_pair(np.random.default_rng(seed), topo)
     value = kld_exact_tree(m1, m0)
     assert value == path_keyed_kld(m1, m0)
     assert value == pytest.approx(brute_force_kld_joint(m1, m0), abs=1e-10)
-
-
-def random_paths(rng, n, max_arity):
-    """Digit paths of a random tree with about n nodes and 1..max_arity children per internal node."""
-    paths, frontier = [""], [""]
-    while frontier and len(paths) < n:
-        node = frontier.pop(int(rng.integers(len(frontier))))
-        kids = [node + str(c) for c in range(int(rng.integers(1, max_arity + 1)))]
-        paths += kids
-        frontier += kids
-    return paths
-
-
-def rows_with_zeros(rng, shape, zero_prob):
-    """Row-stochastic rows along the last axis with entries zeroed at random,
-    renormalised; every row keeps at least one positive entry."""
-    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
-    keep = rng.random(rows.shape) >= zero_prob
-    keep[..., 0] |= ~keep.any(axis=-1)
-    rows = np.where(keep, rows, 0.0)
-    return rows / rows.sum(axis=-1, keepdims=True)
-
-
-def stacked_model(rng, topology, d, m, gaussian, shared_transitions, shared_emissions, zero_prob):
-    """A model whose parameters are each shared or given as a per-node stack."""
-    n = topology.n_nodes
-    transitions = rows_with_zeros(rng, (d, d) if shared_transitions else (n - 1, d, d), zero_prob)
-    lead = () if shared_emissions else (n,)
-    if gaussian:
-        emissions = GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.5, 2.0, size=lead + (d,)))
-    else:
-        emissions = DiscreteEmission(rows_with_zeros(rng, lead + (d, m), zero_prob))
-    initial = rows_with_zeros(rng, (d,), zero_prob)
-    return HmtModel(topology=topology, initial=initial, transitions=transitions, emissions=emissions)
 
 
 def first_offender(m1, m0):
@@ -558,21 +473,9 @@ def first_offender(m1, m0):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    size=st.integers(1, 300),
-    max_arity=st.integers(1, 6),
-    d=st.integers(1, 4),
-    m=st.integers(1, 4),
-    gaussian=st.booleans(),
-    sharing=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-    zero_prob=st.sampled_from([0.0, 0.05, 0.3]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_stacked_inward_pass_matches_path_keyed_recursion(size, max_arity, d, m, gaussian, sharing, zero_prob, seed):
-    rng = np.random.default_rng(seed)
-    topo = HmtTopology.from_nodes(random_paths(rng, size, max_arity))
-    m1 = stacked_model(rng, topo, d, m, gaussian, sharing[0], sharing[1], zero_prob)
-    m0 = stacked_model(rng, topo, d, m, gaussian, sharing[2], sharing[3], zero_prob)
+@given(model_pairs())
+def test_stacked_inward_pass_matches_path_keyed_recursion(pair):
+    m1, m0 = pair
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = kld_exact_tree(m1, m0)
@@ -605,21 +508,9 @@ def child_order_inward(m1, m0):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    size=st.integers(1, 300),
-    max_arity=st.integers(1, 10),
-    d=st.integers(1, 4),
-    m=st.integers(1, 4),
-    gaussian=st.booleans(),
-    sharing=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-    zero_prob=st.sampled_from([0.0, 0.05, 0.3]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_inward_pass_adds_children_in_child_order(size, max_arity, d, m, gaussian, sharing, zero_prob, seed):
-    rng = np.random.default_rng(seed)
-    topo = HmtTopology.from_nodes(random_paths(rng, size, max_arity))
-    m1 = stacked_model(rng, topo, d, m, gaussian, sharing[0], sharing[1], zero_prob)
-    m0 = stacked_model(rng, topo, d, m, gaussian, sharing[2], sharing[3], zero_prob)
+@given(model_pairs(arity=st.integers(1, 10)))
+def test_inward_pass_adds_children_in_child_order(pair):
+    m1, m0 = pair
     vectors, expected = child_order_inward(m1, m0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -628,7 +519,7 @@ def test_inward_pass_adds_children_in_child_order(size, max_arity, d, m, gaussia
     table = inward_pass(m1, m0)
     assert list(table) == list(vectors)
     assert all(table[p].tobytes() == v.tobytes() for p, v in vectors.items())
-    if d >= 2:
+    if m1.n_states >= 2:
         assert value == path_keyed_kld(m1, m0)
 
 
