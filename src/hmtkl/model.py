@@ -181,10 +181,17 @@ class HmtTopology:
     def level_offsets(self) -> np.ndarray:
         """Level L holds the nodes ``level_offsets[L]:level_offsets[L + 1]``.
 
-        Follows from the sorted `parent` array: the children of the level
-        starting at ``o`` begin where ``parent`` first reaches that level's
-        end, so each next offset is one binary search.
+        A regular tree of arity C holds C**L nodes at level L, so its offsets
+        are sums of powers (a chain's are ``0..n``).  Otherwise they follow
+        from the sorted `parent` array: the children of the level starting at
+        ``o`` begin where ``parent`` first reaches that level's end, so each
+        next offset is one binary search.
         """
+        arity = self.regular_arity
+        if arity == 1:
+            return _freeze(np.arange(self.n_nodes + 1), dtype=np.intp)
+        if arity:
+            return _freeze([(arity**level - 1) // (arity - 1) for level in range(self.depth + 1)], dtype=np.intp)
         offsets = [0, 1]
         while offsets[-1] < self.n_nodes:
             offsets.append(int(np.searchsorted(self.parent, offsets[-1])))
@@ -462,9 +469,15 @@ class HmmModel:
     emission: EmissionSpec
 
     def __post_init__(self):
-        if int(self.length) < 1:
+        try:
+            length = int(self.length)
+        except (TypeError, ValueError, OverflowError):
+            length = None
+        if length is None or length != self.length:
+            raise ValueError(f"length must be an integer, got {self.length!r}")
+        if length < 1:
             raise ValueError("length must be >= 1")
-        object.__setattr__(self, "length", int(self.length))
+        object.__setattr__(self, "length", length)
         initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
         if initial.ndim != 1:
             raise ValueError("initial must be a vector")
@@ -649,7 +662,8 @@ def _require(doc, key, kinds, context):
     if key not in doc:
         raise ModelFormatError(f"{context}: missing required key {key!r}")
     value = doc[key]
-    if not isinstance(value, kinds):
+    # JSON true and false decode to bool, an int subclass, but are no numbers
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise ModelFormatError(f"{context}: key {key!r} has unexpected type {type(value).__name__}")
     return value
 

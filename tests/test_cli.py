@@ -112,6 +112,19 @@ class TestValidate:
         assert captured.err.startswith("model: ") and "dict" in captured.err
 
 
+    @pytest.mark.parametrize("name, key", [("hmm_a.json", "length"), ("hmm_a.json", "states"), ("gauss_tree_a.json", "depth")])
+    def test_boolean_for_an_integer_key_exit_2(self, capsys, tmp_path, name, key):
+        doc = json.loads(data_text(name))
+        doc[key] = True
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(doc))
+        context = {"length": "hmm model", "states": "model", "depth": "hmt model"}[key]
+        for argv in (["validate", "--model-a", str(path)], ["exact", "--model-a", str(path), "--model-b", str(path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"{context}: key '{key}' has unexpected type bool\n")
+
+
 class TestHostileTopology:
     @pytest.mark.parametrize("depth, children", [(40, 2), (10**30, 3), (2**21, 1)])
     def test_huge_regular_tree_fails_fast_with_exit_2(self, capsys, tmp_path, depth, children):

@@ -80,6 +80,25 @@ class TestTopology:
         with pytest.raises(ValueError, match="0'..'9"):
             HmtTopology.from_nodes(["", "a"])
 
+    @pytest.mark.parametrize("arity", range(1, 11))
+    def test_regular_level_offsets_are_the_binary_search(self, arity):
+        """A regular tree's offsets come from its arity; they are the fixed
+        point of the search a ragged tree takes, ``offsets[L + 1] =
+        searchsorted(parent, offsets[L])`` from ``[0, 1]`` up to the node
+        count, at every depth of at most `MAX_NODES` nodes (a chain at
+        depths 1..64, at every power of two and at `MAX_NODES`)."""
+        if arity == 1:
+            depths = [*range(1, 65), *(1 << p for p in range(7, 20)), MAX_NODES]
+        else:
+            depths = [depth for depth in range(1, 21) if (arity**depth - 1) // (arity - 1) <= MAX_NODES]
+        for depth in depths:
+            t = HmtTopology.regular(depth, arity)
+            offsets = t.level_offsets
+            assert offsets[:2].tolist() == [0, 1] and offsets[-1] == t.n_nodes and len(offsets) == depth + 1
+            np.testing.assert_array_equal(offsets[2:], np.searchsorted(t.parent, offsets[1:-1]))
+            if t.n_nodes <= 400:
+                np.testing.assert_array_equal(HmtTopology.from_nodes(t.nodes).level_offsets, offsets)
+
     @pytest.mark.parametrize("path", ["\u0661", "0\u0661", "\u00b2", "-1", " 0"])
     def test_from_nodes_rejects_digits_outside_ascii(self, path):
         with pytest.raises(ValueError, match=f"^node path {path!r} is not a string over '0'..'9'$"):
@@ -301,6 +320,43 @@ class TestLoadModel:
         }
         with pytest.raises(ModelFormatError, match="^model: initial must be a vector$"):
             load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "kind, key, context",
+        [
+            ("hmm", "length", "hmm model"),
+            ("hmm", "states", "model"),
+            ("hmm", "alphabet", "model"),
+            ("hmt", "depth", "hmt model"),
+            ("hmt", "children", "hmt model"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_for_an_integer_key_is_schema_error(self, kind, key, context, value):
+        doc = {
+            "type": kind,
+            "states": 1,
+            "alphabet": 1,
+            "initial": [1.0],
+            "transition": [[1.0]],
+            "emission": {"kind": "discrete", "matrix": [[1.0]]},
+        }
+        doc.update({"length": 1} if kind == "hmm" else {"depth": 2, "children": 1})
+        load_model(json.dumps(doc))
+        doc[key] = value
+        with pytest.raises(ModelFormatError, match=f"^{context}: key '{key}' has unexpected type bool$"):
+            load_model(json.dumps(doc))
+
+    def test_length_must_be_an_integer(self):
+        spec = dict(initial=[1.0], transition=[[1.0]], emission=DiscreteEmission([[1.0]]))
+        for bad in (2.7, 0.5, -1.5, math.nan, math.inf, "3", None):
+            with pytest.raises(ValueError, match="^length must be an integer, got "):
+                HmmModel(length=bad, **spec)
+        for good in (3, 3.0, np.int64(3), np.float32(3.0)):
+            m = HmmModel(length=good, **spec)
+            assert m.length == 3 and type(m.length) is int
+        with pytest.raises(ValueError, match="^length must be >= 1$"):
+            HmmModel(length=0.0, **spec)
 
     def test_missing_key_is_schema_error(self):
         doc = {

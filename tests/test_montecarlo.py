@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hmtkl import (
@@ -25,8 +25,8 @@ from hmtkl import (
     sample_posterior,
 )
 from hmtkl.errors import ZeroLikelihoodError
-from hmtkl.montecarlo import _Law, _chunked_uniforms, _draw, _inclusive_cdf, _tree_law, _walk
-from modelgen import chain, ragged_paths, tree, tree_pair
+from hmtkl.montecarlo import _Law, _chunked_uniforms, _draw, _inclusive_cdf, _inverse_normal, _log_ratios, _pass, _tree_law
+from modelgen import SEEDS, chain, model_pairs, ragged_paths, tree, tree_pair
 
 #: The topology of the small homogeneous pairs: a root and two leaves.
 SMALL = HmtTopology.regular(2, 2)
@@ -34,8 +34,9 @@ SMALL = HmtTopology.regular(2, 2)
 
 def node_tables(parent, law, uniforms):
     """States and emissions of a node-major chunk: row j holds node j of every trial."""
-    drawn = [(s, x) for _, s, _, _, x in _walk(parent, law, uniforms)]
-    return np.array([s for s, _ in drawn]), np.array([x for _, x in drawn])
+    emitted = [x for _, _, _, _, x in _pass(parent, law, uniforms)]
+    states = uniforms.view(np.int64)[:: law.draws_per_node]
+    return states, (None if law.gaussian is None else np.vstack(emitted))
 
 
 def tree_tables(model, uniforms):
@@ -608,3 +609,111 @@ def test_trailing_zero_states_are_never_drawn(row, zeros):
     row = np.r_[row, np.zeros(zeros)]
     drawn = _draw(_inclusive_cdf(row), 0, np.array([0.0, 0.5, 1.0 - 2.0**-53]))
     assert (row[drawn] > 0).all()
+
+
+def reference_walk(parent, law, uniforms):
+    """The node-at-a-time ancestral sampler that the block pass replaced,
+    kept as the reference: every table broadcast over the nodes, the states
+    of nodes with children still to draw kept in a dict.  Yields
+    ``(j, step, factor, x)`` per node, indices into node j's own tables."""
+    n, d, k = parent.shape[0], law.first.shape[0], law.draws_per_node
+    steps = np.broadcast_to(law.steps, (n - 1, d, d))
+    has_children = np.zeros(n, dtype=bool)
+    has_children[parent[1:]] = True
+    last_child = np.ones(n, dtype=bool)
+    last_child[1:-1] = parent[1:-1] != parent[2:]
+    rows = {}
+    for j, (p, kept, last) in enumerate(zip(parent.tolist(), has_children.tolist(), last_child.tolist())):
+        base = (rows.pop(p) if last else rows[p]) if j else 0
+        step = _draw(steps[j - 1] if j else law.first, base, uniforms[k * j])
+        s = step - base
+        if kept:
+            rows[j] = s * d
+        factor = x = None
+        if law.gaussian is not None:
+            means, sds = (np.broadcast_to(g, (n, d)) for g in law.gaussian)
+            factor, x = s, means[j].take(s) + sds[j].take(s) * _inverse_normal(uniforms[k * j + 1])
+        elif law.emission is not None:
+            emission = np.broadcast_to(law.emission, (n, d, law.emission.shape[-1]))
+            factor = _draw(emission[j], s * emission.shape[-1], uniforms[k * j + 1])
+        yield j, step, factor, x
+
+
+def reference_score(acc, law, n, j, step, factor, x):
+    """Add node j's log-terms, as `reference_walk` indexes them, to `acc`."""
+    d = law.first.shape[0]
+    acc += (np.broadcast_to(law.steps, (n - 1, d, d))[j - 1] if j else law.first).take(step)
+    if law.gaussian is not None:
+        means, sds, log_sds = (np.broadcast_to(g, (n, d)) for g in (*law.gaussian, law.emission))
+        z = (x - means[j].take(factor)) / sds[j].take(factor)
+        acc += -0.5 * z**2 - log_sds[j].take(factor) - 0.5 * math.log(2.0 * math.pi)
+    elif law.emission is not None:
+        acc += np.broadcast_to(law.emission, (n, *law.emission.shape[-2:]))[j].take(factor)
+
+
+def reference_log_ratios(parent, draw, score1, score0, trials, seed):
+    n, diffs = parent.shape[0], np.empty(trials)
+    for start, uniforms in _chunked_uniforms(seed, trials, draw.draws_per_node * n):
+        acc1, acc0 = np.zeros(uniforms.shape[1]), np.zeros(uniforms.shape[1])
+        for j, step, factor, x in reference_walk(parent, draw, uniforms):
+            reference_score(acc1, score1, n, j, step, factor, x)
+            reference_score(acc0, score0, n, j, step, factor, x)
+        diffs[start : start + uniforms.shape[1]] = acc1 - acc0
+    return diffs
+
+
+@st.composite
+def estimator_laws(draw):
+    """``(parent, draw, score1, score0)`` of the joint estimator on a ragged
+    or regular tree or a chain, or of the evidence estimator on a chain."""
+    small = {"nodes": st.integers(1, 60), "symbols": st.integers(1, 3)}
+    kind = draw(st.sampled_from(["ragged", "regular", "chain", "evidence"]))
+    if kind == "ragged":
+        m1, m0 = draw(model_pairs(**small))
+    elif kind == "regular":
+        arity, depth = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        rng, topology = np.random.default_rng(draw(SEEDS)), HmtTopology.regular(depth, arity)
+        d, gaussian = draw(st.integers(1, 3)), draw(st.booleans())
+        m1, m0 = (tree(rng, topology, d, 2, draw(st.tuples(st.booleans(), st.booleans())), gaussian, 0.3) for _ in range(2))
+    elif kind == "chain":
+        m1, m0 = (m.as_tree() for m in draw(model_pairs(chains=True, **small)))
+    else:
+        from hmtkl.hmm import _posterior_pair, posterior_conditionals
+
+        m1, m0, ev = draw(model_pairs(chains=True, evidence=True, **small))
+        try:
+            (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, ev, posterior_conditionals)
+        except ZeroLikelihoodError:
+            assume(False)
+        with np.errstate(divide="ignore"):
+            logs = [_Law(np.log(i), np.log(f)) for i, f in ((initial1, factors1), (initial0, factors0))]
+        return np.arange(m1.length) - 1, _Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1)), *logs
+    return m1.topology.parent, _tree_law(m1, _inclusive_cdf), _tree_law(m1, np.log), _tree_law(m0, np.log)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    laws=estimator_laws(),
+    trials=st.integers(2, 24),
+    seed=SEEDS,
+    cap=st.sampled_from([1, 7, None]),
+    widths=st.sampled_from([None, (48, 2), (48, 1 << 30)]),
+)
+def test_block_pass_matches_the_node_walk_bit_for_bit(laws, trials, seed, cap, widths):
+    """Every trial's log-ratio from the block pass equals that of the node
+    walk it replaced: on ragged and regular trees, chains and evidence
+    chains; shared, per-node and mixed layouts between the two models; both
+    emission kinds; hard zeros, so that some trials are infinite; d = 1 and
+    one node; chunks of one trial, of seven and of every trial; and blocks
+    of the default width, of a few nodes that cut across levels, and of
+    one node."""
+    import hmtkl.montecarlo as mc
+
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(mc, "_TRIALS", cap)
+        if widths is not None:
+            patch.setattr(mc, "_BLOCK", widths[0])
+            patch.setattr(mc, "_MIN_NODES", widths[1])
+        got = _log_ratios(*laws, trials, seed)
+    np.testing.assert_array_equal(got, reference_log_ratios(*laws, trials, seed))
