@@ -73,7 +73,7 @@ _CHUNK = 1 << 22
 _TRIALS = 1 << 14
 #: Uniforms drawn by one Philox call and transposed into the chunk (128 KiB).
 _TILE = 1 << 14
-#: Entries of one block's ``(nodes, trials)`` temporaries.
+#: Entries of one block's stack of log-terms: 2^14 values, 128 KiB.
 _BLOCK = 1 << 14
 #: Fewest nodes in a block; where fewer fit, every block is one node.
 _MIN_NODES = 8
@@ -293,8 +293,8 @@ def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
     `step` is a flat index into the nodes' transition matrices (at the
     root, the initial vector) and `factor` into their emission matrices or,
     for Gaussian emissions, their means and sds, both laid out by
-    `_node_index` with the law's node strides; `x` holds Gaussian emissions
-    and is None otherwise, as `factor` is without emissions.  The root is
+    `_node_index` with the law's node strides; `x` holds Gaussian emissions.
+    What a law does not emit is None.  The root is
     one block; the other nodes come in blocks of `_block_nodes` nodes, one
     row per node and one column per trial, or else one node at a time in
     1-D rows.

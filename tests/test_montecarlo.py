@@ -25,6 +25,7 @@ from hmtkl import (
     sample_posterior,
 )
 from hmtkl.errors import ZeroLikelihoodError
+from hmtkl.hmm import _posterior_pair, posterior_conditionals
 from hmtkl.montecarlo import _Law, _chunked_uniforms, _draw, _inclusive_cdf, _inverse_normal, _log_ratios, _pass, _tree_law
 from modelgen import SEEDS, chain, model_pairs, ragged_paths, tree, tree_pair
 
@@ -678,8 +679,6 @@ def estimator_laws(draw):
     elif kind == "chain":
         m1, m0 = (m.as_tree() for m in draw(model_pairs(chains=True, **small)))
     else:
-        from hmtkl.hmm import _posterior_pair, posterior_conditionals
-
         m1, m0, ev = draw(model_pairs(chains=True, evidence=True, **small))
         try:
             (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, ev, posterior_conditionals)
