@@ -15,18 +15,31 @@ Gaussian model loads SciPy.
 Trials go in chunks of at most `_CHUNK` uniforms and at most `_TRIALS`
 trials (and at least one trial), laid out node-major: row i of a chunk holds
 draw i of every trial in it, so each node reads contiguous rows.  The trial
-cap keeps every per-node temporary at 128 KiB, so a model with few nodes
-holds one small block rather than every trial's draws: the bundled Gaussian
-pair peaks at 3.6 MiB (`tracemalloc`) at 1e5 trials, not 22.2 MiB.
+cap keeps every per-node temporary at 2^14 values (128 KiB, or 256 KiB
+complex), so a model with few nodes holds one small block rather than every
+trial's draws: the bundled Gaussian pair peaks at 4.4 MiB (`tracemalloc`)
+at 1e5 trials, where one chunk of every trial took 22.2 MiB.  Philox fills
+a tile of `_TILE` = 2^17 uniforms (1 MiB) of whole trials at a time, which
+is transposed into the chunk: a tile of 2000-draw trials writes 65
+contiguous values into each row of it.
 
 Each chunk takes one pass over the nodes in blocks of consecutive nodes in
 breadth-first order (`_pass`).  A block draws its states one segment at a
 time, a segment being a run of nodes whose parents are all drawn (a level,
 or a chain's next position), then all its emissions with one draw, and
-gathers each model's log-terms with one `take` per table.  A drawn state
+gathers both models' log-terms with one `take` per table.  A drawn state
 overwrites the uniform it consumed, through an int64 view of that row, and
 the node's children read it there.  Each draw is a binary search over the
 row CDF written in integer arithmetic (see `_draw`).
+
+Both models score a pass under one pair law (`_pair`): each of its tables
+holds the first model's logs in the real parts and the second's in the
+imaginary parts, so one `take` gathers both models' terms and each trial
+keeps one complex sum.  Complex addition is two IEEE additions, one per
+half, so ``acc.real - acc.imag`` has the bits of two real sums.  Gaussian
+terms are computed on the complex rows viewed as float64, both models'
+halves side by side, each in the operations of one model's terms.
+`loglik_joint` and `sample_joint` keep one model's real law.
 
 Each trial's terms are added in node order, transition before emission, so
 no bit depends on the block or chunk size.  A block stacks its terms under
@@ -54,7 +67,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import Evidence, HmmModel, HmtModel, check_pair
-from .hmm import _posterior_pair, posterior_conditionals
+from .hmm import _factor_block, _posterior_pair, _posterior_weights, posterior_conditionals
 
 __all__ = [
     "McEstimate",
@@ -69,11 +82,14 @@ Z95 = 1.96
 _LOG_2PI = math.log(2.0 * math.pi)
 #: Uniforms in one chunk: 2^22 float64 values, 32 MiB.
 _CHUNK = 1 << 22
-#: Trials in one chunk: each per-node temporary of the walk is 2^14 values, 128 KiB.
+#: Trials in one chunk: each per-node temporary of the pass is 2^14 values,
+#: 128 KiB, or 256 KiB complex.
 _TRIALS = 1 << 14
-#: Uniforms drawn by one Philox call and transposed into the chunk (128 KiB).
-_TILE = 1 << 14
-#: Entries of one block's stack of log-terms: 2^14 values, 128 KiB.
+#: Uniforms drawn by one Philox call and transposed into the chunk: 2^17
+#: values, 1 MiB, so a tile of 2000-draw trials writes 65 contiguous values
+#: into each row of the chunk.
+_TILE = 1 << 17
+#: Entries of one block's stack of complex log-term pairs: 2^14, 256 KiB.
 _BLOCK = 1 << 14
 #: Fewest nodes in a block; where fewer fit, every block is one node.
 _MIN_NODES = 8
@@ -128,20 +144,22 @@ def _chunked_uniforms(seed: int, trials: int, per_trial: int):
     """Yield (start, block) pairs; column t of the ``(per_trial, chunk)`` block
     holds trial ``start + t``'s substream.
 
-    The stream is read in order, a few trials at a time, and each tile is
-    transposed into the block while it is in cache.  The generator lets go
-    of a chunk's last tile before it yields the block, and of each block
-    before it allocates the next, so a caller that drops its own reference
-    first holds one block at a time.
+    The stream is read in order, a few trials at a time, into one tile
+    buffer per chunk, and each tile is transposed into the block while it
+    is in cache.  The generator lets go of a chunk's tile buffer before it
+    yields the block, and of each block before it allocates the next, so a
+    caller that drops its own reference first holds one block at a time.
     """
     padded = _padded(per_trial)
     size, tile = _chunk_trials(per_trial), max(1, _TILE // padded)
     stream = np.random.Generator(np.random.Philox(key=seed))
     for start in range(0, trials, size):
         block = np.empty((per_trial, min(size, trials - start)))
+        rows = np.empty((min(tile, block.shape[1]), padded))
         for lo in range(0, block.shape[1], tile):
-            rows = stream.random((min(tile, block.shape[1] - lo), padded))
-            block[:, lo : lo + rows.shape[0]] = rows[:, :per_trial].T
+            n = min(tile, block.shape[1] - lo)
+            stream.random(out=rows[:n])
+            block[:, lo : lo + n] = rows[:n, :per_trial].T
         del rows
         yield start, block
         del block
@@ -155,7 +173,19 @@ def _inclusive_cdf(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw(cdf: np.ndarray, base, u: np.ndarray, out=None) -> np.ndarray:
+def _halvings(cdf: np.ndarray) -> list:
+    """The halvings of `_draw`'s binary search over the rows of `cdf`: for
+    each, the shifted view ``flat[half:]`` of the flattened table and
+    `half` as a 0-d int64 array, or None where half is 1."""
+    flat, n, halvings = cdf.reshape(-1), cdf.shape[-1] - 1, []
+    while n > 1:
+        half = n // 2
+        halvings.append((flat[half:], np.array(half, dtype=np.int64) if half > 1 else None))
+        n -= half
+    return halvings
+
+
+def _draw(cdf: np.ndarray, base, u: np.ndarray, out=None, halvings=None) -> np.ndarray:
     """Inverse-CDF draw from the rows of `cdf` that start at flat offsets
     `base`: returns ``base + count``, in `out` if given, where count is the
     number of the row's entries <= u.
@@ -169,15 +199,15 @@ def _draw(cdf: np.ndarray, base, u: np.ndarray, out=None) -> np.ndarray:
     ``flat[half:]`` and advances by ``hit * half``: a take, a compare and an
     add, each under 1 ns per element.  A three-array ``np.where`` select
     costs about 3 ns per element and once took most of the search's time.
-    `base` may be shared with other callers, so `pos` is never updated in
-    place; rows of width 2 take no halving and never build the view.
+    The views and halves are `halvings` (`_halvings` of `cdf`), which a law
+    builds once per table; `half` is a 0-d array because multiplying by a
+    Python int costs more under NumPy 2's scalar promotion.  `base` may be
+    shared with other callers, so `pos` is never updated in place.
     """
-    n, pos = cdf.shape[-1] - 1, base
-    while n > 1:
-        half = n // 2
-        hit = cdf.reshape(-1)[half:].take(pos) <= u
-        pos = pos + (hit if half == 1 else hit * half)
-        n -= half
+    pos = base
+    for shifted, half in _halvings(cdf) if halvings is None else halvings:
+        hit = shifted.take(pos) <= u
+        pos = pos + (hit if half is None else hit * half)
     return np.add(pos, cdf.take(pos) <= u, out=out)
 
 
@@ -193,7 +223,8 @@ def _inverse_normal(u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Law:
     """One model's factors on a breadth-first node axis, as row CDFs to draw
-    with or as logs to score with.
+    with or as logs to score with, or both models' logs as one pair law
+    (see `_pair`).
 
     `first` is the root's state law; row ``state[parent[j]]`` of node j's
     transition matrix is its state law.  `steps` is the one shared ``(d, d)``
@@ -228,6 +259,20 @@ class _Law:
             return 0
         return math.prod(self.emission.shape[1:])
 
+    @cached_property
+    def widths(self) -> tuple:
+        """d and m (1 without discrete emissions) as 0-d int64 arrays, by
+        which the state and emission offsets are multiplied (see `_draw`)."""
+        m = self.emission.shape[-1] if self.emission is not None and self.gaussian is None else 1
+        return np.array(self.first.shape[0], dtype=np.int64), np.array(m, dtype=np.int64)
+
+    @cached_property
+    def halvings(self) -> dict:
+        """`_halvings` of each table of row CDFs, by field name, built on a
+        law's first draw."""
+        names = ("first", "steps") if self.gaussian is not None else ("first", "steps", "emission")
+        return {name: _halvings(getattr(self, name)) for name in names if getattr(self, name) is not None}
+
 
 def _tree_law(model: HmtModel, table) -> _Law:
     """`model`'s factors through `table`: `_inclusive_cdf` to draw, `np.log` to score."""
@@ -238,6 +283,34 @@ def _tree_law(model: HmtModel, table) -> _Law:
         else:
             emission, gaussian = np.log(spec.sds), (spec.means, spec.sds)
         return _Law(table(model.initial), table(model.transition_stack), emission, gaussian)
+
+
+def _pair(first: np.ndarray, second: np.ndarray, fill=np.log) -> np.ndarray:
+    """One complex table holding the ufunc `fill` of `first` in its real
+    parts and of `second` in its imaginary parts, broadcast to the per-node
+    layout where only one of them is per-node.
+
+    Each half is written through `.real` or `.imag`: building the pair as
+    ``a + 1j * b`` would multiply a -inf log by 1j and make NaN.  Adding two
+    such numbers is two IEEE additions, one per half, so sums of pairs keep
+    the bits of the two real sums.
+    """
+    pair = np.empty(np.broadcast_shapes(first.shape, second.shape), dtype=complex)
+    with np.errstate(divide="ignore"):
+        fill(first, out=pair.real)
+        fill(second, out=pair.imag)
+    return pair
+
+
+def _tree_pair(m1: HmtModel, m0: HmtModel) -> _Law:
+    """The log-factors of both models as one law of `_pair` tables; the
+    Gaussian means and sds are paired as they are."""
+    s1, s0 = m1.emission_stack, m0.emission_stack
+    if s1.kind == "discrete":
+        emission, gaussian = _pair(s1.matrix, s0.matrix), None
+    else:
+        emission, gaussian = _pair(s1.sds, s0.sds), (_pair(s1.means, s0.means, np.positive), _pair(s1.sds, s0.sds, np.positive))
+    return _Law(_pair(m1.initial, m0.initial), _pair(m1.transition_stack, m0.transition_stack), emission, gaussian)
 
 
 def _block_nodes(draws_per_node: int, trials: int) -> int:
@@ -265,22 +338,6 @@ def _blocks(parent: np.ndarray, width: int):
         yield a, b, cuts
 
 
-def _node_tables(table: np.ndarray, stride: int, lo: int, hi: int) -> np.ndarray:
-    """The tables of nodes lo..hi-1 of a per-node stack of node stride
-    `stride`, or the shared table (stride 0) itself."""
-    if not stride:
-        return table
-    return table[lo] if hi - lo == 1 else table[lo:hi]
-
-
-def _node_index(local, stride: int, lo: int, hi: int):
-    """`local`, whose row r indexes within node lo + r's flattened table, as
-    a flat index into `_node_tables`."""
-    if not stride or hi - lo == 1:
-        return local
-    return local + np.arange(hi - lo)[:, None] * stride
-
-
 def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
     """Ancestral sampling of a node-major chunk from `law`'s row CDFs.
 
@@ -290,14 +347,14 @@ def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
     where the node's children read it.
 
     Yields blocks ``(a, b, step, factor, x)`` of nodes a..b-1 in order.
-    `step` is a flat index into the nodes' transition matrices (at the
-    root, the initial vector) and `factor` into their emission matrices or,
-    for Gaussian emissions, their means and sds, both laid out by
-    `_node_index` with the law's node strides; `x` holds Gaussian emissions.
-    What a law does not emit is None.  The root is
-    one block; the other nodes come in blocks of `_block_nodes` nodes, one
-    row per node and one column per trial, or else one node at a time in
-    1-D rows.
+    `step` is a flat index into the law's whole transition table (at the
+    root, into the initial vector) and `factor` into its whole emission
+    table or, for Gaussian emissions, its means and sds: node j's table
+    starts at j - 1 (transitions) or j (emissions) times the law's node
+    stride.  `x` holds Gaussian emissions.  What a law does not emit is
+    None.  The root is one block; the other nodes come in blocks of
+    `_block_nodes` nodes, one row per node and one column per trial, or
+    else one node at a time in 1-D rows.
     """
     width = _block_nodes(law.draws_per_node, uniforms.shape[1])
     yield from _draw_nodes(parent, law, uniforms, 1 if width > 1 else parent.shape[0])
@@ -310,23 +367,27 @@ def _draw_nodes(parent, law, uniforms, stop):
     """Nodes 0..stop-1 of a chunk (see `_pass`), one at a time in 1-D rows,
     in the NumPy calls per node of a walk without blocks: siblings, which
     are consecutive, share their parent's row offset."""
-    d, k, ts, es = law.first.shape[0], law.draws_per_node, law.steps_stride, law.emission_stride
-    states, up = uniforms.view(np.int64), memoryview(parent)
+    k, ts, es, halvings = law.draws_per_node, law.steps_stride, law.emission_stride, law.halvings
+    states, up, d = uniforms.view(np.int64), memoryview(parent), law.widths[0]
     base, above = 0, -1  # d times the state of node `above`, the parent last read
     for a in range(stop):
         if a and up[a] != above:
             above = up[a]
             base = states[k * above] * d
-        step = _draw((law.steps[a - 1] if ts else law.steps) if a else law.first, base, uniforms[k * a])
-        np.subtract(step, base, out=states[k * a])
+        at = base + (a - 1) * ts if a and ts else base
+        step = _draw(law.steps if a else law.first, at, uniforms[k * a], halvings=halvings["steps" if a else "first"])
+        np.subtract(step, at, out=states[k * a])
         factor = x = None
         if law.gaussian is not None:
-            factor = states[k * a]
+            factor = states[k * a] + a * es if es else states[k * a]
             means, sds = law.gaussian
-            x = (means[a] if es else means).take(factor)
-            x += (sds[a] if es else sds).take(factor) * _inverse_normal(uniforms[k * a + 1])
+            x = means.take(factor)
+            x += sds.take(factor) * _inverse_normal(uniforms[k * a + 1])
         elif k == 2:
-            factor = _draw(law.emission[a] if es else law.emission, states[k * a] * law.emission.shape[-1], uniforms[k * a + 1])
+            at = states[k * a] * law.widths[1]
+            if es:
+                at += a * es
+            factor = _draw(law.emission, at, uniforms[k * a + 1], halvings=halvings["emission"])
         yield a, a + 1, step, factor, x
         del step, factor, x  # before the next node is drawn
 
@@ -335,68 +396,78 @@ def _draw_block(parent, law, uniforms, a, b, cuts):
     """Draw nodes a..b-1 (a >= 1) of a chunk (see `_pass`): their states one
     segment of `cuts` at a time, each with one `_draw`, then all their
     emissions with one `_draw`."""
-    d, k, ts, es = law.first.shape[0], law.draws_per_node, law.steps_stride, law.emission_stride
-    states, up = uniforms.view(np.int64), memoryview(parent)
+    k, ts, es, halvings = law.draws_per_node, law.steps_stride, law.emission_stride, law.halvings
+    states, up, d = uniforms.view(np.int64), memoryview(parent), law.widths[0]
     step = np.empty((b - a, uniforms.shape[1]), dtype=np.int64)
     for c, e in zip(cuts, cuts[1:]):
         p = up[c]
-        if e - c == 1:  # one node: 1-D rows and its own table
-            base = states[k * p] * d
-            _draw(law.steps[c - 1] if ts else law.steps, base, uniforms[k * c], step[c - a])
-            np.subtract(step[c - a], base, out=states[k * c])
-            continue
         # a segment of one parent's children reads that parent's row, broadcast
         base = (states[k * p : k * p + 1] if p == up[e - 1] else states[k * parent[c:e]]) * d
-        rows, u = step[c - a : e - a], uniforms[k * c : k * e : k]
-        if ts:  # through the segment's stack of tables, then within each node's own
-            offset = np.arange(e - c)[:, None] * ts
-            np.subtract(_draw(law.steps[c - 1 : e - 1], base + offset, u), offset, out=rows)
-        else:
-            _draw(law.steps, base, u, rows)
+        if ts:  # into each node's own table of the stack
+            base = base + (np.arange(c - 1, e - 1)[:, None] * ts if e - c > 1 else (c - 1) * ts)
+        rows = step[c - a : e - a]
+        _draw(law.steps, base, uniforms[k * c : k * e : k], rows, halvings["steps"])
         np.subtract(rows, base, out=states[k * c : k * e : k])
     del base
-    # every row indexes within its node's own table until here
-    step = _node_index(step, ts, a - 1, b - 1)
     s, u = states[k * a : k * b : k], uniforms[k * a + 1 : k * b : k]
     if law.gaussian is not None:
-        factor = _node_index(s, es, a, b)
-        x = _node_tables(law.gaussian[0], es, a, b).take(factor)
-        x += _node_tables(law.gaussian[1], es, a, b).take(factor) * _inverse_normal(u)
+        factor = s + np.arange(a, b)[:, None] * es if es else s
+        means, sds = law.gaussian
+        x = means.take(factor)
+        x += sds.take(factor) * _inverse_normal(u)
         return a, b, step, factor, x
     if k == 2:
-        base = _node_index(s * law.emission.shape[-1], es, a, b)
-        return a, b, step, _draw(_node_tables(law.emission, es, a, b), base, u), None
+        base = s * law.widths[1]
+        if es:
+            base += np.arange(a, b)[:, None] * es
+        return a, b, step, _draw(law.emission, base, u, halvings=halvings["emission"]), None
     return a, b, step, None, None
 
 
 def _relaid(block: tuple, steps_stride: int, emission_stride: int, law: _Law) -> tuple:
     """`block`, whose indices are laid out with the given node strides, with
-    its indices laid out for `law`'s tables."""
+    its indices laid out for `law`'s tables.  The root's indices read the
+    same entries in either layout."""
     a, b, step, factor, x = block
-    if b - a == 1:
+    ts = law.steps_stride - steps_stride
+    es = 0 if factor is None else law.emission_stride - emission_stride
+    if not a or not (ts or es):
         return block
-    rank = np.arange(b - a)[:, None]
-    if law.steps_stride != steps_stride:
-        step = step + rank * (law.steps_stride - steps_stride)
-    if factor is not None and law.emission_stride != emission_stride:
-        factor = factor + rank * (law.emission_stride - emission_stride)
+    node = a if step.ndim == 1 else np.arange(a, b)[:, None]
+    if ts:
+        step = step + (node - 1) * ts
+    if es:
+        factor = factor + node * es
     return a, b, step, factor, x
 
 
-def _emission_terms(law: _Law, a: int, b: int, factor, x) -> np.ndarray:
-    """The emission log-terms of nodes a..b-1 under `law` (see `_pass`)."""
-    es = law.emission_stride
-    if law.gaussian is None:
-        return _node_tables(law.emission, es, a, b).take(factor)
-    means, sds = law.gaussian
-    z = (x - _node_tables(means, es, a, b).take(factor)) / _node_tables(sds, es, a, b).take(factor)
-    return -0.5 * z**2 - _node_tables(law.emission, es, a, b).take(factor) - 0.5 * _LOG_2PI
+def _gaussian_terms(law: _Law, factor, x) -> np.ndarray:
+    """The Gaussian emission log-terms under `law` of a block of `_pass`.
+
+    Under a pair law each step runs once on the complex terms viewed as
+    float64, both models' halves side by side, so each half gets the
+    operations of one model's terms.  Fresh contiguous rows cost less than
+    the strided `.real` and `.imag` views or a block's stack rows."""
+    means, sds, log_sds = (table.take(factor) for table in (*law.gaussian, law.emission))
+    terms = np.empty_like(means)
+    terms.real = x
+    if np.iscomplexobj(terms):
+        terms.imag = x
+    z = terms.view(np.float64)  # -0.5 * ((x - mean) / sd)**2 - log(sd) - log(2 pi) / 2
+    z -= means.view(np.float64)
+    z /= sds.view(np.float64)
+    np.square(z, out=z)
+    z *= -0.5
+    z -= log_sds.view(np.float64)
+    z -= 0.5 * _LOG_2PI
+    return terms
 
 
 def _score(acc: np.ndarray, law: _Law, block: tuple) -> None:
     """Add the log-terms under `law` of a block of `_pass`, laid out for
     `law`, to the per-trial sums `acc`, node by node: its transition (at the
-    root, its initial probability), then its emission.
+    root, its initial probability), then its emission.  `acc` is real under
+    one model's law and complex under a pair law.
 
     A node in 1-D rows adds its terms one by one.  A block of rows stacks
     them under `acc`, one row per term, and sums the stack with one
@@ -406,35 +477,39 @@ def _score(acc: np.ndarray, law: _Law, block: tuple) -> None:
     `np.add.accumulate` adds it in order instead.
     """
     a, b, step, factor, x = block
-    ts = law.steps_stride
     if step.ndim == 1:
-        acc += ((law.steps[a - 1] if ts else law.steps) if a else law.first).take(step)
+        acc += (law.steps if a else law.first).take(step)
         if factor is not None:
-            acc += _emission_terms(law, a, b, factor, x)
+            acc += law.emission.take(factor) if law.gaussian is None else _gaussian_terms(law, factor, x)
         return
     k = law.draws_per_node
-    stack = np.empty((1 + k * (b - a), acc.shape[0]))
+    stack = np.empty((1 + k * (b - a), acc.shape[0]), dtype=acc.dtype)
     stack[0] = acc
-    stack[1::k] = _node_tables(law.steps, ts, a - 1, b - 1).take(step)
-    if factor is not None:
-        stack[2::2] = _emission_terms(law, a, b, factor, x)
+    if k == 1:
+        # contiguous rows: `take` gathers straight into them, and need not
+        # check the indices, which drawn states always keep in the table
+        law.steps.take(step, out=stack[1:], mode="clip")
+    else:  # into strided rows `take` would gather through a copy of them
+        stack[1::2] = law.steps.take(step)
+        stack[2::2] = law.emission.take(factor) if law.gaussian is None else _gaussian_terms(law, factor, x)
     if acc.shape[0] > 1:
         np.add.reduce(stack, axis=0, out=acc)
     else:
         acc[:] = np.add.accumulate(stack[:, 0])[-1]
 
 
-def _log_ratios(parent: np.ndarray, draw: _Law, score1: _Law, score0: _Law, trials: int, seed: int) -> np.ndarray:
-    """``log p1 - log p0`` of every trial, drawn from `draw` chunk by chunk;
-    each chunk takes one pass over the blocks that scores both models."""
+def _log_ratios(parent: np.ndarray, draw: _Law, pair: _Law, trials: int, seed: int) -> np.ndarray:
+    """``log p1 - log p0`` of every trial, drawn from `draw` chunk by chunk
+    and scored under the pair law `pair` of both models' logs: each chunk
+    takes one pass over the blocks, which adds both models' terms to one
+    complex sum per trial."""
     diffs = np.empty(trials)
     for start, uniforms in _chunked_uniforms(seed, trials, draw.draws_per_node * parent.shape[0]):
-        acc1, acc0 = np.zeros(uniforms.shape[1]), np.zeros(uniforms.shape[1])
+        acc = np.zeros(uniforms.shape[1], dtype=complex)
         for block in _pass(parent, draw, uniforms):
-            _score(acc1, score1, block)  # the first model's logs share the layout of its CDFs
-            _score(acc0, score0, _relaid(block, draw.steps_stride, draw.emission_stride, score0))
+            _score(acc, pair, _relaid(block, draw.steps_stride, draw.emission_stride, pair))
             del block  # before the next block is drawn
-        np.subtract(acc1, acc0, out=diffs[start : start + uniforms.shape[1]])
+        np.subtract(acc.real, acc.imag, out=diffs[start : start + uniforms.shape[1]])
         del uniforms  # before the next chunk is drawn
     return diffs
 
@@ -498,8 +573,7 @@ def mc_kld_no_evidence(m1: HmtModel, m0: HmtModel, trials: int, seed: int) -> Mc
     i.i.d. draws from the first model."""
     check_pair(m1, m0)
     _check_mc_args(trials, seed)
-    draw, score1, score0 = _tree_law(m1, _inclusive_cdf), _tree_law(m1, np.log), _tree_law(m0, np.log)
-    return _estimate(_log_ratios(m1.topology.parent, draw, score1, score0, trials, seed), seed)
+    return _estimate(_log_ratios(m1.topology.parent, _tree_law(m1, _inclusive_cdf), _tree_pair(m1, m0), trials, seed), seed)
 
 
 def _chain_parent(length: int) -> np.ndarray:
@@ -520,6 +594,26 @@ def sample_posterior(model: HmmModel, evidence: Evidence, rng: np.random.Generat
     return uniforms.view(np.int64)[:, 0].copy()
 
 
+def _evidence_laws(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> tuple[_Law, _Law]:
+    """The first model's posterior law to draw with, and both models'
+    posterior logs as one pair law (see `_pair`).
+
+    Each model's posterior factors are built by `_factor_block` straight
+    into their half of the pair's stack, the CDFs are taken from the first
+    half and then both halves are overwritten by their logs: the pair and
+    one CDF stack, three real stacks in all, are the only stacks alive.
+    """
+    (initial1, weights1), (initial0, weights0) = _posterior_pair(m1, m0, evidence, _posterior_weights)
+    d = m1.n_states
+    steps = np.empty((m1.length - 1, d, d), dtype=complex)
+    draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(_factor_block(m1.transition, weights1, out=steps.real)))
+    _factor_block(m0.transition, weights0, out=steps.imag)
+    with np.errstate(divide="ignore"):
+        for half in (steps.real, steps.imag):
+            np.log(half, out=half)
+    return draw, _Law(_pair(initial1, initial0), steps)
+
+
 def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int, seed: int) -> McEstimate:
     """Estimate the posterior KL divergence from posterior draws of the first model.
 
@@ -528,11 +622,4 @@ def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int,
     """
     check_pair(m1, m0)
     _check_mc_args(trials, seed)
-    (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, evidence, posterior_conditionals)
-    draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1))
-    with np.errstate(divide="ignore"):
-        # the posterior stacks are fresh: their logs overwrite them, so one CDF
-        # stack and two log stacks are all the stacks that stay alive
-        score1 = _Law(np.log(initial1), np.log(factors1, out=factors1))
-        score0 = _Law(np.log(initial0), np.log(factors0, out=factors0))
-    return _estimate(_log_ratios(_chain_parent(m1.length), draw, score1, score0, trials, seed), seed)
+    return _estimate(_log_ratios(_chain_parent(m1.length), *_evidence_laws(m1, m0, evidence), trials, seed), seed)

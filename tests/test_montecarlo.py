@@ -26,8 +26,20 @@ from hmtkl import (
 )
 from hmtkl.errors import ZeroLikelihoodError
 from hmtkl.hmm import _posterior_pair, posterior_conditionals
-from hmtkl.montecarlo import _Law, _chunked_uniforms, _draw, _inclusive_cdf, _inverse_normal, _log_ratios, _pass, _tree_law
-from modelgen import SEEDS, chain, model_pairs, ragged_paths, tree, tree_pair
+from hmtkl.montecarlo import (
+    _Law,
+    _chunked_uniforms,
+    _draw,
+    _evidence_laws,
+    _inclusive_cdf,
+    _inverse_normal,
+    _log_ratios,
+    _pair,
+    _pass,
+    _tree_law,
+    _tree_pair,
+)
+from modelgen import SEEDS, chain, model_pairs, ragged_paths, rows, tree, tree_pair
 
 #: The topology of the small homogeneous pairs: a root and two leaves.
 SMALL = HmtTopology.regular(2, 2)
@@ -444,6 +456,7 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+@pytest.mark.tracemalloc_mc
 @pytest.mark.parametrize("case", ["tree", "evidence"])
 def test_memory_is_bounded_whatever_the_trial_count(case, monkeypatch):
     """Eight times the trials grows the peak by the 8-byte log-ratio of each
@@ -470,6 +483,7 @@ def test_memory_is_bounded_whatever_the_trial_count(case, monkeypatch):
     assert large - small <= 8 * 7 * trials + (1 << 20)
 
 
+@pytest.mark.tracemalloc_mc
 @pytest.mark.parametrize("case", ["chain", "evidence"])
 def test_peak_holds_one_uniform_block_at_a_time(case, monkeypatch):
     """Over four chunks the peak is one uniform block, one tile, O(trials)
@@ -491,9 +505,11 @@ def test_peak_holds_one_uniform_block_at_a_time(case, monkeypatch):
     block = 8 * per_trial * size
     tile = 8 * _padded(per_trial) * max(1, mc._TILE // _padded(per_trial))
     assert block > 4 * 2**20
+    import numpy.random  # noqa: F401  (NumPy imports it lazily: its import stays out of the peak)
     assert traced_peak(lambda: run(trials)) <= block + tile + 64 * trials + 2**20
 
 
+@pytest.mark.tracemalloc_mc
 def test_few_nodes_at_1e5_trials_hold_one_capped_block():
     """The bundled Gaussian pair draws 14 uniforms per trial, so 2^22
     uniforms would hold every one of 1e5 trials.  The trial cap keeps the
@@ -508,6 +524,60 @@ def test_few_nodes_at_1e5_trials_hold_one_capped_block():
     block = 8 * per_trial * min(trials, _chunk_trials(per_trial))
     tile = 8 * _padded(per_trial) * max(1, mc._TILE // _padded(per_trial))
     assert traced_peak(lambda: mc_kld_no_evidence(*pair, trials, 0)) <= block + tile + 16 * trials + 2**20
+
+
+@pytest.mark.tracemalloc_mc
+def test_evidence_holds_three_posterior_stacks():
+    """`mc_kld_evidence` at N = 1000 and d = 16 holds three ``(N-1, d, d)``
+    stacks, the first model's CDFs and the pair of both models' logs, beside
+    one uniform block, one tile, O(trials) and 1 MiB: pairing keeps neither
+    model's real log stack next to the pair."""
+    import hmtkl.montecarlo as mc
+    from hmtkl.montecarlo import _chunk_trials, _padded
+
+    rng, length, d, trials = np.random.default_rng(16), 1000, 16, 200
+    m1, m0 = chain(rng, length, d, 3), chain(rng, length, d, 3)
+    ev = Evidence.from_external(rng.integers(1, 4, length).tolist())
+    import numpy.random  # noqa: F401  (NumPy imports it lazily: its import stays out of the peak)
+    block = 8 * length * min(trials, _chunk_trials(length))
+    tile = 8 * _padded(length) * max(1, mc._TILE // _padded(length))
+    stacks = 3 * 8 * (length - 1) * d * d
+    assert traced_peak(lambda: mc_kld_evidence(m1, m0, ev, trials, 0)) <= block + tile + stacks + 64 * trials + 2**20
+
+
+def test_pair_tables_hold_each_models_logs_and_never_nan():
+    """A zero probability in either model makes its half of the pair entry
+    -inf, (-inf, x) or (x, -inf), and never NaN; every half holds its own
+    model's logs bit for bit, broadcast where only the other model is
+    per-node, and the evidence pair holds the logs of both posteriors."""
+    pair = _pair(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.0, 1.0]))
+    assert pair.real.tolist() == [-math.inf, math.log(0.5), 0.0]
+    assert pair.imag.tolist() == [math.log(0.5), -math.inf, 0.0]
+
+    rng = np.random.default_rng(5)
+    topology = HmtTopology.regular(3, 2)
+    m1, m0 = tree(rng, topology, 3, 2, (True, False), p_zero=0.4), tree(rng, topology, 3, 2, (False, True), p_zero=0.4)
+    tree_logs = _tree_pair(m1, m0)
+    spec1, spec0 = m1.emission_stack, m0.emission_stack
+    halves = [
+        (tree_logs.first, m1.initial, m0.initial),
+        (tree_logs.steps, m1.transition_stack, m0.transition_stack),
+        (tree_logs.emission, spec1.matrix, spec0.matrix),
+    ]
+    # zeros in the transitions only, so that the evidence is possible under both chains
+    c1, c0 = (HmmModel(length=12, initial=rows(rng, (3,)), transition=rows(rng, (3, 3), 0.4), emission=DiscreteEmission(rows(rng, (3, 2)))) for _ in range(2))
+    ev = Evidence.from_external(rng.integers(1, 3, 12).tolist())
+    draw, evidence_logs = _evidence_laws(c1, c0, ev)
+    (initial1, factors1), (initial0, factors0) = (posterior_conditionals(m, ev) for m in (c1, c0))
+    halves += [(evidence_logs.first, initial1, initial0), (evidence_logs.steps, factors1, factors0)]
+    np.testing.assert_array_equal(draw.steps, _inclusive_cdf(factors1))
+    with np.errstate(divide="ignore"):
+        for got, first, second in halves:
+            assert not np.isnan(got).any()
+            np.testing.assert_array_equal(got.real, np.broadcast_to(np.log(first), got.shape))
+            np.testing.assert_array_equal(got.imag, np.broadcast_to(np.log(second), got.shape))
+    for got in (tree_logs.steps, evidence_logs.steps):
+        assert np.isneginf(got.real).any() and np.isneginf(got.imag).any()
 
 
 def test_evidence_chunks_at_1e5_trials_stay_within_the_draw_cap():
@@ -665,8 +735,10 @@ def reference_log_ratios(parent, draw, score1, score0, trials, seed):
 
 @st.composite
 def estimator_laws(draw):
-    """``(parent, draw, score1, score0)`` of the joint estimator on a ragged
-    or regular tree or a chain, or of the evidence estimator on a chain."""
+    """``(parent, (draw, pair), (draw, score1, score0))`` of the joint
+    estimator on a ragged or regular tree or a chain, or of the evidence
+    estimator on a chain: the laws of the pass and, built apart from them,
+    the one-model laws of the node walk."""
     small = {"nodes": st.integers(1, 60), "symbols": st.integers(1, 3)}
     kind = draw(st.sampled_from(["ragged", "regular", "chain", "evidence"]))
     if kind == "ragged":
@@ -686,8 +758,10 @@ def estimator_laws(draw):
             assume(False)
         with np.errstate(divide="ignore"):
             logs = [_Law(np.log(i), np.log(f)) for i, f in ((initial1, factors1), (initial0, factors0))]
-        return np.arange(m1.length) - 1, _Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1)), *logs
-    return m1.topology.parent, _tree_law(m1, _inclusive_cdf), _tree_law(m1, np.log), _tree_law(m0, np.log)
+        reference = (_Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1)), *logs)
+        return np.arange(m1.length) - 1, _evidence_laws(m1, m0, ev), reference
+    cdfs = _tree_law(m1, _inclusive_cdf)
+    return m1.topology.parent, (cdfs, _tree_pair(m1, m0)), (cdfs, _tree_law(m1, np.log), _tree_law(m0, np.log))
 
 
 @settings(max_examples=120, deadline=None)
@@ -705,14 +779,16 @@ def test_block_pass_matches_the_node_walk_bit_for_bit(laws, trials, seed, cap, w
     emission kinds; hard zeros, so that some trials are infinite; d = 1 and
     one node; chunks of one trial, of seven and of every trial; and blocks
     of the default width, of a few nodes that cut across levels, and of
-    one node."""
+    one node.  The pass scores both models under one pair law of complex
+    tables, the walk each model under its own real law."""
     import hmtkl.montecarlo as mc
 
+    parent, pass_laws, reference = laws
     with pytest.MonkeyPatch.context() as patch:
         if cap is not None:
             patch.setattr(mc, "_TRIALS", cap)
         if widths is not None:
             patch.setattr(mc, "_BLOCK", widths[0])
             patch.setattr(mc, "_MIN_NODES", widths[1])
-        got = _log_ratios(*laws, trials, seed)
-    np.testing.assert_array_equal(got, reference_log_ratios(*laws, trials, seed))
+        got = _log_ratios(parent, *pass_laws, trials, seed)
+    np.testing.assert_array_equal(got, reference_log_ratios(parent, *reference, trials, seed))
