@@ -168,9 +168,9 @@ def cmd_sweep(args) -> int:
         raise ModelError(f"evidence has {len(evidence)} symbols, sweep needs {args.n_max}")
     with _open_out(args.out) as handle:  # an unwritable --out fails before any row is computed
         try:
-            rate = kld_rate(m_a, m_b)
-        except PreconditionError:
-            rate = float("nan")
+            rate = _fmt(kld_rate(m_a, m_b))
+        except PreconditionError:  # no unique stationary law: the field stays empty
+            rate = ""
 
         rows = []
         for n in range(args.n_min, args.n_max + 1, args.step):
@@ -183,7 +183,7 @@ def cmd_sweep(args) -> int:
                 exact = kld_hmm_evidence(a, b, ev)
                 est = mc_kld_evidence(a, b, ev, args.trials, args.seed)
             rows.append(
-                [n, _fmt(exact), _fmt(exact / n), _fmt(rate), _fmt(est.mean), _fmt(est.ci_lo), _fmt(est.ci_hi), est.trials, est.seed]
+                [n, _fmt(exact), _fmt(exact / n), rate, _fmt(est.mean), _fmt(est.ci_lo), _fmt(est.ci_hi), est.trials, est.seed]
             )
 
         writer = csv.writer(handle)
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("rate", cmd_rate, "KL divergence rate and stationary distribution", "--n")
     add("bound", cmd_bound, "decomposition bound (equals the exact divergence)", "--n")
     add("evidence-exact", cmd_evidence_exact, "exact divergence of hidden-path posteriors given evidence", "--n", "--evidence")
-    add("mc", cmd_mc, "Monte Carlo estimate with a 95% confidence interval", "--n", "--evidence", "--trials", "--seed")
+    add("mc", cmd_mc, "Monte Carlo estimate with a 95%% confidence interval", "--n", "--evidence", "--trials", "--seed")
     add("sweep", cmd_sweep, "CSV sweep over chain lengths", "--evidence", "--n-min", "--n-max", "--step", "--trials", "--seed", "--out")
     return parser
 

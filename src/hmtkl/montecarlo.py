@@ -24,13 +24,15 @@ is transposed into the chunk: a tile of 2000-draw trials writes 65
 contiguous values into each row of it.
 
 Each chunk takes one pass over the nodes in blocks of consecutive nodes in
-breadth-first order (`_pass`).  A block draws its states one segment at a
-time, a segment being a run of nodes whose parents are all drawn (a level,
-or a chain's next position), then all its emissions with one draw, and
-gathers both models' log-terms with one `take` per table.  A drawn state
-overwrites the uniform it consumed, through an int64 view of that row, and
-the node's children read it there.  Each draw is a binary search over the
-row CDF written in integer arithmetic (see `_draw`).
+breadth-first order (`_pass`).  The root is a block of its own, drawn from
+the initial law as the table of one parent in state 0.  A block draws its
+states one segment at a time, a segment being a run of nodes whose parents
+are all drawn (a level, or a chain's next position), then all its
+emissions with one draw, and gathers both models' log-terms with one
+`take` per table.  A drawn state overwrites the uniform it consumed,
+through an int64 view of that row, and the node's children read it there.
+Each draw is a binary search over the row CDF written in integer
+arithmetic (see `_draw`).
 
 Both models score a pass under one pair law (`_pair`): each of its tables
 holds the first model's logs in the real parts and the second's in the
@@ -41,20 +43,17 @@ terms are computed on the complex rows viewed as float64, both models'
 halves side by side, each in the operations of one model's terms.
 `loglik_joint` and `sample_joint` keep one model's real law.
 
-Each trial's terms are added in node order, transition before emission, so
-no bit depends on the block or chunk size.  A block stacks its terms under
-the running sums and adds them with one `np.add.reduce` over the rows, which
-on a C-contiguous stack of two or more columns adds row after row, as an
-``acc += row`` loop does.  `np.add.accumulate` keeps those bits on any stack
-but costs 3-10 times as much.  A chunk of one trial makes one-column stacks,
-contiguous runs that `reduce` would sum pairwise, so those add with
-`accumulate`.
-
-A block of a chunk of t trials has ``2**14 // (k * t)`` nodes, k log-terms
-per node, so its stack holds about `_BLOCK` = 2**14 entries.  Where that is
-under `_MIN_NODES` = 8 nodes a block costs more than it saves: each node is
-then a block of its own, in 1-D rows and the NumPy calls of a walk without
-blocks.
+A block of a chunk of t trials has ``2**14 // (k * t)`` nodes, and at least
+one, k log-terms per node, so its stack holds about `_BLOCK` = 2**14
+entries.  Each trial's terms are added in node order, transition before
+emission, so no bit depends on the block or chunk size.  A one-node block
+adds its rows to the running sums in place.  A larger block stacks its
+terms under the running sums and adds them with one `np.add.reduce` over
+the rows, which on a C-contiguous stack of two or more columns adds row
+after row, as an ``acc += row`` loop does.  `np.add.accumulate` keeps those
+bits on any stack but costs 3-10 times as much.  A chunk of one trial makes
+one-column stacks, contiguous runs that `reduce` would sum pairwise, so
+those add with `accumulate`.
 """
 
 from __future__ import annotations
@@ -91,8 +90,6 @@ _TRIALS = 1 << 14
 _TILE = 1 << 17
 #: Entries of one block's stack of complex log-term pairs: 2^14, 256 KiB.
 _BLOCK = 1 << 14
-#: Fewest nodes in a block; where fewer fit, every block is one node.
-_MIN_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -316,13 +313,12 @@ def _tree_pair(m1: HmtModel, m0: HmtModel) -> _Law:
 def _block_nodes(draws_per_node: int, trials: int) -> int:
     """Nodes in one block of a chunk of `trials` trials: as many as keep the
     block's stack of ``draws_per_node`` log-terms per node within `_BLOCK`
-    entries, or one where fewer than `_MIN_NODES` fit."""
-    nodes = _BLOCK // (draws_per_node * trials)
-    return nodes if nodes >= _MIN_NODES else 1
+    entries, and at least one."""
+    return max(1, _BLOCK // (draws_per_node * trials))
 
 
 def _blocks(parent: np.ndarray, width: int):
-    """Node ranges of `width` nodes after the root, in breadth-first order.
+    """The root, then node ranges of `width` nodes, in breadth-first order.
 
     Yields ``(a, b, cuts)``, where each pair of neighbours in `cuts` bounds
     a segment of the block whose parents all precede it: the segment from c
@@ -331,6 +327,7 @@ def _blocks(parent: np.ndarray, width: int):
     """
     n = parent.shape[0]
     ready = memoryview(np.searchsorted(parent, np.arange(n)))
+    yield 0, 1, [0, 1]
     for a in range(1, n, width):
         b, cuts = min(a + width, n), [a]
         while cuts[-1] < b:
@@ -346,67 +343,39 @@ def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
     overwrites the uniform it consumed through an int64 view of that row,
     where the node's children read it.
 
-    Yields blocks ``(a, b, step, factor, x)`` of nodes a..b-1 in order.
-    `step` is a flat index into the law's whole transition table (at the
-    root, into the initial vector) and `factor` into its whole emission
-    table or, for Gaussian emissions, its means and sds: node j's table
-    starts at j - 1 (transitions) or j (emissions) times the law's node
-    stride.  `x` holds Gaussian emissions.  What a law does not emit is
-    None.  The root is one block; the other nodes come in blocks of
-    `_block_nodes` nodes, one row per node and one column per trial, or
-    else one node at a time in 1-D rows.
+    Yields the `_blocks` ``(a, b, step, factor, x)`` of nodes a..b-1 in
+    order, one row per node and one column per trial: the root, then blocks
+    of `_block_nodes` nodes.  `step` is a flat index into the law's whole
+    transition table (at the root, into the initial vector) and `factor`
+    into its whole emission table or, for Gaussian emissions, its means and
+    sds: node j's table starts at j - 1 (transitions) or j (emissions) times
+    the law's node stride.  `x` holds Gaussian emissions.  What a law does
+    not emit is None.
     """
-    width = _block_nodes(law.draws_per_node, uniforms.shape[1])
-    yield from _draw_nodes(parent, law, uniforms, 1 if width > 1 else parent.shape[0])
-    if width > 1:
-        for a, b, cuts in _blocks(parent, width):
-            yield _draw_block(parent, law, uniforms, a, b, cuts)
-
-
-def _draw_nodes(parent, law, uniforms, stop):
-    """Nodes 0..stop-1 of a chunk (see `_pass`), one at a time in 1-D rows,
-    in the NumPy calls per node of a walk without blocks: siblings, which
-    are consecutive, share their parent's row offset."""
-    k, ts, es, halvings = law.draws_per_node, law.steps_stride, law.emission_stride, law.halvings
-    states, up, d = uniforms.view(np.int64), memoryview(parent), law.widths[0]
-    base, above = 0, -1  # d times the state of node `above`, the parent last read
-    for a in range(stop):
-        if a and up[a] != above:
-            above = up[a]
-            base = states[k * above] * d
-        at = base + (a - 1) * ts if a and ts else base
-        step = _draw(law.steps if a else law.first, at, uniforms[k * a], halvings=halvings["steps" if a else "first"])
-        np.subtract(step, at, out=states[k * a])
-        factor = x = None
-        if law.gaussian is not None:
-            factor = states[k * a] + a * es if es else states[k * a]
-            means, sds = law.gaussian
-            x = means.take(factor)
-            x += sds.take(factor) * _inverse_normal(uniforms[k * a + 1])
-        elif k == 2:
-            at = states[k * a] * law.widths[1]
-            if es:
-                at += a * es
-            factor = _draw(law.emission, at, uniforms[k * a + 1], halvings=halvings["emission"])
-        yield a, a + 1, step, factor, x
-        del step, factor, x  # before the next node is drawn
+    for a, b, cuts in _blocks(parent, _block_nodes(law.draws_per_node, uniforms.shape[1])):
+        yield _draw_block(parent, law, uniforms, a, b, cuts)
 
 
 def _draw_block(parent, law, uniforms, a, b, cuts):
-    """Draw nodes a..b-1 (a >= 1) of a chunk (see `_pass`): their states one
-    segment of `cuts` at a time, each with one `_draw`, then all their
-    emissions with one `_draw`."""
+    """Draw nodes a..b-1 of a chunk (see `_pass`): their states one segment
+    of `cuts` at a time, each with one `_draw`, then all their emissions
+    with one `_draw`.  The root's segment draws from `law.first`, read as
+    the table of one parent in state 0."""
     k, ts, es, halvings = law.draws_per_node, law.steps_stride, law.emission_stride, law.halvings
     states, up, d = uniforms.view(np.int64), memoryview(parent), law.widths[0]
     step = np.empty((b - a, uniforms.shape[1]), dtype=np.int64)
     for c, e in zip(cuts, cuts[1:]):
-        p = up[c]
-        # a segment of one parent's children reads that parent's row, broadcast
-        base = (states[k * p : k * p + 1] if p == up[e - 1] else states[k * parent[c:e]]) * d
-        if ts:  # into each node's own table of the stack
-            base = base + (np.arange(c - 1, e - 1)[:, None] * ts if e - c > 1 else (c - 1) * ts)
+        if c:
+            p = up[c]
+            # a segment of one parent's children reads that parent's row, broadcast
+            base = (states[k * p : k * p + 1] if p == up[e - 1] else states[k * parent[c:e]]) * d
+            if ts:  # into each node's own table of the stack
+                base = base + (np.arange(c - 1, e - 1)[:, None] * ts if e - c > 1 else (c - 1) * ts)
+            table, search = law.steps, halvings["steps"]
+        else:  # the root: `first` is the table of one parent in state 0
+            table, search, base = law.first, halvings["first"], 0
         rows = step[c - a : e - a]
-        _draw(law.steps, base, uniforms[k * c : k * e : k], rows, halvings["steps"])
+        _draw(table, base, uniforms[k * c : k * e : k], rows, search)
         np.subtract(rows, base, out=states[k * c : k * e : k])
     del base
     s, u = states[k * a : k * b : k], uniforms[k * a + 1 : k * b : k]
@@ -433,7 +402,7 @@ def _relaid(block: tuple, steps_stride: int, emission_stride: int, law: _Law) ->
     es = 0 if factor is None else law.emission_stride - emission_stride
     if not a or not (ts or es):
         return block
-    node = a if step.ndim == 1 else np.arange(a, b)[:, None]
+    node = np.arange(a, b)[:, None]
     if ts:
         step = step + (node - 1) * ts
     if es:
@@ -469,18 +438,19 @@ def _score(acc: np.ndarray, law: _Law, block: tuple) -> None:
     root, its initial probability), then its emission.  `acc` is real under
     one model's law and complex under a pair law.
 
-    A node in 1-D rows adds its terms one by one.  A block of rows stacks
-    them under `acc`, one row per term, and sums the stack with one
+    A one-node block adds its rows to `acc` in place.  A larger block
+    stacks them under `acc`, one row per term, and sums the stack with one
     `np.add.reduce` over its rows: on a C-contiguous stack of two or more
-    columns that adds row after row, the bits of the loop.  A one-column
-    stack is one contiguous run, which `reduce` would sum pairwise; there
-    `np.add.accumulate` adds it in order instead.
+    columns that adds row after row, the bits of the in-place loop, without
+    its pass over `acc` per row.  A one-column stack is one contiguous run,
+    which `reduce` would sum pairwise; there `np.add.accumulate` adds it in
+    order instead.
     """
     a, b, step, factor, x = block
-    if step.ndim == 1:
-        acc += (law.steps if a else law.first).take(step)
+    if b - a == 1:
+        acc += (law.first if a == 0 else law.steps).take(step[0])
         if factor is not None:
-            acc += law.emission.take(factor) if law.gaussian is None else _gaussian_terms(law, factor, x)
+            acc += (law.emission.take(factor) if law.gaussian is None else _gaussian_terms(law, factor, x))[0]
         return
     k = law.draws_per_node
     stack = np.empty((1 + k * (b - a), acc.shape[0]), dtype=acc.dtype)
@@ -561,7 +531,6 @@ def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int])
     steps[1:] += states[model.topology.parent[1:]] * d
     factors = states * m + emitted if discrete else states
     law, acc = _tree_law(model, np.log), np.zeros(1)
-    _score(acc, law, (0, 1, steps[:1], factors[:1], emitted[:1]))
     for a, b, _ in _blocks(model.topology.parent, _block_nodes(2, 1)):
         # one trial: the indices, read within each node's own table, form one column
         _score(acc, law, _relaid((a, b, steps[a:b, None], factors[a:b, None], emitted[a:b, None]), 0, 0, law))

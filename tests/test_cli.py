@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, and exit codes."""
 
+import argparse
 import copy
 import io
 import json
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import hmtkl
 from hmtkl import HmmModel, ModelError, load_model
 from hmtkl.bundled import data_path, data_text
-from hmtkl.cli import main
+from hmtkl.cli import build_parser, main
 
 
 HMM_A = data_path("hmm_a.json")
@@ -445,6 +446,31 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith(f"cannot write {out}: ")
         assert len(captured.err.splitlines()) == 1
+
+    def test_rate_field_is_empty_without_a_unique_stationary_law(self, capsys, tmp_path, periodic_model_file):
+        out = tmp_path / "periodic.csv"
+        args = ["sweep", "--model-a", periodic_model_file, "--model-b", HMM_B, "--n-min", "1", "--n-max", "3", "--trials", "50", "--out", str(out)]
+        assert main(args) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(row[3] == "" for row in rows)
+        assert "nan" not in out.read_text()
+
+
+HELP_ARGV = [[]] + [[command] for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction) for command in action.choices]
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=lambda argv: " ".join(argv) or "hmtkl")
+def test_help_exits_0(capsys, argv, flag):
+    """Help on the top-level parser and on every subcommand prints a usage
+    and exits 0: argparse %-formats help strings, so a bare % fails there."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + [flag])
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hmtkl")
+    assert captured.err == ""
 
 
 class TestNestedJson:
