@@ -251,12 +251,15 @@ class BackwardTable:
 
     ``values[i-1] * exp(log_scale[i-1])`` recovers the unscaled B_i; each row
     is scaled to maximum 1 so that chains hundreds of symbols long do not
-    underflow.  The last row is identically 1 with zero scale.
+    underflow.  The last row is identically 1 with zero scale.  Row i-1 of
+    ``emitted`` is e(., x_i), the emission column of each symbol, which the
+    recursion read.
     """
 
     values: np.ndarray
     log_scale: np.ndarray
     log_likelihood: float
+    emitted: np.ndarray
 
 
 def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
@@ -288,15 +291,16 @@ def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
     sums = list(accumulate(map(math.log, tops), initial=0.0))
     log_scale = np.zeros(n)
     log_scale[-2::-1] = sums[1:]
-    return BackwardTable(values, log_scale, math.log(total) + sums[-1])
+    return BackwardTable(values, log_scale, math.log(total) + sums[-1], emitted)
 
 
 def _posterior_weights(model: HmmModel, evidence: Evidence):
     """The initial posterior P(S_1 | X = x) and the ``(N-1, d)`` weights
     ``e(s, x_i) B_i(s)`` of positions i = 2..N, from which `_factor_block`
-    builds the posterior conditionals."""
+    builds the posterior conditionals; the weights overwrite the table's
+    emission rows."""
     table = backward_quantities(model, evidence)
-    emitted = model.emission.matrix.T[evidence.symbols]
+    emitted = table.emitted
     mass = model.initial * emitted[0] * table.values[0]
     return mass / mass.sum(), np.multiply(emitted[1:], table.values[1:], out=emitted[1:])
 

@@ -31,8 +31,12 @@ are all drawn (a level, or a chain's next position), then all its
 emissions with one draw, and gathers both models' log-terms with one
 `take` per table.  A drawn state overwrites the uniform it consumed,
 through an int64 view of that row, and the node's children read it there.
-Each draw is a binary search over the row CDF written in integer
-arithmetic (see `_draw`).
+A one-node segment, each position of a chain and each node of a
+single-child run, takes the chain step: one multiply of its parent's
+state row, one add for per-node tables, the search and one subtract, on
+1-D rows with no per-segment allocation outside the search.  Each draw is
+a binary search of optimal depth over the row CDF written in integer
+arithmetic, ceil(log2 d) gathers for d states (see `_draw`).
 
 Both models score a pass under one pair law (`_pair`): each of its tables
 holds the first model's logs in the real parts and the second's in the
@@ -170,42 +174,51 @@ def _inclusive_cdf(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _halvings(cdf: np.ndarray) -> list:
-    """The halvings of `_draw`'s binary search over the rows of `cdf`: for
-    each, the shifted view ``flat[half:]`` of the flattened table and
-    `half` as a 0-d int64 array, or None where half is 1."""
-    flat, n, halvings = cdf.reshape(-1), cdf.shape[-1] - 1, []
-    while n > 1:
-        half = n // 2
-        halvings.append((flat[half:], np.array(half, dtype=np.int64) if half > 1 else None))
-        n -= half
-    return halvings
+def _jumps(cdf: np.ndarray) -> list:
+    """The jumps of `_draw`'s search over the rows of `cdf`, in search
+    order: for each, the shifted view ``flat[jump - 1:]`` of the flattened
+    table and `jump` as a 0-d int64 array, or None where jump is 1.
+
+    For rows of width d, with P the largest power of two <= d, they are
+    d - P unless d is P, then P / 2, ..., 1: ceil(log2 d) jumps."""
+    flat, d = cdf.reshape(-1), cdf.shape[-1]
+    top = 1 << (d.bit_length() - 1)
+    sizes = [d - top] * (d > top) + [top >> i for i in range(1, top.bit_length())]
+    return [(flat[jump - 1 :], np.array(jump, dtype=np.int64) if jump > 1 else None) for jump in sizes]
 
 
-def _draw(cdf: np.ndarray, base, u: np.ndarray, out=None, halvings=None) -> np.ndarray:
+def _draw(cdf: np.ndarray, base, u: np.ndarray, out=None, jumps=None) -> np.ndarray:
     """Inverse-CDF draw from the rows of `cdf` that start at flat offsets
     `base`: returns ``base + count``, in `out` if given, where count is the
     number of the row's entries <= u.
 
-    A branchless binary search over the row's first width - 1 entries, which
-    are non-decreasing; the last entry is 1 > u and is never counted, so a
-    zero-probability state is never drawn.  Every index read stays inside
-    the row: after each halving ``pos - base + n`` is at most width - 1.
+    A branchless binary search of optimal depth (Shar's uniform search;
+    Knuth, TAOCP vol. 3, 6.2.1).  A row's entries are non-decreasing and the
+    last is 1 > u, so count is one of d values and a zero-probability state
+    is never drawn.  Each jump reads entry ``pos + jump - 1`` through the
+    shifted view ``flat[jump - 1:]`` and advances `pos` by ``hit * jump``: a
+    take, a compare, a multiply (none for a jump of 1) and an add, each
+    under 1 ns per element.  With P the largest power of two <= d, a first
+    jump of d - P, unless d is P, leaves P candidates or d - P < P of them,
+    and the jumps P / 2, ..., 1 halve them: ceil(log2 d) gathers, none for
+    d = 1.  The jumps add up to d - 1, so no read passes entry d - 2 of the
+    row.  A three-array ``np.where`` select costs about 3 ns per element
+    and once took most of the search's time.
 
-    Each halving reads entry ``pos + half`` through the shifted view
-    ``flat[half:]`` and advances by ``hit * half``: a take, a compare and an
-    add, each under 1 ns per element.  A three-array ``np.where`` select
-    costs about 3 ns per element and once took most of the search's time.
-    The views and halves are `halvings` (`_halvings` of `cdf`), which a law
-    builds once per table; `half` is a 0-d array because multiplying by a
-    Python int costs more under NumPy 2's scalar promotion.  `base` may be
-    shared with other callers, so `pos` is never updated in place.
+    The views and jumps are `jumps` (`_jumps` of `cdf`), which a law builds
+    once per table; `jump` is a 0-d array because multiplying by a Python
+    int costs more under NumPy 2's scalar promotion.  `base` may be shared
+    with other callers and is never written: the search runs in `out`, or
+    in fresh arrays.
     """
+    jumps = _jumps(cdf) if jumps is None else jumps
+    if not jumps:  # d = 1: the one state
+        return np.add(base, np.zeros(u.shape, dtype=np.int64), out=out)
     pos = base
-    for shifted, half in _halvings(cdf) if halvings is None else halvings:
+    for shifted, jump in jumps:
         hit = shifted.take(pos) <= u
-        pos = pos + (hit if half is None else hit * half)
-    return np.add(pos, cdf.take(pos) <= u, out=out)
+        pos = np.add(pos, hit if jump is None else hit * jump, out=out)
+    return pos
 
 
 def _inverse_normal(u: np.ndarray) -> np.ndarray:
@@ -264,11 +277,11 @@ class _Law:
         return np.array(self.first.shape[0], dtype=np.int64), np.array(m, dtype=np.int64)
 
     @cached_property
-    def halvings(self) -> dict:
-        """`_halvings` of each table of row CDFs, by field name, built on a
+    def jumps(self) -> dict:
+        """`_jumps` of each table of row CDFs, by field name, built on a
         law's first draw."""
         names = ("first", "steps") if self.gaussian is not None else ("first", "steps", "emission")
-        return {name: _halvings(getattr(self, name)) for name in names if getattr(self, name) is not None}
+        return {name: _jumps(getattr(self, name)) for name in names if getattr(self, name) is not None}
 
 
 def _tree_law(model: HmtModel, table) -> _Law:
@@ -317,22 +330,12 @@ def _block_nodes(draws_per_node: int, trials: int) -> int:
     return max(1, _BLOCK // (draws_per_node * trials))
 
 
-def _blocks(parent: np.ndarray, width: int):
-    """The root, then node ranges of `width` nodes, in breadth-first order.
-
-    Yields ``(a, b, cuts)``, where each pair of neighbours in `cuts` bounds
-    a segment of the block whose parents all precede it: the segment from c
-    ends where ``parent`` first reaches c, or at b.  A level is such a run,
-    and a chain's segments are its positions.
-    """
-    n = parent.shape[0]
-    ready = memoryview(np.searchsorted(parent, np.arange(n)))
-    yield 0, 1, [0, 1]
+def _blocks(n: int, width: int):
+    """``(a, b)``: the root, then ranges of `width` of the `n` nodes, in
+    breadth-first order."""
+    yield 0, 1
     for a in range(1, n, width):
-        b, cuts = min(a + width, n), [a]
-        while cuts[-1] < b:
-            cuts.append(min(b, ready[cuts[-1]]))
-        yield a, b, cuts
+        yield a, min(a + width, n)
 
 
 def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
@@ -352,32 +355,51 @@ def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
     the law's node stride.  `x` holds Gaussian emissions.  What a law does
     not emit is None.
     """
-    for a, b, cuts in _blocks(parent, _block_nodes(law.draws_per_node, uniforms.shape[1])):
-        yield _draw_block(parent, law, uniforms, a, b, cuts)
+    n = parent.shape[0]
+    # the segment from node c, a run of nodes whose parents are all drawn,
+    # ends where `parent` first reaches c: a level, or a chain's next position
+    ready = memoryview(np.searchsorted(parent, np.arange(n)))
+    for a, b in _blocks(n, _block_nodes(law.draws_per_node, uniforms.shape[1])):
+        yield _draw_block(parent, ready, law, uniforms, a, b)
 
 
-def _draw_block(parent, law, uniforms, a, b, cuts):
+def _draw_block(parent, ready, law, uniforms, a, b):
     """Draw nodes a..b-1 of a chunk (see `_pass`): their states one segment
-    of `cuts` at a time, each with one `_draw`, then all their emissions
-    with one `_draw`.  The root's segment draws from `law.first`, read as
-    the table of one parent in state 0."""
-    k, ts, es, halvings = law.draws_per_node, law.steps_stride, law.emission_stride, law.halvings
+    at a time, each with one `_draw`, then all their emissions with one
+    `_draw`.  The root draws from `law.first`, the table of one parent in
+    state 0.
+
+    A one-node segment, a chain position or a node of a single-child run,
+    takes the chain step on rows of the chunk: one multiply of its parent's
+    state row into the block's offset row, one add for per-node tables, the
+    search and one subtract.  A longer segment gathers its parents' states
+    into a table of offsets, one row per node."""
+    k, ts, es, jumps = law.draws_per_node, law.steps_stride, law.emission_stride, law.jumps
     states, up, d = uniforms.view(np.int64), memoryview(parent), law.widths[0]
     step = np.empty((b - a, uniforms.shape[1]), dtype=np.int64)
-    for c, e in zip(cuts, cuts[1:]):
-        if c:
+    c, steps, search = a, law.steps, jumps["steps"]
+    if not a:  # the root
+        _draw(law.first, 0, uniforms[0], step[0], jumps["first"])
+        states[0], c = step[0], 1
+    row = np.empty(uniforms.shape[1], dtype=np.int64)
+    while c < b:
+        e = min(b, ready[c])
+        if e - c == 1:
+            np.multiply(states[k * up[c]], d, out=row)
+            if ts:  # into the node's own table of the stack
+                row += (c - 1) * ts
+            _draw(steps, row, uniforms[k * c], step[c - a], search)
+            np.subtract(step[c - a], row, out=states[k * c])
+        else:
             p = up[c]
             # a segment of one parent's children reads that parent's row, broadcast
             base = (states[k * p : k * p + 1] if p == up[e - 1] else states[k * parent[c:e]]) * d
-            if ts:  # into each node's own table of the stack
-                base = base + (np.arange(c - 1, e - 1)[:, None] * ts if e - c > 1 else (c - 1) * ts)
-            table, search = law.steps, halvings["steps"]
-        else:  # the root: `first` is the table of one parent in state 0
-            table, search, base = law.first, halvings["first"], 0
-        rows = step[c - a : e - a]
-        _draw(table, base, uniforms[k * c : k * e : k], rows, search)
-        np.subtract(rows, base, out=states[k * c : k * e : k])
-    del base
+            if ts:
+                base = base + np.arange(c - 1, e - 1)[:, None] * ts
+            rows = step[c - a : e - a]
+            _draw(steps, base, uniforms[k * c : k * e : k], rows, search)
+            np.subtract(rows, base, out=states[k * c : k * e : k])
+        c = e
     s, u = states[k * a : k * b : k], uniforms[k * a + 1 : k * b : k]
     if law.gaussian is not None:
         factor = s + np.arange(a, b)[:, None] * es if es else s
@@ -389,7 +411,7 @@ def _draw_block(parent, law, uniforms, a, b, cuts):
         base = s * law.widths[1]
         if es:
             base += np.arange(a, b)[:, None] * es
-        return a, b, step, _draw(law.emission, base, u, halvings=halvings["emission"]), None
+        return a, b, step, _draw(law.emission, base, u, jumps=jumps["emission"]), None
     return a, b, step, None, None
 
 
@@ -531,7 +553,7 @@ def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int])
     steps[1:] += states[model.topology.parent[1:]] * d
     factors = states * m + emitted if discrete else states
     law, acc = _tree_law(model, np.log), np.zeros(1)
-    for a, b, _ in _blocks(model.topology.parent, _block_nodes(2, 1)):
+    for a, b in _blocks(model.topology.n_nodes, _block_nodes(2, 1)):
         # one trial: the indices, read within each node's own table, form one column
         _score(acc, law, _relaid((a, b, steps[a:b, None], factors[a:b, None], emitted[a:b, None]), 0, 0, law))
     return float(acc[0])

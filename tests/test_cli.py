@@ -832,3 +832,48 @@ def test_hostile_documents_exit_cleanly(name, mutations, mutated_first, data):
             assert code in (0, 2, 3), argv
             for value in re.findall(r"(?:exact_kld|mc_mean)=(\S+)", out):
                 assert value != "nan", (argv, out)
+
+
+#: Tokens that no evidence file for the bundled chain pair, whose alphabet
+#: is 1..3, may hold: 0, m + 1, negative, fractional, not-a-number and
+#: beyond-int64 symbols.
+HOSTILE_TOKENS = ["0", "4", "-1", "1.5", "nan", str(10**400)]
+
+
+@st.composite
+def evidence_documents(draw):
+    """``(n, text)``: a chain length of at most 20 and an evidence file that
+    is empty or blank, or holds n - 1, n or n + 1 symbols, up to two of them
+    replaced by hostile tokens."""
+    n = draw(st.integers(1, 20))
+    if draw(st.integers(0, 9)) == 0:
+        return n, draw(st.sampled_from(["", " ", "\n", " \t\n\n"]))
+    # half the files have the chain's length, and half of those no hostile token
+    length = n + draw(st.sampled_from([0, 0, -1, 1]))
+    tokens = draw(st.lists(st.sampled_from(["1", "2", "3"]), min_size=length, max_size=length))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if tokens else 0):
+        tokens[draw(st.integers(0, length - 1))] = draw(st.sampled_from(HOSTILE_TOKENS))
+    return n, draw(st.sampled_from([" ", "\n", "\t "])).join(tokens) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=evidence_documents(), n_min=st.integers(1, 20))
+def test_hostile_evidence_files_exit_cleanly(document, n_min):
+    """`evidence-exact`, `mc --evidence` and `sweep --evidence` on the
+    bundled pair exit 0, 2 or 3 on any generated evidence file, let no
+    exception escape and print no ``nan``; the pair's factors are all
+    positive, so no trial is infinite and no sd is ``nan`` either."""
+    n, text = document
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "evidence.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        pair_args = ["--model-a", HMM_A, "--model-b", HMM_B, "--evidence", path]
+        for argv in (
+            ["evidence-exact", *pair_args, "--n", str(n)],
+            ["mc", *pair_args, "--n", str(n), "--trials", "20"],
+            ["sweep", *pair_args, "--n-min", str(min(n_min, n)), "--n-max", str(n), "--trials", "20"],
+        ):
+            code, out = run_in_process(argv)
+            assert code in (0, 2, 3), argv
+            assert "nan" not in out, (argv, out)

@@ -637,14 +637,19 @@ def where_search(cdf, base, u):
     return pos + (cdf.take(pos) <= u)
 
 
+#: Powers of two and the widths just past them, where a search's depth steps up.
+EDGE_WIDTHS = sorted({2**i for i in range(7)} | {2**i + 1 for i in range(7)})
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_draw_counts_the_cdf_entries_at_or_below_u(data):
     """`_draw` gives the index of the ``np.where`` search and of
     ``searchsorted(row[:-1], u, side="right")``, and never a zero-probability
     state, on rows with hard zeros (repeated CDF entries) and uniforms on,
-    just below and between the entries."""
-    width = data.draw(st.integers(1, 17), label="width")
+    just below and between the entries, for widths 1 to 70: powers of two,
+    the widths just past them and d = 64 among them."""
+    width = data.draw(st.sampled_from(EDGE_WIDTHS) | st.integers(1, 70), label="width")
     n_rows = data.draw(st.sampled_from([None, 1, 2, 5]), label="rows")  # None: a 1-D table
     row = st.lists(st.integers(0, 3), min_size=width, max_size=width).filter(any)
     weights = np.array(data.draw(st.lists(row, min_size=n_rows or 1, max_size=n_rows or 1), label="weights"), dtype=float)
@@ -664,6 +669,29 @@ def test_draw_counts_the_cdf_entries_at_or_below_u(data):
     rows = cdf.reshape(-1, width)[np.broadcast_to(base, u.shape) // width]
     np.testing.assert_array_equal(got - base, [np.searchsorted(r[:-1], x, side="right") for r, x in zip(rows, u)])
     assert (weights.reshape(-1).take(got) > 0).all()
+
+
+class CountedTakes(np.ndarray):
+    """A table that counts the gathers made from it and from its views."""
+
+    takes = 0
+
+    def take(self, *args, **kwargs):
+        CountedTakes.takes += 1
+        return super().take(*args, **kwargs)
+
+
+def test_search_depth_is_ceil_log2_d():
+    """A draw from a table of width d makes ceil(log2 d) gathers, none for
+    d = 1, whatever the uniforms, for d = 1..70; its values are
+    `test_draw_counts_the_cdf_entries_at_or_below_u`'s to check."""
+    rng = np.random.default_rng(70)
+    for width in range(1, 71):
+        cdf = _inclusive_cdf(rng.random((3, width))).view(CountedTakes)
+        base, u = width * rng.integers(0, 3, size=50), rng.random(50)
+        CountedTakes.takes = 0
+        _draw(cdf, base, u)
+        assert CountedTakes.takes == math.ceil(math.log2(width)), width
 
 
 @settings(max_examples=300, deadline=None)
@@ -736,18 +764,36 @@ def reference_log_ratios(parent, draw, score1, score0, trials, seed):
 @st.composite
 def estimator_laws(draw):
     """``(parent, (draw, pair), (draw, score1, score0))`` of the joint
-    estimator on a ragged or regular tree or a chain, or of the evidence
-    estimator on a chain: the laws of the pass and, built apart from them,
-    the one-model laws of the node walk."""
+    estimator on a ragged or regular tree, a spine or a chain, or of the
+    evidence estimator on a chain: the laws of the pass and, built apart
+    from them, the one-model laws of the node walk.
+
+    A spine is a root with 2-4 children, the last of which heads a
+    single-child path, while the others hold leaves.  The path's first
+    node follows a leaf in breadth-first order and is node 13, so under any
+    block width that divides 12 a block starts there that is all one-node
+    segments, the first of whose parents is not the node before it."""
     small = {"nodes": st.integers(1, 60), "symbols": st.integers(1, 3)}
-    kind = draw(st.sampled_from(["ragged", "regular", "chain", "evidence"]))
+    # half the draws are spines: only block widths that divide 12 reach
+    # their case, and only some of the test's (trials, cap, widths) give one
+    kind = draw(st.sampled_from(["ragged", "regular", "chain", "evidence"]) | st.just("spine"))
     if kind == "ragged":
         m1, m0 = draw(model_pairs(**small))
-    elif kind == "regular":
-        arity, depth = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        rng, topology = np.random.default_rng(draw(SEEDS)), HmtTopology.regular(depth, arity)
-        d, gaussian = draw(st.integers(1, 3)), draw(st.booleans())
-        m1, m0 = (tree(rng, topology, d, 2, draw(st.tuples(st.booleans(), st.booleans())), gaussian, 0.3) for _ in range(2))
+    elif kind in ("regular", "spine"):
+        if kind == "regular":
+            arity, depth = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            topology = HmtTopology.regular(depth, arity)
+        else:
+            arity, length = draw(st.integers(2, 4)), draw(st.integers(10, 40))
+            # the other children share 12 - arity leaves: the path's first node is node 13
+            leaves = [f"{i % (arity - 1)}{i // (arity - 1)}" for i in range(12 - arity)]
+            path = [str(arity - 1) + "0" * i for i in range(1, length + 1)]
+            topology = HmtTopology.from_nodes(["", *map(str, range(arity)), *leaves, *path])
+        # one state, or hard zeros along the path, which make nearly every
+        # trial infinite, would hide a spine node that read the wrong parent
+        states, p_zero = (st.integers(1, 3), 0.3) if kind == "regular" else (st.integers(2, 3), 0.0)
+        rng, d, gaussian = np.random.default_rng(draw(SEEDS)), draw(states), draw(st.booleans())
+        m1, m0 = (tree(rng, topology, d, 2, draw(st.tuples(st.booleans(), st.booleans())), gaussian, p_zero) for _ in range(2))
     elif kind == "chain":
         m1, m0 = (m.as_tree() for m in draw(model_pairs(chains=True, **small)))
     else:
