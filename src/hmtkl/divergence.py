@@ -183,7 +183,7 @@ def _local_rows(e1: EmissionSpec, e0: EmissionSpec, *weights) -> list:
     for w1, _ in weights:
         _check_states(w1, e1)
     rows, per_state = _emission_rows(e1, e0, *weights)
-    return [np.maximum(r + weighted_sum_rows(w1[None], per_state[None])[0], 0.0) for r, (w1, _) in zip(rows, weights)]
+    return [np.maximum(r + weighted_sum(w1[None], per_state[None])[0], 0.0) for r, (w1, _) in zip(rows, weights)]
 
 
 def _weighted_local_kl(w1, w0, e1: EmissionSpec, e0: EmissionSpec):
@@ -205,7 +205,7 @@ def _weighted_local_kl(w1, w0, e1: EmissionSpec, e0: EmissionSpec):
         nodes = slice(lo, lo + block)
         divergences = _rel_entr(w1[nodes], w0[nodes]).sum(axis=2)
         per_state = np.broadcast_to(emission_kl_per_state(e1.for_nodes(nodes), e0.for_nodes(nodes)), divergences.shape[:1] + (d,))
-        out[nodes] = divergences + weighted_sum_rows(w1[nodes], per_state)
+        out[nodes] = divergences + weighted_sum(w1[nodes], per_state)
     return np.maximum(out, 0.0)
 
 
@@ -273,31 +273,20 @@ def weighted_sum(weights, values):
     Used wherever nonnegative divergence vectors (possibly containing +inf)
     are averaged under probability weights: states with zero probability
     contribute nothing even if their divergence is infinite.  `weights` may be
-    a matrix (applied row-wise) or a single vector.
+    a single vector, a matrix (applied row-wise) or an ``(n, rows, d)`` stack
+    of ``(n, d)`` values' weights; row i of a stack's result is
+    ``weighted_sum(weights[i], values[i])`` bit for bit, from one `np.matmul`.
     """
     weights = np.asarray(weights, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.isfinite(values).all():
-        return weights @ values
+    finite = np.isfinite(values)
+    if finite.all():
+        return weights @ values if values.ndim == 1 else np.matmul(weights, values[..., None])[..., 0]
     with np.errstate(invalid="ignore"):
-        terms = np.where(weights == 0.0, 0.0, weights * values)
-    return terms.sum(axis=-1)
-
-
-def weighted_sum_rows(weights, values) -> np.ndarray:
-    """`weighted_sum` of each node of a stack: row i is
-    ``weighted_sum(weights[i], values[i])`` bit for bit.
-
-    `weights` is ``(n, rows, d)`` and `values` ``(n, d)``.  Rows whose values are
-    all finite take one stacked ``np.matmul`` (at once when every row is
-    finite); the others apply the ``0 * inf = 0`` rule.
-    """
-    if np.isfinite(values).all():
-        return np.matmul(weights, values[..., None])[..., 0]
-    with np.errstate(invalid="ignore"):
+        if values.ndim == 1:
+            return np.where(weights == 0.0, 0.0, weights * values).sum(axis=-1)
         out = np.matmul(weights, values[..., None])[..., 0]
-        rows = ~np.isfinite(values).all(axis=1)
-        if rows.any():
-            w = weights[rows]
-            out[rows] = np.where(w == 0.0, 0.0, w * values[rows][:, None, :]).sum(axis=-1)
+        nodes = ~finite.all(axis=1)
+        w = weights[nodes]
+        out[nodes] = np.where(w == 0.0, 0.0, w * values[nodes][:, None, :]).sum(axis=-1)
     return out

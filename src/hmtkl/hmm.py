@@ -9,14 +9,12 @@ summed along an independent route: binary doubling on the matrix pair
 ``(P^n, sum_{i<n} P^i)`` in O(d^3 log N), the power's rows renormalised to
 sum to 1 after each product), and the divergence between
 the two models' hidden-path posteriors given a fully observed emission
-sequence.  The evidence route keeps the ``(N, d)`` backward tables and walks
-the posterior factors in backward blocks of at most
-`divergence._BLOCK_ENTRIES` terms, so its memory is O(N d) plus one block.
-Its two recursions take one small step per position, whose cost at
-d <= 64 is mostly call overhead: the backward step is one `ndarray.dot`,
-one argmax and two elementwise calls into preallocated rows, and the
-scales are logged after the loop; the inward step is one `ndarray.dot` on
-blocks whose row divergences are finite.
+sequence.  The evidence route keeps the ``(N, d)`` backward tables and
+hands the posterior factors, in backward blocks of at most
+`divergence._BLOCK_ENTRIES` terms, to the tree's chain step `tree._fold`, so
+its memory is O(N d) plus one block.  The backward step takes one
+`ndarray.dot`, one argmax and two elementwise calls into preallocated rows
+per position, and logs the scales after the loop.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from . import divergence
 from .divergence import _emission_rows, local_k_terms, local_k_vector, weighted_sum
 from .errors import SpectralError, StationaryError, ZeroLikelihoodError
 from .model import Evidence, HmmModel, check_evidence, check_pair
-from .tree import geometric_weighted_sum
+from .tree import _fold, geometric_weighted_sum
 
 __all__ = [
     "kld_hmm_no_evidence",
@@ -114,14 +112,28 @@ def _rate_at(nu, m1: HmmModel, m0: HmmModel) -> float:
     return float(weighted_sum(nu, local_k_vector(m1.transition, m0.transition, m1.emission, m0.emission)))
 
 
+#: `do_bound` holds ``S_n = sum_{i<n} P^i`` as a mantissa matrix times
+#: ``2^_sum_exponent(n)``.  The rows of S_n sum to n, so the mantissa stays
+#: below 2^_SUM_BITS, and below 2^_SUM_BITS steps it is S_n itself.
+_SUM_BITS = 1000
+
+
+def _sum_exponent(n: int) -> int:
+    return max(0, n.bit_length() - _SUM_BITS)
+
+
 def _compose(first, second):
-    """``(P^a, S_a) o (P^b, S_b) = (P^(a+b), S_a + P^a S_b)`` for
-    ``S_n = sum_{i<n} P^i``, with the rows of the new power renormalised to
-    sum to 1 so that rounding cannot compound over the doublings."""
-    (power_a, sums_a), (power_b, sums_b) = first, second
+    """``(P^a, S_a, a) o (P^b, S_b, b) = (P^(a+b), S_a + P^a S_b, a + b)``,
+    each S_n held as its mantissa (see `_SUM_BITS`), with the rows of the new
+    power renormalised to sum to 1 so that rounding cannot compound over the
+    doublings."""
+    (power_a, sums_a, a), (power_b, sums_b, b) = first, second
     power = power_a @ power_b
     power /= power.sum(axis=1, keepdims=True)
-    return power, sums_a + power_a @ sums_b
+    exponent = _sum_exponent(a + b)
+    if exponent:  # scaling by a power of two moves no bit
+        sums_a, sums_b = np.ldexp(sums_a, _sum_exponent(a) - exponent), np.ldexp(sums_b, _sum_exponent(b) - exponent)
+    return power, sums_a + power_a @ sums_b, a + b
 
 
 def do_bound(m1: HmmModel, m0: HmmModel) -> float:
@@ -132,34 +144,44 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
     transition rows and emission rows.  The pair ``(pi1^(N-1), S_(N-1))``,
     ``S_n = sum_{i<n} pi1^i``, is built by binary doubling over the bits of
     N - 1 in O(d^3 log N), the power's rows renormalised after each product
-    (see `_compose`).  Always equals kld_hmm_no_evidence up to rounding; the
-    two are computed along different routes on purpose (a matrix pair here,
-    an affine vector map there).  Raises OverflowError, as
-    kld_hmm_no_evidence does, when the sum is not finite while every row
-    divergence is.
+    and S_n carried as a mantissa and a binary exponent (see `_compose`), so
+    that only the value, not S_n, can overflow.  Always equals
+    kld_hmm_no_evidence up to rounding; the two are computed along different
+    routes on purpose (a matrix pair here, an affine vector map there).
+    Raises OverflowError, as kld_hmm_no_evidence does, when the sum is not
+    finite at a state that reaches no infinite local term.
     """
     check_pair(m1, m0)
     (d_initial, d_transition), d_emission = _emission_rows(
         m1.emission, m0.emission, (m1.initial, m0.initial), (m1.transition, m0.transition)
     )
-    step = d_transition + d_emission
+    # a row divergence is >= 0; the sum would multiply the -1e-16 of rounding by N
+    step = np.maximum(d_transition, 0.0) + d_emission
     d = m1.n_states
-    # result is (P^r, S_r) for the low bits of N - 1 read so far, square is (P^(2^j), S_(2^j))
-    result, square = (np.eye(d), np.zeros((d, d))), (m1.transition, np.eye(d))
+    # result is (P^r, S_r, r) for the low bits r of N - 1 read so far, square is (P^(2^j), S_(2^j), 2^j)
+    result, square = (np.eye(d), np.zeros((d, d)), 0), (m1.transition, np.eye(d), 1)
     n = m1.length - 1
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         while n:
             if n & 1:
                 result = _compose(result, square)
             n >>= 1
             if n:
                 square = _compose(square, square)
-        power, sums = result
-        # a zero divergence adds nothing, even where S_(N-1) has overflowed
+        power, sums, count = result
+        exponent = _sum_exponent(count)
+        # zero divergences stay out of the product, which keeps its bits
         live = step != 0
-        acc = weighted_sum(sums[:, live], step[live]) + weighted_sum(power, d_emission)
-    if np.isnan(acc).any() or (np.isfinite(step).all() and np.isinf(acc).any()):
-        raise OverflowError(f"decomposition bound overflows 64-bit floats (length={m1.length})")
+        acc = np.ldexp(weighted_sum(sums[:, live], step[live]), exponent) + weighted_sum(power, d_emission)
+        if not np.isfinite(acc).all():
+            # the value without its infinite terms, at the states that reach
+            # no infinite local term, which kld_hmm_no_evidence also sums
+            local = d_transition + weighted_sum(m1.transition, d_emission)
+            unreached = ~(sums[:, np.isinf(local)] > 0).any(axis=1)
+            finite = np.ldexp(sums @ np.where(np.isinf(step), 0.0, step), exponent)
+            finite += power @ np.where(np.isinf(d_emission), 0.0, d_emission)
+            if not np.isfinite(finite[unreached]).all():
+                raise OverflowError(f"decomposition bound overflows 64-bit floats (length={m1.length})")
     return float(d_initial + weighted_sum(m1.initial, acc))
 
 
@@ -305,14 +327,6 @@ def _posterior_weights(model: HmmModel, evidence: Evidence):
     return mass / mass.sum(), np.multiply(emitted[1:], table.values[1:], out=emitted[1:])
 
 
-def _factor_blocks(n: int, d: int):
-    """``(lo, hi)`` ranges that cover a stack of n ``(d, d)`` factors in
-    blocks of at most `divergence._BLOCK_ENTRIES` terms (and at least one
-    factor), the last block first."""
-    block = max(1, divergence._BLOCK_ENTRIES // (d * d))
-    return [(max(0, hi - block), hi) for hi in range(n, 0, -block)]
-
-
 def _factor_block(transition, weights, out=None) -> np.ndarray:
     """Posterior factors ``pi(r, s) w[i, s]``, normalised per row, for the
     rows `weights` of `_posterior_weights`; a row whose state cannot occur
@@ -360,10 +374,10 @@ def _posterior_pair(m1: HmmModel, m0: HmmModel, evidence: Evidence, posterior):
 def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
     """KL divergence between the models' hidden-path posteriors given x, in nats.
 
-    Runs the inward recursion on the evidence-conditioned chain: from
-    K_N = 0 down to K_1 through the posterior conditionals, then aggregates
-    under the first model's posterior of S_1.  The conditionals and their row
-    divergences are built in backward blocks of at most
+    Runs the inward recursion, `tree._fold`, on the evidence-conditioned
+    chain: from K_N = 0 down to K_1 through the posterior conditionals, then
+    aggregates under the first model's posterior of S_1.  The conditionals
+    and their row divergences are built in backward blocks of at most
     `divergence._BLOCK_ENTRIES` terms and dropped once the recursion has
     passed them, so the memory is O(N d) (the backward tables) plus one
     block, and no value depends on the block size.  Raises
@@ -380,15 +394,9 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
 
     check_pair(m1, m0)
     (initial1, weights1), (initial0, weights0) = _posterior_pair(m1, m0, evidence, _posterior_weights)
-    inward = np.zeros(m1.n_states)
-    for lo, hi in _factor_blocks(m1.length - 1, m1.n_states):
-        factors1 = _factor_block(m1.transition, weights1[lo:hi])
-        factors0 = _factor_block(m0.transition, weights0[lo:hi])
-        rows = rel_entr(factors1, factors0, out=factors0).sum(axis=2)
-        # finite rows keep a finite recursion finite (divergences stay far
-        # below overflow), so one test covers the block and `weighted_sum`'s
-        # 0 * inf rule is needed only where a block holds +inf
-        step = np.ndarray.dot if np.isfinite(rows).all() and np.isfinite(inward).all() else weighted_sum
-        for row, factor in zip(rows[::-1], factors1[::-1]):
-            inward = row + step(factor, inward)
+    inward, block = np.zeros(m1.n_states), max(1, divergence._BLOCK_ENTRIES // m1.n_states**2)
+    for hi in range(m1.length - 1, 0, -block):  # the last block first
+        factors1 = _factor_block(m1.transition, weights1[max(0, hi - block) : hi])
+        factors0 = _factor_block(m0.transition, weights0[max(0, hi - block) : hi])
+        inward = _fold(inward, factors1, rel_entr(factors1, factors0, out=factors0).sum(axis=2))
     return float(rel_entr(initial1, initial0).sum() + weighted_sum(initial1, inward))

@@ -6,7 +6,8 @@ indexed by the parent state, of KL divergences between the two models' laws of
 the whole subtree hanging below `u` through `ua`, conditioned on the parent
 state.  Divergences combine children-first, so the values flow from the leaves
 to the root; the total divergence aggregates the root's children under the
-first model's initial law.
+first model's initial law.  A chain is the one-child tree: a run of one-node
+levels takes one chain step, `_fold`, which `hmm`'s evidence route shares.
 """
 
 from __future__ import annotations
@@ -16,36 +17,59 @@ import warnings
 
 import numpy as np
 
-from .divergence import local_k_root, local_k_stack, local_k_vector, weighted_sum, weighted_sum_rows
+from .divergence import local_k_root, local_k_stack, local_k_vector, weighted_sum
 from .model import HmtModel, check_pair
 
 __all__ = ["inward_pass", "kld_exact_tree", "kld_homogeneous_tree"]
 
 
-def _inward(m1: HmtModel, m0: HmtModel):
-    """Inward table and summed children, one row per node, plus the index of
-    the first non-root node whose local term is +inf (None when there is none).
+def _fold(acc, factors, rows):
+    """The inward step along a run of one-child nodes, last node first:
+    ``rows[i] += factors[i] @ acc``, then ``acc = rows[i]``; returns `acc`.
 
-    Row j of the table is node j's inward vector (the root's row is unused);
-    row j of the children sum adds node j's children's rows one at a time in
-    child order.  One `local_k_stack` call gives every local term; then each
-    level, a contiguous row range, takes one `weighted_sum_rows` and one
-    unbuffered `np.add.at` into its parents' rows, from the deepest level up.
+    One `ndarray.dot` per node when the rows and `acc` are finite (the sums
+    then stay far below overflow), else `weighted_sum`'s ``0 * inf = 0`` rule.
+    """
+    step = np.ndarray.dot if np.isfinite(rows).all() and np.isfinite(acc).all() else weighted_sum
+    for row, factor in zip(rows[::-1], factors[::-1]):
+        row += step(factor, acc)
+        acc = row
+    return acc
+
+
+def _inward(m1: HmtModel, m0: HmtModel):
+    """Inward table and summed children, plus the index of the first non-root
+    node whose local term is +inf (None when there is none).
+
+    Row j - 1 of the table, one `local_k_stack` call's local terms, takes
+    node j's inward vector; row j of the children sum adds node j's children
+    one at a time in child order.  From the deepest level up, a run of
+    one-node levels is one `_fold` from its last node's children, any other
+    level one stacked `weighted_sum`; each adds its top level's rows into
+    their parents' sums with one unbuffered `np.add.at`.
     """
     topology = m1.topology
     n, d = topology.n_nodes, m1.n_states
     pi1 = np.broadcast_to(m1.transition_stack, (n - 1, d, d))
     pi0 = np.broadcast_to(m0.transition_stack, (n - 1, d, d))
     nonroot = slice(1, None)
-    local = local_k_stack(pi1, pi0, m1.emission_stack.for_nodes(nonroot), m0.emission_stack.for_nodes(nonroot))
-    infinite = np.flatnonzero(np.isinf(local).any(axis=1))
-    table = np.zeros((n, d))
+    table = local_k_stack(pi1, pi0, m1.emission_stack.for_nodes(nonroot), m0.emission_stack.for_nodes(nonroot))
+    infinite = np.flatnonzero(np.isinf(table).any(axis=1))
     down = np.zeros((n, d))
-    offsets = topology.level_offsets
-    for level in range(len(offsets) - 2, 0, -1):
+    offsets = topology.level_offsets.tolist()
+    level = len(offsets) - 2
+    while level > 0:
         lo, hi = offsets[level], offsets[level + 1]
-        table[lo:hi] = local[lo - 1 : hi - 1] + weighted_sum_rows(pi1[lo - 1 : hi - 1], down[lo:hi])
-        np.add.at(down, topology.parent[lo:hi], table[lo:hi])
+        if hi - lo == 1:
+            while level > 1 and offsets[level] - offsets[level - 1] == 1:
+                level -= 1
+            lo = offsets[level]
+            _fold(down[hi - 1], pi1[lo - 1 : hi - 1], table[lo - 1 : hi - 1])
+        else:
+            table[lo - 1 : hi - 1] += weighted_sum(pi1[lo - 1 : hi - 1], down[lo:hi])
+        top = offsets[level + 1]
+        np.add.at(down, topology.parent[lo:top], table[lo - 1 : top - 1])
+        level -= 1
     return table, down, (int(infinite[0]) + 1 if infinite.size else None)
 
 
@@ -53,7 +77,7 @@ def inward_pass(m1: HmtModel, m0: HmtModel) -> dict[str, np.ndarray]:
     """Inward divergence vectors for every non-root node, keyed by node path."""
     check_pair(m1, m0)
     table, _, _ = _inward(m1, m0)
-    return dict(zip(m1.topology.nodes[1:], table[1:]))
+    return dict(zip(m1.topology.nodes[1:], table))
 
 
 def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:

@@ -877,3 +877,58 @@ def test_hostile_evidence_files_exit_cleanly(document, n_min):
             code, out = run_in_process(argv)
             assert code in (0, 2, 3), argv
             assert "nan" not in out, (argv, out)
+
+
+#: Option values of the hostile command lines; None leaves the value out.
+_HOSTILE = ("-1", "0", "1", "2", str(10**400), "x", None)
+_HOSTILE_VALUES = {
+    # sizes that would run for long stay small: sweep bounds <= 4, trials
+    # <= 20 and mc's --n <= 50, beside 10**400, which is refused at once
+    "--n": ("50", *_HOSTILE),
+    "--n-min": ("4", *(v for v in _HOSTILE if v != str(10**400))),
+    "--n-max": ("4", *(v for v in _HOSTILE if v != str(10**400))),
+    "--step": _HOSTILE,
+    "--trials": ("20", *_HOSTILE),
+    "--seed": _HOSTILE,
+}
+
+
+@st.composite
+def hostile_argv(draw, out_dir):
+    """A command line of any subcommand: some of its own options, at most
+    one that it does not take, hostile values or none, and a bundled pair
+    whose paths may be missing or absent."""
+    command, missing = draw(st.sampled_from(sorted(OPTIONS_TAKEN))), str(out_dir / "missing.json")
+    argv = [command]
+    for flag, path in zip(("--model-a", "--model-b"), draw(st.sampled_from([(HMM_A, HMM_B), (TREE_A, TREE_B), (HMM_A, TREE_B)]))):
+        path = draw(st.sampled_from([path] * 6 + [missing, None]))
+        argv += [] if path is None else [flag, path]
+    own = draw(st.lists(st.sampled_from(OPTIONS_TAKEN[command]), unique=True)) if OPTIONS_TAKEN[command] else []
+    others = [o for o in FORMER_OPTIONS if o not in OPTIONS_TAKEN[command]]
+    other = [draw(st.sampled_from(others))] if draw(st.integers(0, 3)) == 0 else []
+    for option in draw(st.permutations(own + other)):
+        if option in ("--fast", "--no-fast"):
+            values = (None,)
+        elif option == "--evidence":
+            values = (EVIDENCE_100, EVIDENCE_100, missing, None)
+        elif option == "--out":
+            values = (str(out_dir / "sweep.csv"), str(out_dir / "no-such-dir" / "sweep.csv"), None)
+        else:
+            values = _HOSTILE_VALUES[option]
+        value = draw(st.sampled_from(values))
+        argv += [option] if value is None else [option, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hostile_command_lines_exit_0_2_or_3_and_never_print_nan(data, tmp_path_factory):
+    argv = data.draw(hostile_argv(tmp_path_factory.getbasetemp()))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert not re.search(r"\bnan\b", out.getvalue() + err.getvalue(), re.IGNORECASE), argv

@@ -23,7 +23,7 @@ from hmtkl import (
     local_k_root,
     local_k_vector,
 )
-from hmtkl.divergence import local_k_stack, weighted_sum, weighted_sum_rows
+from hmtkl.divergence import local_k_stack, weighted_sum
 from modelgen import rows
 
 
@@ -252,7 +252,7 @@ class TestStacks:
         weights[::2, :, 1] = 0.0
         values = rng.random((9, 4)) * 10
         values[::3, 1] = math.inf  # zero weights meet these: 0 * inf counts as 0
-        rows = weighted_sum_rows(weights, values)
+        rows = weighted_sum(weights, values)
         for i in range(9):
             np.testing.assert_array_equal(rows[i], weighted_sum(weights[i], values[i]))
         assert np.isfinite(rows[::6]).all()

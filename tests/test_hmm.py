@@ -280,6 +280,64 @@ def test_bound_matches_the_closed_form(pair):
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def exact_routes_or_overflow(a, b):
+    """`kld_hmm_no_evidence`, `kld_hmm_fast` and `do_bound` of a pair, each
+    value or "overflow" where the route raises OverflowError (the CLI's
+    exit 3)."""
+    values = []
+    for route in (kld_hmm_no_evidence, kld_hmm_fast, do_bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the fast path's fallback note
+            try:
+                values.append(route(a, b))
+            except OverflowError:
+                values.append("overflow")
+    return values
+
+
+def test_bound_outlasts_the_sum_of_powers():
+    # S_n overflows near n = 1.8e308, the value 4.7e304 does not
+    a, b = bundled_hmm_pair(length=10**310)
+    blend = HmmModel(
+        length=10**310,
+        initial=0.995 * a.initial + 0.005 * b.initial,
+        transition=0.995 * a.transition + 0.005 * b.transition,
+        emission=a.emission,
+    )
+    exact, fast, bound = exact_routes_or_overflow(a, blend)
+    assert exact == fast == pytest.approx(4.72099444125e304, rel=1e-11)
+    assert bound == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model_pairs(
+        nodes=st.one_of(
+            st.integers(1, 60),
+            st.integers(0, 400).map(lambda k: 10**k),
+            st.integers(300, 310).map(lambda k: 10**k),
+            st.integers(1, 10**400),
+        ),
+        p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+        chains=True,
+    )
+)
+def test_exact_routes_agree_or_all_overflow(pair):
+    """On sparse pairs up to N = 10^400 the three exact routes give one value
+    (+inf included) within 1e-12 relative, or all three raise OverflowError;
+    none gives nan."""
+    values = exact_routes_or_overflow(*pair)
+    if "overflow" in values:
+        assert values == ["overflow"] * 3
+        return
+    exact, fast, bound = values
+    assert not any(math.isnan(v) for v in values)
+    assert fast == exact
+    assert math.isinf(bound) == math.isinf(exact)
+    if math.isfinite(exact):
+        assert bound == pytest.approx(exact, rel=1e-12, abs=1e-13)  # rounding noise about 0
+
+
 class TestFastPath:
     def test_length_two_single_term(self):
         a, b = bundled_hmm_pair(length=2)

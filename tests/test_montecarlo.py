@@ -840,6 +840,39 @@ def test_block_pass_matches_the_node_walk_bit_for_bit(laws, trials, seed, cap, w
 
 
 @st.composite
+def spine_laws(draw):
+    """The laws of `estimator_laws` on its spines only: a root with 2-4
+    children, the last of which heads a single-child path of 10-40 nodes
+    starting at node 13, while the others hold leaves; 2-3 states without
+    hard zeros, shared or per-node, both emission kinds."""
+    arity, length = draw(st.integers(2, 4)), draw(st.integers(10, 40))
+    leaves = [f"{i % (arity - 1)}{i // (arity - 1)}" for i in range(12 - arity)]
+    path = [str(arity - 1) + "0" * i for i in range(1, length + 1)]
+    topology = HmtTopology.from_nodes(["", *map(str, range(arity)), *leaves, *path])
+    rng, d, gaussian = np.random.default_rng(draw(SEEDS)), draw(st.integers(2, 3)), draw(st.booleans())
+    m1, m0 = (tree(rng, topology, d, 2, draw(st.tuples(st.booleans(), st.booleans())), gaussian) for _ in range(2))
+    cdfs = _tree_law(m1, _inclusive_cdf)
+    return topology.parent, (cdfs, _tree_pair(m1, m0)), (cdfs, _tree_law(m1, np.log), _tree_law(m0, np.log))
+
+
+@settings(max_examples=40, deadline=None)
+@given(laws=spine_laws(), seed=SEEDS)
+def test_a_block_that_starts_on_the_spine_reads_the_right_parent(laws, seed):
+    """Two trials under `_BLOCK` = 48 give blocks of 12 nodes, so a block
+    starts at the path's first node, node 13: a one-node segment whose
+    parent is not the node before it.  The pass equals the node walk bit
+    for bit there, every run."""
+    import hmtkl.montecarlo as mc
+
+    parent, pass_laws, reference = laws
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_BLOCK", 48)
+        assert mc._block_nodes(2, 2) == 12
+        got = _log_ratios(parent, *pass_laws, 2, seed)
+    np.testing.assert_array_equal(got, reference_log_ratios(parent, *reference, 2, seed))
+
+
+@st.composite
 def zeroed_tree_pairs(draw):
     """A `modelgen` pair on a ragged or a regular tree, shared or per-node,
     discrete or Gaussian, each model with hard zeros."""

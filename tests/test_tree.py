@@ -26,7 +26,7 @@ from hmtkl import (
 )
 from hmtkl.divergence import local_k_root, local_k_vector, weighted_sum
 from hmtkl.tree import geometric_weighted_sum
-from modelgen import SEEDS, model_pairs, tree, tree_pair
+from modelgen import SEEDS, model_pairs, ragged_paths, tree, tree_pair
 
 
 def subtree_conditional_kld(m1, m0, node, parent_state):
@@ -521,6 +521,44 @@ def test_inward_pass_adds_children_in_child_order(pair):
     assert all(table[p].tobytes() == v.tobytes() for p, v in vectors.items())
     if m1.n_states >= 2:
         assert value == path_keyed_kld(m1, m0)
+
+
+@st.composite
+def tailed_pairs(draw):
+    """A pair of per-node models on a tree that ends in a single-child tail:
+    a `ragged_paths` head, or the root alone, with a path of 5-60 nodes hung
+    below one of its leaves and 0 or 2-4 leaves under the path's end.  Each
+    model draws hard zeros at its own rate, so that some rows of a run of
+    one-node levels are +inf."""
+    rng = np.random.default_rng(draw(SEEDS))
+    head = ragged_paths(rng, draw(st.just(1) | st.integers(2, 20)), draw(st.integers(1, 4)))
+    leaves = [p for p in head if not any(q and q[:-1] == p for q in head)]
+    start = leaves[int(rng.integers(len(leaves)))]
+    tail = [start + "0" * i for i in range(1, draw(st.integers(5, 60)) + 1)]
+    below = [tail[-1] + str(c) for c in range(draw(st.just(0) | st.integers(2, 4)))]
+    topology = HmtTopology.from_nodes(head + tail + below)
+    d, m, gaussian = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.booleans())
+    zeros = [draw(st.sampled_from([0.0, 0.05, 0.3])) for _ in range(2)]
+    return tuple(tree(rng, topology, d, m, (False, False), gaussian, p) for p in zeros)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tailed_pairs())
+def test_runs_of_one_node_levels_match_the_node_walk(pair):
+    """Where a run of one-node levels starts and ends: every inward row and
+    the value equal the node-by-node recursion bit for bit, and the +inf
+    warning names the first offender."""
+    m1, m0 = pair
+    vectors, expected = child_order_inward(m1, m0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = kld_exact_tree(m1, m0)
+    assert value == expected
+    table = inward_pass(m1, m0)
+    assert list(table) == list(vectors)
+    assert all(table[p].tobytes() == v.tobytes() for p, v in vectors.items())
+    offender = first_offender(m1, m0) if value == math.inf else None
+    assert [str(w.message) for w in caught] == ([] if offender is None else [f"divergence is +inf: support mismatch first at node '{offender}'"])
 
 
 def test_ten_children_with_one_state_add_in_child_order():
