@@ -41,9 +41,9 @@ def _inward(m1: HmtModel, m0: HmtModel):
     """Inward table and summed children, plus the index of the first non-root
     node whose local term is +inf (None when there is none).
 
-    Row j - 1 of the table, one `local_k_stack` call's local terms, takes
-    node j's inward vector; row j of the children sum adds node j's children
-    one at a time in child order.  From the deepest level up, a run of
+    Row j - 1 of the table holds node j's local term, from one `local_k_stack`
+    call, and then its inward vector; row j of the children sum adds node j's
+    children one at a time in child order.  From the deepest level up, a run of
     one-node levels is one `_fold` from its last node's children, any other
     level one stacked `weighted_sum`; each adds its top level's rows into
     their parents' sums with one unbuffered `np.add.at`.
