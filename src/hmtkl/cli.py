@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import math
 import sys
 
 from .errors import ModelError, ModelValidationError, PreconditionError, SpectralError
@@ -137,8 +138,10 @@ def cmd_evidence_exact(args) -> int:
 
 
 def _print_estimate(est) -> None:
+    # an infinite trial leaves `est.sd` NaN; the spread it stands for is unbounded
+    sd = math.inf if est.infinite_trials else est.sd
     line = (
-        f"mc_mean={_fmt(est.mean)} sd={_fmt(est.sd)} ci_lo={_fmt(est.ci_lo)} "
+        f"mc_mean={_fmt(est.mean)} sd={_fmt(sd)} ci_lo={_fmt(est.ci_lo)} "
         f"ci_hi={_fmt(est.ci_hi)} trials={est.trials} seed={est.seed}"
     )
     if est.infinite_trials:

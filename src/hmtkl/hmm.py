@@ -1,15 +1,15 @@
 """Exact KL divergence for homogeneous hidden Markov chains.
 
 Implements the closed form for the unconditional divergence (the chain is
-the one-child tree, so it is the tree's geometric sum, evaluated by binary
-doubling in O(d^3 log N)), its large-N rate, a fast path that checks the
-eigendecomposition preconditions and then runs the same doubling, the
-classical upper bound (which equals the exact value, and is
-summed along an independent route: binary doubling on the matrix pair
+the one-child tree, so its value is the tree's closed form,
+`tree._closed_form`, binary doubling in O(d^3 log N)), its large-N rate, a
+fast path that checks the eigendecomposition preconditions and then runs the
+same evaluator, the classical upper bound (which equals the exact value, and
+is summed along an independent route: binary doubling on the matrix pair
 ``(P^n, sum_{i<n} P^i)`` in O(d^3 log N), the power's rows renormalised to
-sum to 1 after each product), and the divergence between
-the two models' hidden-path posteriors given a fully observed emission
-sequence.  The evidence route keeps the ``(N, d)`` backward tables and
+sum to 1 after each product), and the divergence between the two models'
+hidden-path posteriors given a fully observed emission sequence.  The
+evidence route keeps the ``(N, d)`` backward tables and
 hands the posterior factors, in backward blocks of at most
 `divergence._BLOCK_ENTRIES` terms, to the tree's chain step `tree._fold`, so
 its memory is O(N d) plus one block.  The backward step takes one
@@ -30,7 +30,7 @@ from . import divergence
 from .divergence import _emission_rows, local_k_terms, local_k_vector, weighted_sum
 from .errors import SpectralError, StationaryError, ZeroLikelihoodError
 from .model import Evidence, HmmModel, check_evidence, check_pair
-from .tree import _fold, geometric_weighted_sum
+from .tree import _closed_form, _fold
 
 __all__ = [
     "kld_hmm_no_evidence",
@@ -47,27 +47,18 @@ __all__ = [
 ]
 
 
-def _local_terms(m1: HmmModel, m0: HmmModel):
-    return local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
-
-
 def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
     """Exact KL divergence between the two chains' joint laws, in nats.
 
     Evaluates ``k_root + mu1 @ (I + pi1 + ... + pi1^(N-2)) @ k``, the
-    one-child case of the tree's `geometric_weighted_sum`, by binary doubling
-    in O(d^3 log N).  An entry of k that is +inf (a support mismatch) makes
-    the value +inf when the first model reaches its state with positive
-    probability.
+    one-child case of the tree's closed form `tree._closed_form`, by binary
+    doubling in O(d^3 log N).  An entry of k that is +inf (a support
+    mismatch) makes the value +inf when the first model reaches its state
+    with positive probability.
     """
     check_pair(m1, m0)
-    root, step = _local_terms(m1, m0)
-    return _chain_sum(m1, root, step)
-
-
-def _chain_sum(m1: HmmModel, root, step) -> float:
-    """The value of `kld_hmm_no_evidence`, which the fast path shares."""
-    return float(root + weighted_sum(m1.initial, geometric_weighted_sum(m1.transition, step, 1, m1.length)))
+    root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
+    return _closed_form(m1.initial, root, m1.transition, step, 1, m1.length)
 
 
 def stationary_distribution(pi) -> np.ndarray:
@@ -155,7 +146,8 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
     (d_initial, d_transition), d_emission = _emission_rows(
         m1.emission, m0.emission, (m1.initial, m0.initial), (m1.transition, m0.transition)
     )
-    # a row divergence is >= 0; the sum would multiply the -1e-16 of rounding by N
+    # a row divergence is >= 0, but rounding can leave -1e-16 in any of them,
+    # which the sum multiplies by N for a transition row; all are clamped at 0
     step = np.maximum(d_transition, 0.0) + d_emission
     d = m1.n_states
     # result is (P^r, S_r, r) for the low bits r of N - 1 read so far, square is (P^(2^j), S_(2^j), 2^j)
@@ -182,7 +174,7 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
             finite += power @ np.where(np.isinf(d_emission), 0.0, d_emission)
             if not np.isfinite(finite[unreached]).all():
                 raise OverflowError(f"decomposition bound overflows 64-bit floats (length={m1.length})")
-    return float(d_initial + weighted_sum(m1.initial, acc))
+    return float(max(d_initial, 0.0) + weighted_sum(m1.initial, acc))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +231,13 @@ def _kld_hmm_spectral(m1: HmmModel, m0: HmmModel) -> float:
     """Fast-path value, `kld_hmm_no_evidence`'s bit for bit; raises
     SpectralError when the preconditions fail."""
     check_pair(m1, m0)
-    root, step = _local_terms(m1, m0)
+    root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
     if m1.length == 1:
         return float(root)
     if not (np.isfinite(step).all() and math.isfinite(root)):
         raise SpectralError("local divergences are infinite; the spectral series does not apply")
     spectral_split(m1.transition)
-    return _chain_sum(m1, root, step)
+    return _closed_form(m1.initial, root, m1.transition, step, 1, m1.length)
 
 
 def kld_hmm_fast(m1: HmmModel, m0: HmmModel) -> float:
@@ -399,4 +391,5 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
         factors1 = _factor_block(m1.transition, weights1[max(0, hi - block) : hi])
         factors0 = _factor_block(m0.transition, weights0[max(0, hi - block) : hi])
         inward = _fold(inward, factors1, rel_entr(factors1, factors0, out=factors0).sum(axis=2))
-    return float(rel_entr(initial1, initial0).sum() + weighted_sum(initial1, inward))
+    # rounding noise in near-equal posteriors can leave -1e-16; divergences are nonnegative
+    return max(float(rel_entr(initial1, initial0).sum() + weighted_sum(initial1, inward)), 0.0)

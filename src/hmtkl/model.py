@@ -555,9 +555,12 @@ def check_emissions(e1: EmissionSpec, e0: EmissionSpec) -> None:
 
 
 def check_pair(m1: Union[HmmModel, HmtModel], m0: Union[HmmModel, HmtModel]) -> None:
-    """Raise ValueError unless the two models share a length (chains) or a
-    topology (trees), a state count and an emission kind and alphabet: the
-    pairs between which the divergence is defined."""
+    """Raise ValueError unless the two models are both chains or both trees
+    and share a length (chains) or a topology (trees), a state count and an
+    emission kind and alphabet: the pairs between which the divergence is
+    defined."""
+    if type(m1) is not type(m0):
+        raise ValueError(f"model type mismatch: {type(m1).__name__} vs {type(m0).__name__}")
     if isinstance(m1, HmmModel):
         if m1.length != m0.length:
             raise ValueError(f"length mismatch: {m1.length} vs {m0.length}")

@@ -7,7 +7,9 @@ the whole subtree hanging below `u` through `ua`, conditioned on the parent
 state.  Divergences combine children-first, so the values flow from the leaves
 to the root; the total divergence aggregates the root's children under the
 first model's initial law.  A chain is the one-child tree: a run of one-node
-levels takes one chain step, `_fold`, which `hmm`'s evidence route shares.
+levels takes one chain step, `_fold`, which `hmm`'s evidence route shares,
+and the chain routes of `hmm` end in the homogeneous closed form,
+`_closed_form`, with one child per node.
 """
 
 from __future__ import annotations
@@ -89,10 +91,7 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
     check_pair(m1, m0)
     _, down, first_infinite = _inward(m1, m0)
     root_term = local_k_root(m1.initial, m0.initial, m1.emission_stack.for_nodes(0), m0.emission_stack.for_nodes(0))
-    total = root_term
-    if m1.topology.n_nodes > 1:
-        total = total + weighted_sum(m1.initial, down[0])
-    total = float(total)
+    total = float(root_term + weighted_sum(m1.initial, down[0]))
     if np.isinf(total) and (np.isinf(root_term) or first_infinite is not None):
         name = "(root)" if np.isinf(root_term) else m1.topology.path(first_infinite)
         warnings.warn(f"divergence is +inf: support mismatch first at node '{name}'", stacklevel=2)
@@ -159,6 +158,15 @@ def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
     return acc
 
 
+def _closed_form(initial, root, pi, k, children: int, depth: int) -> float:
+    """``root + initial @ geometric_weighted_sum(pi, k, children, depth)``: the
+    divergence of homogeneous models on a regular tree, whose root term is
+    `root` and whose non-root nodes share the local term `k`.  A chain of
+    length N is the case ``children = 1, depth = N``; depth 1 leaves `root`.
+    """
+    return float(root + weighted_sum(initial, geometric_weighted_sum(pi, k, children, depth)))
+
+
 def kld_homogeneous_tree(m1: HmtModel, m0: HmtModel, children: int | None = None, depth: int | None = None) -> float:
     """Closed-form exact KL divergence for homogeneous models on a regular tree.
 
@@ -166,8 +174,7 @@ def kld_homogeneous_tree(m1: HmtModel, m0: HmtModel, children: int | None = None
     logarithmic in the depth instead of linear in the node count (see
     `geometric_weighted_sum`).  `children` and `depth` default to
     the models' own (regular) topology; passing them explicitly evaluates the
-    closed form for a tree of that shape without materializing it.  Depth 1
-    reduces to the root term.
+    closed form for a tree of that shape without materializing it.
     """
     check_pair(m1, m0)
     for name, m in (("first", m1), ("second", m0)):
@@ -180,13 +187,6 @@ def kld_homogeneous_tree(m1: HmtModel, m0: HmtModel, children: int | None = None
         if depth > 1 and topology.regular_arity is None:
             raise ValueError("topology is not regular (constant children count, leaves at one level)")
         children = topology.regular_arity if topology.regular_arity is not None else 1
-    if children < 1:
-        raise ValueError("children count must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     root_term = local_k_root(m1.initial, m0.initial, m1.emissions, m0.emissions)
-    if depth == 1:
-        return float(root_term)
     k = local_k_vector(m1.transitions, m0.transitions, m1.emissions, m0.emissions)
-    acc = geometric_weighted_sum(m1.transitions, k, children, depth)
-    return float(root_term + weighted_sum(m1.initial, acc))
+    return _closed_form(m1.initial, root_term, m1.transitions, k, children, depth)

@@ -200,6 +200,31 @@ class TestExact:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("geometric sum overflows 64-bit floats")
 
+    @pytest.mark.parametrize(
+        "transition, reason",
+        [
+            ([[0, 1, 0], [0, 0, 1], [0, 0, 1]], "eigendecomposition residual 1 exceeds 1e-09"),
+            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]], "eigenvector basis is singular"),
+        ],
+        ids=["residual", "singular-basis"],
+    )
+    def test_fast_fallback_on_a_defective_matrix(self, capsys, tmp_path, transition, reason):
+        paths, d = [], len(transition)
+        for name in ("a", "b"):
+            doc = {"type": "hmm", "states": d, "alphabet": 2, "length": 20, "initial": [1 / d] * d}
+            # the second model's transitions are all positive, so every local term is finite
+            doc["transition"] = transition if name == "a" else [[1 / d] * d] * d
+            doc["emission"] = {"kind": "discrete", "matrix": [[0.3, 0.7]] * d if name == "a" else [[0.6, 0.4]] * d}
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            paths += ["--model-" + name, str(tmp_path / f"{name}.json")]
+        assert main(["exact", *paths]) == 0
+        direct = capsys.readouterr().out
+        assert main(["exact", *paths, "--fast"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"note: fast path unavailable ({reason}")
+        assert captured.out == direct
+        assert direct.endswith(" method=closed-form\n")
+
     def test_mixed_types_rejected(self, capsys):
         assert main(["exact", "--model-a", HMM_A, "--model-b", TREE_A]) == 2
 
@@ -366,6 +391,18 @@ class TestMc:
     def test_trials_validation(self, capsys):
         assert main(["mc", "--model-a", TREE_A, "--model-b", TREE_B, "--trials", "1"]) == 2
 
+    @pytest.mark.parametrize("evidence", [[], ["--n", "100", "--evidence", EVIDENCE_100]], ids=["joint", "evidence"])
+    def test_infinite_trials_print_sd_inf_not_nan(self, capsys, tmp_path, evidence):
+        doc = json.loads(data_text("hmm_b.json"))
+        doc["transition"][0] = [1.0, 0.0]  # hmm_a moves from state 1 to state 2, which hmm_b cannot
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mc", "--model-a", HMM_A, "--model-b", str(path), "--trials", "100", "--seed", "0", *evidence]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("mc_mean=inf sd=inf ci_lo=inf ci_hi=inf trials=100 seed=0 infinite_trials=")
+        assert int(out.split("infinite_trials=")[1]) > 0
+        assert "nan" not in out
+
 
 class TestSweep:
     def test_csv_format_and_determinism(self, capsys, tmp_path):
@@ -405,6 +442,12 @@ class TestSweep:
         ]
         assert main(args) == 0
         assert len(out.read_text().strip().splitlines()) == 4
+
+    def test_evidence_row_at_length_one_is_zero_not_negative(self, capsys):
+        args = ["sweep", "--model-a", HMM_A, "--model-b", HMM_B, "--evidence", EVIDENCE_100, "--n-min", "1", "--trials", "10"]
+        assert main(args) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:3] == ["1", "0", "0"]  # rounding once printed -1.66533453694e-16
 
     def test_evidence_too_short(self, capsys, tmp_path):
         ev = tmp_path / "short.txt"

@@ -1,6 +1,7 @@
 """Properties every exact route shares: KL(m, m) = 0 and KL(m1, m0) >= 0,
-including a single hidden state (d = 1) and a single position (N = 1); and
-the identities that bind the joint and evidence routes of a chain."""
+including a single hidden state (d = 1) and a single position (N = 1); the
+identities that bind the joint and evidence routes of a chain; and the
+refusal of a chain paired with a tree by every pair function."""
 
 import math
 from itertools import product
@@ -17,12 +18,19 @@ from hmtkl import (
     HmtTopology,
     ZeroLikelihoodError,
     backward_quantities,
+    brute_force_kld_joint,
+    brute_force_kld_posterior,
+    bundled_hmm_pair,
     do_bound,
+    inward_pass,
     kld_exact_tree,
     kld_hmm_evidence,
     kld_hmm_fast,
     kld_hmm_no_evidence,
     kld_homogeneous_tree,
+    kld_rate,
+    mc_kld_evidence,
+    mc_kld_no_evidence,
 )
 from modelgen import chain, model_pairs, tree_pair
 
@@ -59,6 +67,55 @@ def test_self_divergence_is_zero_and_divergence_nonnegative(route, length, state
         assert kld(m1, m1) == 0.0
         assert kld(m0, m0) == 0.0
         assert kld(m1, m0) >= 0.0
+
+
+def initial_law_pair():
+    """Two chains (N = 5) that differ only by 1e-13 in the first model's
+    second initial probability."""
+    transition, emission = [[0.9, 0.1], [0.2, 0.8]], DiscreteEmission([[0.1, 0.3, 0.6], [0.2, 0.1, 0.7]])
+    return tuple(HmmModel(length=5, initial=mu, transition=transition, emission=emission) for mu in ([0.5, 0.5 - 1e-13], [0.5, 0.5]))
+
+
+#: Chain pairs whose divergence rounding once left below 0: the evidence
+#: route gave -1.7e-16 on the bundled pair at N = 1 given symbol 1, and
+#: `do_bound` -1e-13 on `initial_law_pair`.
+NEAR_ZERO = {"bundled-n1": bundled_hmm_pair(length=1), "initial-law-1e-13": initial_law_pair()}
+
+
+@pytest.mark.parametrize("pair", sorted(NEAR_ZERO))
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_near_zero_divergences_are_not_negative(route, pair):
+    m1, m0 = NEAR_ZERO[pair]
+    if route in ("kld_exact_tree", "kld_homogeneous_tree"):
+        m1, m0 = m1.as_tree(), m0.as_tree()
+    assert ROUTES[route](m1, m0) >= 0.0
+
+
+#: Every public function of a model pair, with its further arguments.
+PAIR_FUNCTIONS = {
+    "inward_pass": inward_pass,
+    "kld_exact_tree": kld_exact_tree,
+    "kld_homogeneous_tree": kld_homogeneous_tree,
+    "kld_hmm_no_evidence": kld_hmm_no_evidence,
+    "kld_hmm_fast": kld_hmm_fast,
+    "kld_rate": kld_rate,
+    "do_bound": do_bound,
+    "kld_hmm_evidence": lambda m1, m0: kld_hmm_evidence(m1, m0, Evidence([0, 1])),
+    "mc_kld_no_evidence": lambda m1, m0: mc_kld_no_evidence(m1, m0, 10, 0),
+    "mc_kld_evidence": lambda m1, m0: mc_kld_evidence(m1, m0, Evidence([0, 1]), 10, 0),
+    "brute_force_kld_joint": brute_force_kld_joint,
+    "brute_force_kld_posterior": lambda m1, m0: brute_force_kld_posterior(m1, m0, Evidence([0, 1])),
+}
+
+
+@pytest.mark.parametrize("chain_first", [True, False])
+@pytest.mark.parametrize("function", sorted(PAIR_FUNCTIONS))
+def test_a_chain_paired_with_a_tree_is_refused(function, chain_first):
+    hmm = chain(np.random.default_rng(0), 2, 2, SYMBOLS)
+    pair = (hmm, hmm.as_tree()) if chain_first else (hmm.as_tree(), hmm)
+    names = " vs ".join(type(m).__name__ for m in pair)
+    with pytest.raises(ValueError, match=f"^model type mismatch: {names}$"):
+        PAIR_FUNCTIONS[function](*pair)
 
 
 def chain_rule_sum(m1, m0):

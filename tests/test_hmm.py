@@ -378,6 +378,24 @@ class TestFastPath:
             value = kld_hmm_fast(a, b)
         assert value == kld_hmm_no_evidence(a, b)
 
+    @pytest.mark.parametrize(
+        "transition, reason",
+        [
+            ([[0, 1, 0], [0, 0, 1], [0, 0, 1]], "eigendecomposition residual 1 exceeds 1e-09"),
+            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]], "eigenvector basis is singular"),
+        ],
+        ids=["residual", "singular-basis"],
+    )
+    def test_defective_matrix_falls_back_bit_identical(self, transition, reason):
+        rng = np.random.default_rng(3)
+        d = len(transition)
+        a = HmmModel(length=20, initial=np.full(d, 1 / d), transition=transition, emission=DiscreteEmission(rng.dirichlet(np.ones(2), d)))
+        # every transition of the second model is positive, so every local term is finite
+        b = chain(rng, 20, d, 2)
+        with pytest.warns(UserWarning, match=f"fast path unavailable \\({reason}"):
+            value = kld_hmm_fast(a, b)
+        assert value == kld_hmm_no_evidence(a, b)
+
     def test_spectral_split_rejects_periodic(self):
         with pytest.raises(SpectralError, match="eigenvalue"):
             spectral_split(np.array([[0.0, 1.0], [1.0, 0.0]]))

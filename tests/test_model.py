@@ -37,7 +37,7 @@ from hmtkl import (
 from hmtkl import model as model_module
 from hmtkl.bundled import data_text
 from hmtkl.model import MAX_NODES, PATH_ALPHABET, check_pair
-from modelgen import chain
+from modelgen import chain, tree
 
 
 class TestTopology:
@@ -686,6 +686,42 @@ class TestAsTree:
     def test_bundled_pair_equivalence(self):
         a, b = bundled_hmm_pair()
         assert kld_exact_tree(a.as_tree(), b.as_tree()) == pytest.approx(kld_hmm_no_evidence(a, b), abs=1e-12)
+
+
+class TestPerNodeMappings:
+    """`HmtModel` given path-keyed mappings stacks them in node order."""
+
+    TOPOLOGY = HmtTopology.from_nodes(["", "1", "0", "00", "01", "10"])
+
+    def as_mappings(self, model):
+        nodes = model.topology.nodes
+        return {p: model.transition(p) for p in nodes[1:]}, {p: model.emission(p) for p in nodes}
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_equals_the_stacked_build_bit_for_bit(self, gaussian):
+        stacked = tree(np.random.default_rng(4), self.TOPOLOGY, 3, 2, gaussian=gaussian)
+        transitions, emissions = self.as_mappings(stacked)
+        mapped = HmtModel(topology=self.TOPOLOGY, initial=stacked.initial, transitions=transitions, emissions=emissions)
+        assert np.array_equal(mapped.transition_stack, stacked.transition_stack)
+        fields = ("means", "sds") if gaussian else ("matrix",)
+        for field in fields:
+            assert np.array_equal(getattr(mapped.emission_stack, field), getattr(stacked.emission_stack, field))
+        other = tree(np.random.default_rng(5), self.TOPOLOGY, 3, 2, gaussian=gaussian)
+        assert kld_exact_tree(mapped, other) == kld_exact_tree(stacked, other)
+
+    def test_refusals(self):
+        model = tree(np.random.default_rng(4), self.TOPOLOGY, 2, 2)
+        transitions, emissions = self.as_mappings(model)
+
+        def build(**changes):
+            HmtModel(topology=self.TOPOLOGY, initial=model.initial, transitions=transitions, emissions={**emissions, **changes})
+
+        with pytest.raises(ValueError, match="per-node emissions must cover exactly the node set"):
+            HmtModel(topology=self.TOPOLOGY, initial=model.initial, transitions=transitions, emissions={p: emissions[p] for p in ("", "0")})
+        with pytest.raises(ValueError, match="all nodes must share the same emission kind"):
+            build(**{"10": GaussianEmission([0.0, 1.0], [1.0, 1.0])})
+        with pytest.raises(ValueError, match="all nodes must share the same alphabet size"):
+            build(**{"10": DiscreteEmission([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])})
 
 
 class TestEvidence:

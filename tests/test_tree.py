@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmtkl import (
@@ -18,9 +18,11 @@ from hmtkl import (
     brute_force_kld_joint,
     bundled_gaussian_tree_pair,
     bundled_hmm_pair,
+    do_bound,
     inward_pass,
     kl_gaussian,
     kld_exact_tree,
+    kld_hmm_fast,
     kld_homogeneous_tree,
     kld_hmm_no_evidence,
 )
@@ -237,10 +239,33 @@ class TestHomogeneousClosedForm:
         m1, m0 = tree_pair(rng, topo, shared=(True, True))
         assert kld_homogeneous_tree(m1, m0) == pytest.approx(kld_exact_tree(m1, m0), abs=1e-15)
 
-    def test_chain_matches_hmm_closed_form(self):
-        a, b = bundled_hmm_pair()
-        value = kld_homogeneous_tree(a.as_tree(), b.as_tree())
-        assert value == pytest.approx(kld_hmm_no_evidence(a, b), abs=1e-12)
+    @settings(max_examples=150, deadline=None)
+    @given(model_pairs(chains=True))
+    @example(bundled_hmm_pair())
+    def test_chain_matches_hmm_closed_form(self, pair):
+        """A chain is the one-child tree: the chain closed form, the fast path
+        and the tree closed form on `as_tree` share one evaluator and agree
+        bit for bit; the tree recursion and the decomposition bound, summed
+        along other routes, agree to rounding."""
+        a, b = pair
+        ta, tb = a.as_tree(), b.as_tree()
+        closed = kld_hmm_no_evidence(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the fast path warns on a fallback, the recursion on +inf
+            assert kld_hmm_fast(a, b) == closed
+            recursion = kld_exact_tree(ta, tb)
+        assert kld_homogeneous_tree(ta, tb) == closed
+        for value in (recursion, do_bound(a, b)):
+            if math.isinf(closed):
+                assert value == math.inf
+            else:
+                assert value == pytest.approx(closed, rel=1e-12, abs=1e-13)
+
+    def test_rejects_a_ragged_tree(self):
+        topo = HmtTopology.from_nodes(["", "0", "1", "00"])
+        m1, m0 = tree_pair(np.random.default_rng(5), topo, shared=(True, True))
+        with pytest.raises(ValueError, match="topology is not regular"):
+            kld_homogeneous_tree(m1, m0)
 
     def test_matches_recursion_on_random_instances(self):
         rng = np.random.default_rng(77)
