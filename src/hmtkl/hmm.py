@@ -9,12 +9,16 @@ is summed along an independent route: binary doubling on the matrix pair
 ``(P^n, sum_{i<n} P^i)`` in O(d^3 log N), the power's rows renormalised to
 sum to 1 after each product), and the divergence between the two models'
 hidden-path posteriors given a fully observed emission sequence.  The
-evidence route keeps the ``(N, d)`` backward tables and
-hands the posterior factors, in backward blocks of at most
-`divergence._BLOCK_ENTRIES` terms, to the tree's chain step `tree._fold`, so
-its memory is O(N d) plus one block.  The backward step takes one
-`ndarray.dot`, one argmax and two elementwise calls into preallocated rows
-per position, and logs the scales after the loop.
+evidence route runs both models' backward recursions in one loop from the
+last symbol to the first, `_posterior_sweep`, and hands the posterior
+factors of each backward block of at most `divergence._BLOCK_ENTRIES` terms
+to the tree's chain step `tree._fold`, which runs in the same direction, as
+soon as the block is filled; so its memory is one block plus O(d), whatever
+N.  Each step of that loop takes one product with the emission columns and
+one stacked `np.matmul` for both models, then one argmax and one in-place
+division for each.  The public one-model tables,
+`backward_quantities` and `posterior_conditionals`, keep their own loop,
+which logs the scales after it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
     mismatch) makes the value +inf when the first model reaches its state
     with positive probability.
     """
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmmModel)
     root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
     return _closed_form(m1.initial, root, m1.transition, step, 1, m1.length)
 
@@ -93,7 +97,7 @@ def stationary_distribution(pi) -> np.ndarray:
 
 def kld_rate(m1: HmmModel, m0: HmmModel) -> float:
     """Per-symbol divergence rate lim D/N = nu @ k, with nu stationary for m1."""
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmmModel)
     return _rate_at(stationary_distribution(m1.transition), m1, m0)
 
 
@@ -142,7 +146,7 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
     Raises OverflowError, as kld_hmm_no_evidence does, when the sum is not
     finite at a state that reaches no infinite local term.
     """
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmmModel)
     (d_initial, d_transition), d_emission = _emission_rows(
         m1.emission, m0.emission, (m1.initial, m0.initial), (m1.transition, m0.transition)
     )
@@ -230,7 +234,7 @@ def spectral_split(pi) -> Spectral:
 def _kld_hmm_spectral(m1: HmmModel, m0: HmmModel) -> float:
     """Fast-path value, `kld_hmm_no_evidence`'s bit for bit; raises
     SpectralError when the preconditions fail."""
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmmModel)
     root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
     if m1.length == 1:
         return float(root)
@@ -308,21 +312,10 @@ def backward_quantities(model: HmmModel, evidence: Evidence) -> BackwardTable:
     return BackwardTable(values, log_scale, math.log(total) + sums[-1], emitted)
 
 
-def _posterior_weights(model: HmmModel, evidence: Evidence):
-    """The initial posterior P(S_1 | X = x) and the ``(N-1, d)`` weights
-    ``e(s, x_i) B_i(s)`` of positions i = 2..N, from which `_factor_block`
-    builds the posterior conditionals; the weights overwrite the table's
-    emission rows."""
-    table = backward_quantities(model, evidence)
-    emitted = table.emitted
-    mass = model.initial * emitted[0] * table.values[0]
-    return mass / mass.sum(), np.multiply(emitted[1:], table.values[1:], out=emitted[1:])
-
-
 def _factor_block(transition, weights, out=None) -> np.ndarray:
     """Posterior factors ``pi(r, s) w[i, s]``, normalised per row, for the
-    rows `weights` of `_posterior_weights`; a row whose state cannot occur
-    given the evidence sums to 0 and stays all-zero.
+    posterior weights ``w[i, s] = e(s, x_i) B_i(s)``; a row whose state
+    cannot occur given the evidence sums to 0 and stays all-zero.
 
     Every step is elementwise or along the last axis, so a factor does not
     depend on the block it is computed in.
@@ -343,24 +336,72 @@ def posterior_conditionals(model: HmmModel, evidence: Evidence):
     occur given the evidence are left all-zero; chaining the returned factors
     reproduces the posterior probability of any hidden path.  The whole
     ``(N-1, d, d)`` stack is returned, built in place by one `_factor_block`
-    call; past the stack itself the memory is O(N d).
+    call from the weights ``e(s, x_i) B_i(s)``, which overwrite the backward
+    table's emission rows; past the stack itself the memory is O(N d).
     """
-    initial, weights = _posterior_weights(model, evidence)
-    d = model.n_states
-    return initial, _factor_block(model.transition, weights, out=np.empty((model.length - 1, d, d)))
+    table = backward_quantities(model, evidence)
+    emitted, d = table.emitted, model.n_states
+    mass = model.initial * emitted[0] * table.values[0]
+    weights = np.multiply(emitted[1:], table.values[1:], out=emitted[1:])
+    return mass / mass.sum(), _factor_block(model.transition, weights, out=np.empty((model.length - 1, d, d)))
 
 
-def _posterior_pair(m1: HmmModel, m0: HmmModel, evidence: Evidence, posterior):
-    """`posterior` (`posterior_conditionals` or `_posterior_weights`) of both
-    models; a ZeroLikelihoodError names the model."""
-    pair = []
-    for name, model in (("first", m1), ("second", m0)):
-        try:
-            pair.append(posterior(model, evidence))
-        except ZeroLikelihoodError as exc:
-            message = f"zero likelihood under the {name} model (position {exc.position})"
-            raise ZeroLikelihoodError(exc.position, message) from None
-    return pair
+def _vanished(name: str, position: int) -> ZeroLikelihoodError:
+    return ZeroLikelihoodError(position, f"zero likelihood under the {name} model (position {position})")
+
+
+def _posterior_sweep(m1: HmmModel, m0: HmmModel, evidence: Evidence, initial: np.ndarray):
+    """Both models' scaled backward recursions in one loop, last position first.
+
+    Yields the posterior weights ``e(s, x_i) B_i(s)`` of positions i = N..2,
+    from which `_factor_block` builds the posterior conditionals, as
+    ``(B, 2, d)`` blocks (the first model's rows, then the second's) of at
+    most ``divergence._BLOCK_ENTRIES // d**2`` positions, the last block
+    first; then writes the two initial posteriors P(S_1 | X = x) into the
+    rows of `initial`.  Only the block being filled is held, so the memory
+    does not grow with N.  A step is one in-place product with the emission
+    columns and one stacked `np.matmul` for both models, then an argmax and
+    an in-place division for each: the operations of `backward_quantities`,
+    so every value has its bits.
+
+    Raises ZeroLikelihoodError naming the model when the evidence is
+    impossible under it: the first model wherever its mass vanishes, the
+    second only when the first model's never does.
+    """
+    check_evidence(m1, evidence)
+    check_evidence(m0, evidence)
+    n, d = m1.length, m1.n_states
+    pi = np.stack((m1.transition, m0.transition))
+    # emitted[x] holds e(., x) of both models as columns, the operands of `pi @`;
+    # C order, so that the gathered blocks are too
+    emitted = np.ascontiguousarray(np.stack((m1.emission.matrix.T, m0.emission.matrix.T), axis=1))[..., None]
+    symbols, b, matmul = evidence.symbols, np.ones((2, d, 1)), np.matmul
+    b1, b0 = b[:, :, 0]  # each model's B_i, the rows that `matmul` writes
+    block = max(1, divergence._BLOCK_ENTRIES // d**2)
+    for hi in range(n - 1, 0, -block):
+        lo = max(0, hi - block)
+        # row j is position lo + j + 2: e(., x_i), then e(., x_i) B_i in place
+        weights = emitted[symbols[lo + 1 : hi + 1]]
+        for i, w in zip(range(hi + 1, lo + 1, -1), weights[::-1]):
+            w *= b
+            matmul(pi, w, out=b)
+            top1, top0 = b1[b1.argmax()], b0[b0.argmax()]
+            if not top1 > 0:
+                raise _vanished("first", i)
+            if not top0 > 0:
+                # the first model is named wherever its mass vanishes: run its recursion alone to the end
+                for _ in _posterior_sweep(m1, m1, evidence, np.empty((2, d))):
+                    pass
+                raise _vanished("second", i)
+            b1 /= top1
+            b0 /= top0
+        yield weights[..., 0]
+    mass = np.stack((m1.initial, m0.initial)) * emitted[symbols[0], ..., 0] * b[..., 0]
+    for name, row, out in zip(("first", "second"), mass, initial):
+        total = row.sum()
+        if not total > 0:
+            raise _vanished(name, 1)
+        np.divide(row, total, out=out)
 
 
 def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
@@ -368,11 +409,12 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
 
     Runs the inward recursion, `tree._fold`, on the evidence-conditioned
     chain: from K_N = 0 down to K_1 through the posterior conditionals, then
-    aggregates under the first model's posterior of S_1.  The conditionals
-    and their row divergences are built in backward blocks of at most
-    `divergence._BLOCK_ENTRIES` terms and dropped once the recursion has
-    passed them, so the memory is O(N d) (the backward tables) plus one
-    block, and no value depends on the block size.  Raises
+    aggregates under the first model's posterior of S_1.  The backward
+    recursions of both models and the inward recursion all run from the last
+    symbol to the first, so each block of weights that `_posterior_sweep`
+    yields becomes conditionals and row divergences at once and is dropped
+    when the recursion has passed it: the memory is one block plus O(d),
+    whatever N, and no value depends on the block size.  Raises
     ZeroLikelihoodError (stating which model) when the evidence is impossible
     under either model.
 
@@ -384,12 +426,12 @@ def kld_hmm_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> float:
     """
     from scipy.special import rel_entr
 
-    check_pair(m1, m0)
-    (initial1, weights1), (initial0, weights0) = _posterior_pair(m1, m0, evidence, _posterior_weights)
-    inward, block = np.zeros(m1.n_states), max(1, divergence._BLOCK_ENTRIES // m1.n_states**2)
-    for hi in range(m1.length - 1, 0, -block):  # the last block first
-        factors1 = _factor_block(m1.transition, weights1[max(0, hi - block) : hi])
-        factors0 = _factor_block(m0.transition, weights0[max(0, hi - block) : hi])
+    check_pair(m1, m0, HmmModel)
+    inward, initial = np.zeros(m1.n_states), np.empty((2, m1.n_states))
+    for weights in _posterior_sweep(m1, m0, evidence, initial):
+        factors1 = _factor_block(m1.transition, weights[:, 0])
+        factors0 = _factor_block(m0.transition, weights[:, 1])
         inward = _fold(inward, factors1, rel_entr(factors1, factors0, out=factors0).sum(axis=2))
+    initial1, initial0 = initial
     # rounding noise in near-equal posteriors can leave -1e-16; divergences are nonnegative
     return max(float(rel_entr(initial1, initial0).sum() + weighted_sum(initial1, inward)), 0.0)

@@ -70,7 +70,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import Evidence, HmmModel, HmtModel, check_pair
-from .hmm import _factor_block, _posterior_pair, _posterior_weights, posterior_conditionals
+from .hmm import _factor_block, _posterior_sweep, posterior_conditionals
 
 __all__ = [
     "McEstimate",
@@ -562,7 +562,7 @@ def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int])
 def mc_kld_no_evidence(m1: HmtModel, m0: HmtModel, trials: int, seed: int) -> McEstimate:
     """Estimate the joint KL divergence as the mean log-likelihood ratio over
     i.i.d. draws from the first model."""
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmtModel)
     _check_mc_args(trials, seed)
     return _estimate(_log_ratios(m1.topology.parent, _tree_law(m1, _inclusive_cdf), _tree_pair(m1, m0), trials, seed), seed)
 
@@ -590,15 +590,20 @@ def _evidence_laws(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> tuple[_Law
     posterior logs as one pair law (see `_pair`).
 
     Each model's posterior factors are built by `_factor_block` straight
-    into their half of the pair's stack, the CDFs are taken from the first
-    half and then both halves are overwritten by their logs: the pair and
-    one CDF stack, three real stacks in all, are the only stacks alive.
+    into their half of the pair's stack, block by block as `_posterior_sweep`
+    yields the weights, the CDFs are taken from the first half and then both
+    halves are overwritten by their logs: the pair and one CDF stack, three
+    real stacks in all, are the only stacks alive.
     """
-    (initial1, weights1), (initial0, weights0) = _posterior_pair(m1, m0, evidence, _posterior_weights)
-    d = m1.n_states
-    steps = np.empty((m1.length - 1, d, d), dtype=complex)
-    draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(_factor_block(m1.transition, weights1, out=steps.real)))
-    _factor_block(m0.transition, weights0, out=steps.imag)
+    d, hi = m1.n_states, m1.length - 1
+    steps, initial = np.empty((hi, d, d), dtype=complex), np.empty((2, d))
+    for weights in _posterior_sweep(m1, m0, evidence, initial):
+        lo = hi - len(weights)
+        _factor_block(m1.transition, weights[:, 0], out=steps.real[lo:hi])
+        _factor_block(m0.transition, weights[:, 1], out=steps.imag[lo:hi])
+        hi = lo
+    initial1, initial0 = initial
+    draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(steps.real))
     with np.errstate(divide="ignore"):
         for half in (steps.real, steps.imag):
             np.log(half, out=half)
@@ -611,6 +616,6 @@ def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int,
     Position i of a path is drawn from the first model's posterior factor
     for i given position i - 1, and both posteriors score it in the same pass.
     """
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmmModel)
     _check_mc_args(trials, seed)
     return _estimate(_log_ratios(_chain_parent(m1.length), *_evidence_laws(m1, m0, evidence), trials, seed), seed)

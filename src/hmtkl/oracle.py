@@ -72,7 +72,7 @@ def brute_force_kld_joint(m1: HmtModel, m0: HmtModel, budget: int | None = None)
     Only defined for discrete emissions; Gaussian outcomes are continuous and
     cannot be enumerated.
     """
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmtModel)
     if m1.emission_kind != "discrete":
         raise ValueError("joint enumeration requires discrete emissions")
     n, d, m = m1.topology.n_nodes, m1.n_states, m1.emission_stack.n_symbols
@@ -99,7 +99,7 @@ def brute_force_kld_posterior(m1: HmmModel, m0: HmmModel, evidence: Evidence, bu
     Path posteriors are obtained by normalizing the enumerated joint log
     probabilities under each model.
     """
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmmModel)
     check_evidence(m1, evidence)
     check_evidence(m0, evidence)
     d = m1.n_states

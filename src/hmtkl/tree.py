@@ -77,7 +77,7 @@ def _inward(m1: HmtModel, m0: HmtModel):
 
 def inward_pass(m1: HmtModel, m0: HmtModel) -> dict[str, np.ndarray]:
     """Inward divergence vectors for every non-root node, keyed by node path."""
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmtModel)
     table, _, _ = _inward(m1, m0)
     return dict(zip(m1.topology.nodes[1:], table))
 
@@ -88,7 +88,7 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
     A support mismatch makes the result +inf; a warning then names the first
     offending node in document order.
     """
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmtModel)
     _, down, first_infinite = _inward(m1, m0)
     root_term = local_k_root(m1.initial, m0.initial, m1.emission_stack.for_nodes(0), m0.emission_stack.for_nodes(0))
     total = float(root_term + weighted_sum(m1.initial, down[0]))
@@ -176,7 +176,7 @@ def kld_homogeneous_tree(m1: HmtModel, m0: HmtModel, children: int | None = None
     the models' own (regular) topology; passing them explicitly evaluates the
     closed form for a tree of that shape without materializing it.
     """
-    check_pair(m1, m0)
+    check_pair(m1, m0, HmtModel)
     for name, m in (("first", m1), ("second", m0)):
         if not m.homogeneous:
             raise ValueError(f"{name} model is not homogeneous")

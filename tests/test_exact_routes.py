@@ -118,6 +118,19 @@ def test_a_chain_paired_with_a_tree_is_refused(function, chain_first):
         PAIR_FUNCTIONS[function](*pair)
 
 
+TREE_FUNCTIONS = {"inward_pass", "kld_exact_tree", "kld_homogeneous_tree", "mc_kld_no_evidence", "brute_force_kld_joint"}
+
+
+@pytest.mark.parametrize("function", sorted(PAIR_FUNCTIONS))
+def test_a_pair_of_the_wrong_kind_is_refused(function):
+    hmm = chain(np.random.default_rng(0), 2, 2, SYMBOLS)
+    right, wrong = (hmm.as_tree(), hmm) if function in TREE_FUNCTIONS else (hmm, hmm.as_tree())
+    kinds = type(right).__name__, type(wrong).__name__
+    with pytest.raises(ValueError, match="^expected a pair of {}, got a pair of {}$".format(*kinds)):
+        PAIR_FUNCTIONS[function](wrong, wrong)
+    PAIR_FUNCTIONS[function](right, right)
+
+
 def chain_rule_sum(m1, m0):
     """``D(p1(X) || p0(X)) + sum_x p1(x) D(p1(S | x) || p0(S | x))`` over every
     symbol string x: the marginals from the backward pass, the posterior term

@@ -19,6 +19,7 @@ from hmtkl import (
     backward_quantities,
     brute_force_kld_posterior,
     kld_hmm_evidence,
+    mc_kld_evidence,
     posterior_conditionals,
 )
 from hmtkl.divergence import weighted_sum
@@ -183,6 +184,12 @@ def test_memory_is_linear_in_the_length():
     assert large - small <= table_bytes + 2**20
 
 
+def test_memory_does_not_grow_with_the_length():
+    # both backward recursions and the inward fold run last symbol first, so
+    # only the block being folded is held: no (N, d) table is alive
+    assert abs(evidence_peak(8000, 64) - evidence_peak(2000, 64)) <= 64 * 2**10
+
+
 # ---------------------------------------------------------------------------
 # Generated properties
 
@@ -230,10 +237,11 @@ def test_evidence_route_matches_enumeration(case):
     for name, model in (("first", m1), ("second", m0)):
         position = vanishing_position(model, ev)
         if position is not None:
-            with pytest.raises(ZeroLikelihoodError, match=f"{name} model") as err:
-                kld_hmm_evidence(m1, m0, ev)
-            assert err.value.position == position
-            assert f"(position {position})" in str(err.value)
+            for route in (kld_hmm_evidence, lambda *case: mc_kld_evidence(*case, 2, 0)):
+                with pytest.raises(ZeroLikelihoodError, match=f"{name} model") as err:
+                    route(m1, m0, ev)
+                assert err.value.position == position
+                assert f"(position {position})" in str(err.value)
             return
     value = kld_hmm_evidence(m1, m0, ev)
     expected = brute_force_kld_posterior(m1, m0, ev)

@@ -25,7 +25,7 @@ from hmtkl import (
     sample_posterior,
 )
 from hmtkl.errors import ZeroLikelihoodError
-from hmtkl.hmm import _posterior_pair, posterior_conditionals
+from hmtkl.hmm import posterior_conditionals
 from hmtkl.montecarlo import (
     _Law,
     _chunked_uniforms,
@@ -799,7 +799,7 @@ def estimator_laws(draw):
     else:
         m1, m0, ev = draw(model_pairs(chains=True, evidence=True, **small))
         try:
-            (initial1, factors1), (initial0, factors0) = _posterior_pair(m1, m0, ev, posterior_conditionals)
+            (initial1, factors1), (initial0, factors0) = (posterior_conditionals(m, ev) for m in (m1, m0))
         except ZeroLikelihoodError:
             assume(False)
         with np.errstate(divide="ignore"):
