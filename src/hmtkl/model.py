@@ -596,7 +596,8 @@ def _check_rows(stack, label, problems):
     """Report rows of an (n, rows, m) stack that have a negative entry or do
     not sum to 1, in (node, row) order; ``label(i)`` names entry i."""
     negative = (stack < 0).any(axis=-1)
-    sums = stack.sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # inf + -inf: the row is reported as summing to nan
+        sums = stack.sum(axis=-1)
     off = ~(np.abs(sums - 1.0) <= STOCH_TOL)  # NaN sums are off too
     for i, r in zip(*np.nonzero(negative | off)):
         if negative[i, r]:
@@ -608,7 +609,8 @@ def _check_rows(stack, label, problems):
 def _check_vector(vector, problems, label):
     if (np.asarray(vector) < 0).any():
         problems.append(f"{label} has a negative entry")
-    s = float(np.sum(vector))
+    with np.errstate(invalid="ignore"):  # inf + -inf: reported as summing to nan
+        s = float(np.sum(vector))
     if not math.isclose(s, 1.0, rel_tol=0.0, abs_tol=STOCH_TOL):
         problems.append(f"{label} sums to {s:.12g}")
 

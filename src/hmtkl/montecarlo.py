@@ -47,6 +47,16 @@ terms are computed on the complex rows viewed as float64, both models'
 halves side by side, each in the operations of one model's terms.
 `loglik_joint` and `sample_joint` keep one model's real law.
 
+The evidence estimator keeps both models' posterior weights, ``(N-1, 2,
+d)``, from one backward sweep, and builds a window's posterior CDFs and
+pair logs, ``divergence._BLOCK_ENTRIES // d**2`` positions of them, only
+when the pass reaches it (`_Windows`); blocks end at window edges.  So past
+the chunk it holds O(N d) and one window, 5.7 MiB in all at N = 1000, d =
+64 and 200 trials, where whole stacks took 97.6 MiB.  A chain of one window
+builds it once per call; a longer one builds each window once per chunk,
+which at d = 64 and N = 1000 costs about a third more time over five
+chunks.
+
 A block of a chunk of t trials has ``2**14 // (k * t)`` nodes, and at least
 one, k log-terms per node, so its stack holds about `_BLOCK` = 2**14
 entries.  Each trial's terms are added in node order, transition before
@@ -69,6 +79,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import divergence
 from .model import Evidence, HmmModel, HmtModel, check_pair
 from .hmm import _factor_block, _posterior_sweep, posterior_conditionals
 
@@ -241,7 +252,9 @@ class _Law:
     matrix or the ``(n - 1, d, d)`` stack of nodes 1..n-1.  `emission` is
     the shared ``(d, m)`` emission matrix or the ``(n, d, m)`` stack, or, for
     Gaussian emissions, the logs of the sds, ``(d,)`` or ``(n, d)``, with the
-    means and sds in `gaussian`; posterior paths emit nothing.  A shared
+    means and sds in `gaussian`; posterior paths emit nothing.  A law of one
+    window of a chain's posterior (see `_Windows`) holds the stack of nodes
+    `node0` onwards.  A shared
     table is read through its own entries, never broadcast over the nodes:
     a `take` on a broadcast view copies the whole stack.  `np.log` is
     elementwise, so a gathered log equals the log of the gathered factor bit
@@ -252,6 +265,15 @@ class _Law:
     steps: np.ndarray
     emission: np.ndarray | None = None
     gaussian: tuple[np.ndarray, np.ndarray] | None = None
+    node0: int = 1
+
+    #: Nodes per window past the root, as `_WindowedLaw` has them: a whole
+    #: law is one window.
+    window = None
+
+    def at(self, node: int) -> _Law:
+        """The law that holds node `node`'s tables: this one."""
+        return self
 
     @cached_property
     def draws_per_node(self) -> int:
@@ -330,15 +352,19 @@ def _block_nodes(draws_per_node: int, trials: int) -> int:
     return max(1, _BLOCK // (draws_per_node * trials))
 
 
-def _blocks(n: int, width: int):
-    """``(a, b)``: the root, then ranges of `width` of the `n` nodes, in
-    breadth-first order."""
+def _blocks(n: int, width: int, window: int | None = None):
+    """``(a, b)``: the root, then ranges of at most `width` of the `n` nodes,
+    in breadth-first order, which end at the edges of the windows of
+    `window` nodes from node 1 (one window if None)."""
     yield 0, 1
-    for a in range(1, n, width):
-        yield a, min(a + width, n)
+    window = window or n
+    for lo in range(1, n, window):
+        hi = min(lo + window, n)
+        for a in range(lo, hi, width):
+            yield a, min(a + width, hi)
 
 
-def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
+def _pass(parent: np.ndarray, law: _Law | _WindowedLaw, uniforms: np.ndarray):
     """Ancestral sampling of a node-major chunk from `law`'s row CDFs.
 
     Row ``k * j`` of `uniforms` draws node j's states, where k is the law's
@@ -348,19 +374,20 @@ def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray):
 
     Yields the `_blocks` ``(a, b, step, factor, x)`` of nodes a..b-1 in
     order, one row per node and one column per trial: the root, then blocks
-    of `_block_nodes` nodes.  `step` is a flat index into the law's whole
-    transition table (at the root, into the initial vector) and `factor`
-    into its whole emission table or, for Gaussian emissions, its means and
-    sds: node j's table starts at j - 1 (transitions) or j (emissions) times
-    the law's node stride.  `x` holds Gaussian emissions.  What a law does
-    not emit is None.
+    of `_block_nodes` nodes, which end at the edges of the law's windows.
+    Each block is drawn from ``law.at(a)``.  `step` is a flat index into that
+    law's whole transition table (at the root, into the initial vector) and
+    `factor` into its whole emission table or, for Gaussian emissions, its
+    means and sds: node j's table starts at j - node0 (transitions) or j
+    (emissions) times the law's node stride.  `x` holds Gaussian emissions.
+    What a law does not emit is None.
     """
     n = parent.shape[0]
     # the segment from node c, a run of nodes whose parents are all drawn,
     # ends where `parent` first reaches c: a level, or a chain's next position
     ready = memoryview(np.searchsorted(parent, np.arange(n)))
-    for a, b in _blocks(n, _block_nodes(law.draws_per_node, uniforms.shape[1])):
-        yield _draw_block(parent, ready, law, uniforms, a, b)
+    for a, b in _blocks(n, _block_nodes(law.draws_per_node, uniforms.shape[1]), law.window):
+        yield _draw_block(parent, ready, law.at(a), uniforms, a, b)
 
 
 def _draw_block(parent, ready, law, uniforms, a, b):
@@ -387,7 +414,7 @@ def _draw_block(parent, ready, law, uniforms, a, b):
         if e - c == 1:
             np.multiply(states[k * up[c]], d, out=row)
             if ts:  # into the node's own table of the stack
-                row += (c - 1) * ts
+                row += (c - law.node0) * ts
             _draw(steps, row, uniforms[k * c], step[c - a], search)
             np.subtract(step[c - a], row, out=states[k * c])
         else:
@@ -395,7 +422,7 @@ def _draw_block(parent, ready, law, uniforms, a, b):
             # a segment of one parent's children reads that parent's row, broadcast
             base = (states[k * p : k * p + 1] if p == up[e - 1] else states[k * parent[c:e]]) * d
             if ts:
-                base = base + np.arange(c - 1, e - 1)[:, None] * ts
+                base = base + np.arange(c - law.node0, e - law.node0)[:, None] * ts
             rows = step[c - a : e - a]
             _draw(steps, base, uniforms[k * c : k * e : k], rows, search)
             np.subtract(rows, base, out=states[k * c : k * e : k])
@@ -417,8 +444,8 @@ def _draw_block(parent, ready, law, uniforms, a, b):
 
 def _relaid(block: tuple, steps_stride: int, emission_stride: int, law: _Law) -> tuple:
     """`block`, whose indices are laid out with the given node strides, with
-    its indices laid out for `law`'s tables.  The root's indices read the
-    same entries in either layout."""
+    its indices laid out for `law`'s tables, whose stacks start at the same
+    node.  The root's indices read the same entries in either layout."""
     a, b, step, factor, x = block
     ts = law.steps_stride - steps_stride
     es = 0 if factor is None else law.emission_stride - emission_stride
@@ -426,7 +453,7 @@ def _relaid(block: tuple, steps_stride: int, emission_stride: int, law: _Law) ->
         return block
     node = np.arange(a, b)[:, None]
     if ts:
-        step = step + (node - 1) * ts
+        step = step + (node - law.node0) * ts
     if es:
         factor = factor + node * es
     return a, b, step, factor, x
@@ -490,17 +517,20 @@ def _score(acc: np.ndarray, law: _Law, block: tuple) -> None:
         acc[:] = np.add.accumulate(stack[:, 0])[-1]
 
 
-def _log_ratios(parent: np.ndarray, draw: _Law, pair: _Law, trials: int, seed: int) -> np.ndarray:
+def _log_ratios(parent: np.ndarray, draw: _Law | _WindowedLaw, pair: _Law | _WindowedLaw, trials: int, seed: int) -> np.ndarray:
     """``log p1 - log p0`` of every trial, drawn from `draw` chunk by chunk
     and scored under the pair law `pair` of both models' logs: each chunk
     takes one pass over the blocks, which adds both models' terms to one
-    complex sum per trial."""
+    complex sum per trial.  The laws are whole, or the two `_WindowedLaw`
+    sides of one `_Windows`, whose block of nodes a..b-1 is scored under
+    ``pair.at(a)``."""
     diffs = np.empty(trials)
     for start, uniforms in _chunked_uniforms(seed, trials, draw.draws_per_node * parent.shape[0]):
         acc = np.zeros(uniforms.shape[1], dtype=complex)
         for block in _pass(parent, draw, uniforms):
-            _score(acc, pair, _relaid(block, draw.steps_stride, draw.emission_stride, pair))
-            del block  # before the next block is drawn
+            source, law = draw.at(block[0]), pair.at(block[0])
+            _score(acc, law, _relaid(block, source.steps_stride, source.emission_stride, law))
+            del block, source, law  # before the next block, and maybe window, is drawn
         np.subtract(acc.real, acc.imag, out=diffs[start : start + uniforms.shape[1]])
         del uniforms  # before the next chunk is drawn
     return diffs
@@ -585,29 +615,78 @@ def sample_posterior(model: HmmModel, evidence: Evidence, rng: np.random.Generat
     return uniforms.view(np.int64)[:, 0].copy()
 
 
-def _evidence_laws(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> tuple[_Law, _Law]:
-    """The first model's posterior law to draw with, and both models'
-    posterior logs as one pair law (see `_pair`).
+class _Windows:
+    """A chain's posterior laws, one window of positions at a time: the
+    first model's law to draw with, and both models' logs as one pair law
+    (see `_pair`).
 
-    Each model's posterior factors are built by `_factor_block` straight
-    into their half of the pair's stack, block by block as `_posterior_sweep`
-    yields the weights, the CDFs are taken from the first half and then both
-    halves are overwritten by their logs: the pair and one CDF stack, three
-    real stacks in all, are the only stacks alive.
+    The posterior weights of every position, ``(N-1, 2, d)``, are kept as
+    `_posterior_sweep` yields them.  A window is ``divergence._BLOCK_ENTRIES
+    // d**2`` positions, and at least one, in walk order from node 1.  When
+    the pass first reaches one, `_factor_block` builds each model's factors
+    straight into its half of the window's pair stack; the CDFs are taken
+    from the first half and then both halves are overwritten by their logs.
+    Only the last window built is held, so past the weights the memory is
+    one window's CDF and pair stacks, three real ``(B, d, d)`` stacks.
+    Factors, CDFs and logs are elementwise or per row, so no bit depends on
+    the window.
     """
-    d, hi = m1.n_states, m1.length - 1
-    steps, initial = np.empty((hi, d, d), dtype=complex), np.empty((2, d))
-    for weights in _posterior_sweep(m1, m0, evidence, initial):
-        lo = hi - len(weights)
-        _factor_block(m1.transition, weights[:, 0], out=steps.real[lo:hi])
-        _factor_block(m0.transition, weights[:, 1], out=steps.imag[lo:hi])
-        hi = lo
-    initial1, initial0 = initial
-    draw = _Law(_inclusive_cdf(initial1), _inclusive_cdf(steps.real))
-    with np.errstate(divide="ignore"):
-        for half in (steps.real, steps.imag):
-            np.log(half, out=half)
-    return draw, _Law(_pair(initial1, initial0), steps)
+
+    def __init__(self, m1: HmmModel, m0: HmmModel, evidence: Evidence):
+        n, d = m1.length, m1.n_states
+        self.transitions = m1.transition, m0.transition
+        self.weights, initial, hi = np.empty((n - 1, 2, d)), np.empty((2, d)), n - 1
+        for weights in _posterior_sweep(m1, m0, evidence, initial):
+            self.weights[hi - len(weights) : hi] = weights
+            hi -= len(weights)
+        self.first = _inclusive_cdf(initial[0]), _pair(*initial)
+        self.width = max(1, divergence._BLOCK_ENTRIES // d**2)
+        self._held = None, None
+
+    def laws(self, node: int) -> tuple[_Law, _Law]:
+        """The draw and pair laws of the window that holds node `node` (the
+        root's is the first)."""
+        node0 = 1 + max(0, node - 1) // self.width * self.width
+        if self._held[0] != node0:
+            self._held = None, None  # let go of the last window before building this one
+            weights = self.weights[node0 - 1 : node0 - 1 + self.width]
+            (pi1, pi0), d = self.transitions, weights.shape[2]
+            steps = np.empty((len(weights), d, d), dtype=complex)
+            _factor_block(pi1, weights[:, 0], out=steps.real)
+            _factor_block(pi0, weights[:, 1], out=steps.imag)
+            cdf = _inclusive_cdf(steps.real)
+            with np.errstate(divide="ignore"):
+                for half in (steps.real, steps.imag):
+                    np.log(half, out=half)
+            first_cdf, first_pair = self.first
+            self._held = node0, (_Law(first_cdf, cdf, node0=node0), _Law(first_pair, steps, node0=node0))
+        return self._held[1]
+
+
+@dataclass(frozen=True)
+class _WindowedLaw:
+    """One side of a `_Windows`, taken by `_pass` and `_log_ratios` in place
+    of a whole law: the draw law (side 0) or the pair law (side 1) of the
+    window that holds a node."""
+
+    windows: _Windows
+    side: int
+    draws_per_node = 1
+
+    @property
+    def window(self) -> int:
+        return self.windows.width
+
+    def at(self, node: int) -> _Law:
+        return self.windows.laws(node)[self.side]
+
+
+def _evidence_laws(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> tuple[_WindowedLaw, _WindowedLaw]:
+    """The first model's posterior law to draw with, and both models'
+    posterior logs as one pair law (see `_pair`), built one window at a
+    time by one `_Windows`."""
+    windows = _Windows(m1, m0, evidence)
+    return _WindowedLaw(windows, 0), _WindowedLaw(windows, 1)
 
 
 def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int, seed: int) -> McEstimate:

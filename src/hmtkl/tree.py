@@ -27,7 +27,9 @@ __all__ = ["inward_pass", "kld_exact_tree", "kld_homogeneous_tree"]
 
 def _fold(acc, factors, rows):
     """The inward step along a run of one-child nodes, last node first:
-    ``rows[i] += factors[i] @ acc``, then ``acc = rows[i]``; returns `acc`.
+    ``rows[i] += factors[i] @ acc``, then ``acc = rows[i]``; returns `acc`,
+    the last row written, which is ``rows[0]`` itself and not a copy when
+    `rows` has a row: a caller that writes into `rows` again overwrites it.
 
     One `ndarray.dot` per node when the rows and `acc` are finite (the sums
     then stay far below overflow), else `weighted_sum`'s ``0 * inf = 0`` rule.

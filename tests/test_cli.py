@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -61,6 +62,22 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--model-a", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("where", ["initial", "transition row 2"])
+    def test_infinities_of_both_signs_sum_to_nan_without_a_warning(self, capsys, tmp_path, where):
+        # inf + -inf is NumPy's invalid value: its RuntimeWarning must not
+        # reach the user, or pytest's error filter, beside the report
+        doc = json.loads(data_text("hmm_a.json"))
+        if where == "initial":
+            doc["initial"] = [math.inf, -math.inf]
+        else:
+            doc["transition"][1] = [math.inf, -math.inf]
+        path = tmp_path / "infinities.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--model-a", str(path)]) == 2
+        assert capsys.readouterr().out == f"{path}: {where} has a negative entry\n{path}: {where} sums to nan\n"
 
     def test_initial_that_is_not_a_vector_exit_2(self, capsys, tmp_path):
         doc = json.loads(data_text("hmm_a.json"))

@@ -184,6 +184,12 @@ def test_memory_is_linear_in_the_length():
     assert large - small <= table_bytes + 2**20
 
 
+def test_one_call_holds_one_slice_of_factors_per_model():
+    # one block of weights and a quarter block of each model's factors: the
+    # three whole-block factor stacks held before peaked at 3.25 MiB here
+    assert evidence_peak(2000, 64) <= 2 * 2**20
+
+
 def test_memory_does_not_grow_with_the_length():
     # both backward recursions and the inward fold run last symbol first, so
     # only the block being folded is held: no (N, d) table is alive

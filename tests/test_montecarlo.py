@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hmtkl.divergence
 from hmtkl import (
     DiscreteEmission,
     Evidence,
@@ -416,7 +417,8 @@ CHUNK_CASES = {
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
 def test_chunk_size_does_not_change_estimates(case, monkeypatch):
     """Chunks of one trial up to chunks holding every trial give the same
-    bits, whether the uniform cap or the trial cap sets the chunk."""
+    bits, whether the uniform cap or the trial cap sets the chunk; so do
+    posterior windows of one and of seven positions."""
     import hmtkl.montecarlo as mc
 
     estimates = []
@@ -424,6 +426,12 @@ def test_chunk_size_does_not_change_estimates(case, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK", chunk)
         monkeypatch.setattr(mc, "_TRIALS", cap)
         estimates.append(CHUNK_CASES[case]())
+    if case == "evidence":
+        monkeypatch.undo()
+        d = bundled_hmm_pair()[0].n_states
+        for entries in (d * d, 7 * d * d):
+            monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", entries)
+            estimates.append(CHUNK_CASES[case]())
     assert estimates[0].infinite_trials == 0
     assert all(est == estimates[0] for est in estimates)
 
@@ -545,11 +553,25 @@ def test_evidence_holds_three_posterior_stacks():
     assert traced_peak(lambda: mc_kld_evidence(m1, m0, ev, trials, 0)) <= block + tile + stacks + 64 * trials + 2**20
 
 
-def test_pair_tables_hold_each_models_logs_and_never_nan():
+@pytest.mark.tracemalloc_mc
+def test_evidence_holds_one_window_of_posterior_stacks():
+    """`mc_kld_evidence` at N = 1000, d = 64 and 200 trials peaks under 10
+    MiB: the ``(N-1, 2, d)`` posterior weights and one window's CDF and pair
+    stacks beside one uniform block and one tile.  Three whole ``(N-1, d,
+    d)`` stacks took 97.6 MiB."""
+    rng, length, d, trials = np.random.default_rng(64), 1000, 64, 200
+    m1, m0 = chain(rng, length, d, 3), chain(rng, length, d, 3)
+    ev = Evidence.from_external(rng.integers(1, 4, length).tolist())
+    import numpy.random  # noqa: F401  (NumPy imports it lazily: its import stays out of the peak)
+    assert traced_peak(lambda: mc_kld_evidence(m1, m0, ev, trials, 0)) < 10 * 2**20
+
+
+def test_pair_tables_hold_each_models_logs_and_never_nan(monkeypatch):
     """A zero probability in either model makes its half of the pair entry
     -inf, (-inf, x) or (x, -inf), and never NaN; every half holds its own
     model's logs bit for bit, broadcast where only the other model is
-    per-node, and the evidence pair holds the logs of both posteriors."""
+    per-node, and the evidence pair, in windows of 5, 5 and 1 positions,
+    holds the logs of both posteriors."""
     pair = _pair(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.0, 1.0]))
     assert pair.real.tolist() == [-math.inf, math.log(0.5), 0.0]
     assert pair.imag.tolist() == [math.log(0.5), -math.inf, 0.0]
@@ -567,10 +589,15 @@ def test_pair_tables_hold_each_models_logs_and_never_nan():
     # zeros in the transitions only, so that the evidence is possible under both chains
     c1, c0 = (HmmModel(length=12, initial=rows(rng, (3,)), transition=rows(rng, (3, 3), 0.4), emission=DiscreteEmission(rows(rng, (3, 2)))) for _ in range(2))
     ev = Evidence.from_external(rng.integers(1, 3, 12).tolist())
-    draw, evidence_logs = _evidence_laws(c1, c0, ev)
+    monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", 5 * 3 * 3)
+    draw, pair = _evidence_laws(c1, c0, ev)
+    windows = [(draw.at(node), pair.at(node)) for node in (0, 1, 6, 11)]
+    assert [(cdf.node0, logs.node0, len(logs.steps)) for cdf, logs in windows] == [(1, 1, 5), (1, 1, 5), (6, 6, 5), (11, 11, 1)]
+    evidence_logs = _Law(windows[0][1].first, np.concatenate([logs.steps for _, logs in windows[1:]]))
     (initial1, factors1), (initial0, factors0) = (posterior_conditionals(m, ev) for m in (c1, c0))
     halves += [(evidence_logs.first, initial1, initial0), (evidence_logs.steps, factors1, factors0)]
-    np.testing.assert_array_equal(draw.steps, _inclusive_cdf(factors1))
+    np.testing.assert_array_equal(windows[0][0].first, _inclusive_cdf(initial1))
+    np.testing.assert_array_equal(np.concatenate([cdf.steps for cdf, _ in windows[1:]]), _inclusive_cdf(factors1))
     with np.errstate(divide="ignore"):
         for got, first, second in halves:
             assert not np.isnan(got).any()
