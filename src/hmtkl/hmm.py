@@ -153,9 +153,14 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
     (d_initial, d_transition), d_emission = _emission_rows(
         m1.emission, m0.emission, (m1.initial, m0.initial), (m1.transition, m0.transition)
     )
-    # a row divergence is >= 0, but rounding can leave -1e-16 in any of them,
-    # which the sum multiplies by N for a transition row; all are clamped at 0
-    step = np.maximum(d_transition, 0.0) + d_emission
+    # a step is >= 0, but rounding can leave -1e-16 in it, which the sum
+    # multiplies by N; it is clamped at 0 as a whole, as the local terms are.
+    # A row that sums to 1 - 1e-16 (within the validation tolerance) carries
+    # that mass into D(pi) and, in the local terms, into the next emission;
+    # weighting D(e) by the row's mass cancels it here too.  Clamping D(pi)
+    # alone made the bound N * 1e-16 where the exact value is 1e-16, and an
+    # unweighted D(e) left it N * 2e-32 away from the exact route.
+    step = np.maximum(d_transition + m1.transition.sum(axis=1) * d_emission, 0.0)
     d = m1.n_states
     # result is (P^r, S_r, r) for the low bits r of N - 1 read so far, square is (P^(2^j), S_(2^j), 2^j)
     result, square = (np.eye(d), np.zeros((d, d)), 0), (m1.transition, np.eye(d), 1)

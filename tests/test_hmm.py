@@ -309,6 +309,19 @@ def test_bound_outlasts_the_sum_of_powers():
     assert bound == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("length", [1000, 10**20, 10**309], ids=["1e3", "1e20", "1e309"])
+def test_bound_cancels_a_row_deficit_shared_by_both_divergences(length):
+    # rows 1 - 2^-53 pass validation: the first model's transition and the
+    # second's emission put -1.1e-16 in D(pi) and +1.1e-16 in D(e) at each
+    # node, which the bound once summed to N * 1.1e-16 or N * 1.2e-32
+    one = np.nextafter(1.0, 0.0)
+    a = HmmModel(length=length, initial=[1.0], transition=[[one]], emission=DiscreteEmission([[1.0]]))
+    b = HmmModel(length=length, initial=[1.0], transition=[[1.0]], emission=DiscreteEmission([[one]]))
+    exact, fast, bound = exact_routes_or_overflow(a, b)
+    assert exact == fast
+    assert bound == pytest.approx(exact, rel=1e-12, abs=1e-13)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     model_pairs(
