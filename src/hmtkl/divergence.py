@@ -179,10 +179,18 @@ def _local_rows(e1: EmissionSpec, e0: EmissionSpec, *weights) -> list:
     rule, the divergence of the (hidden state, emission) pair whose state law
     is the weight row.  A state of zero weight adds nothing even where its
     emission divergence is +inf.  One kernel call serves every pair.
+
+    Each pair's emission term is the product of the one-node stacks that
+    `_weighted_local_kl` takes, so a row has the bits of `local_k_stack`'s.
+    When the emission divergences are finite, a test made once for all the
+    pairs, that product is one `np.matmul`, the one `weighted_sum` takes.
     """
     for w1, _ in weights:
         _check_states(w1, e1)
     rows, per_state = _emission_rows(e1, e0, *weights)
+    if np.isfinite(per_state).all():
+        per_state = per_state[None, :, None]
+        return [np.maximum(r + np.matmul(w1[None], per_state)[0, :, 0], 0.0) for r, (w1, _) in zip(rows, weights)]
     return [np.maximum(r + weighted_sum(w1[None], per_state[None])[0], 0.0) for r, (w1, _) in zip(rows, weights)]
 
 

@@ -126,12 +126,12 @@ def _compose(first, second):
     power renormalised to sum to 1 so that rounding cannot compound over the
     doublings."""
     (power_a, sums_a, a), (power_b, sums_b, b) = first, second
-    power = power_a @ power_b
+    power = power_a.dot(power_b)
     power /= power.sum(axis=1, keepdims=True)
     exponent = _sum_exponent(a + b)
     if exponent:  # scaling by a power of two moves no bit
         sums_a, sums_b = np.ldexp(sums_a, _sum_exponent(a) - exponent), np.ldexp(sums_b, _sum_exponent(b) - exponent)
-    return power, sums_a + power_a @ sums_b, a + b
+    return power, sums_a + power_a.dot(sums_b), a + b
 
 
 def do_bound(m1: HmmModel, m0: HmmModel) -> float:
@@ -174,9 +174,13 @@ def do_bound(m1: HmmModel, m0: HmmModel) -> float:
                 square = _compose(square, square)
         power, sums, count = result
         exponent = _sum_exponent(count)
-        # zero divergences stay out of the product, which keeps its bits
+        # zero divergences stay out of the product, which keeps its bits; the
+        # masked copy is what the product reads even when every step is live,
+        # since its column-major layout gives other bits than `sums` itself
         live = step != 0
-        acc = np.ldexp(weighted_sum(sums[:, live], step[live]), exponent) + weighted_sum(power, d_emission)
+        # finite steps and D(e) take `weighted_sum`'s finite product directly
+        product = np.ndarray.dot if np.isfinite(step + d_emission).all() else weighted_sum
+        acc = np.ldexp(product(sums[:, live], step[live]), exponent) + product(power, d_emission)
         if not np.isfinite(acc).all():
             # the value without its infinite terms, at the states that reach
             # no infinite local term, which kld_hmm_no_evidence also sums

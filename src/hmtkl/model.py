@@ -215,7 +215,9 @@ class DiscreteEmission:
     kind = "discrete"
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim < 2:  # np.atleast_2d costs more than this test on a matrix
+            m = np.atleast_2d(m)
         if m.ndim > 3:
             raise ValueError("emission matrix must be two-dimensional (three-dimensional for a stack)")
         object.__setattr__(self, "matrix", _freeze(m))
@@ -250,8 +252,10 @@ class GaussianEmission:
     kind = "gaussian"
 
     def __post_init__(self):
-        means = np.atleast_1d(np.asarray(self.means, dtype=float))
-        sds = np.atleast_1d(np.asarray(self.sds, dtype=float))
+        means = np.asarray(self.means, dtype=float)
+        sds = np.asarray(self.sds, dtype=float)
+        if means.ndim == 0 or sds.ndim == 0:
+            means, sds = np.atleast_1d(means), np.atleast_1d(sds)
         if means.shape != sds.shape or means.ndim > 2:
             raise ValueError("means and sds must be one-dimensional and of equal length")
         object.__setattr__(self, "means", _freeze(means))
@@ -478,7 +482,9 @@ class HmmModel:
         if length < 1:
             raise ValueError("length must be >= 1")
         object.__setattr__(self, "length", length)
-        initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
+        initial = np.asarray(self.initial, dtype=float)
+        if initial.ndim == 0:
+            initial = np.atleast_1d(initial)
         if initial.ndim != 1:
             raise ValueError("initial must be a vector")
         object.__setattr__(self, "initial", _freeze(initial))
@@ -594,11 +600,20 @@ def check_evidence(model: HmmModel, evidence: Evidence) -> None:
 
 def _check_rows(stack, label, problems):
     """Report rows of an (n, rows, m) stack that have a negative entry or do
-    not sum to 1, in (node, row) order; ``label(i)`` names entry i."""
+    not sum to 1, in (node, row) order; ``label(i)`` names entry i.
+
+    A stack whose least entry is >= 0 and whose row sums all lie within
+    `STOCH_TOL` of 1 is valid, and the masks of the report are built only
+    when that whole-stack pass fails (NaN fails both of its comparisons).
+    Runs inside `validate`'s ``np.errstate``: a row holding both infinities
+    is reported as summing to nan, without a warning.
+    """
+    sums = stack.sum(axis=-1)
+    off_by = np.abs(sums - 1.0)
+    if stack.min(initial=0.0) >= 0 and off_by.max(initial=0.0) <= STOCH_TOL:
+        return
     negative = (stack < 0).any(axis=-1)
-    with np.errstate(invalid="ignore"):  # inf + -inf: the row is reported as summing to nan
-        sums = stack.sum(axis=-1)
-    off = ~(np.abs(sums - 1.0) <= STOCH_TOL)  # NaN sums are off too
+    off = ~(off_by <= STOCH_TOL)  # NaN sums are off too
     for i, r in zip(*np.nonzero(negative | off)):
         if negative[i, r]:
             problems.append(f"{label(i)} row {r + 1} has a negative entry")
@@ -607,12 +622,15 @@ def _check_rows(stack, label, problems):
 
 
 def _check_vector(vector, problems, label):
-    if (np.asarray(vector) < 0).any():
+    """`_check_rows` for one vector named `label`, with the same whole-vector
+    pass first; also inside `validate`'s ``np.errstate``."""
+    total = float(vector.sum())
+    if vector.min(initial=0.0) >= 0 and abs(total - 1.0) <= STOCH_TOL:
+        return
+    if (vector < 0).any():
         problems.append(f"{label} has a negative entry")
-    with np.errstate(invalid="ignore"):  # inf + -inf: reported as summing to nan
-        s = float(np.sum(vector))
-    if not math.isclose(s, 1.0, rel_tol=0.0, abs_tol=STOCH_TOL):
-        problems.append(f"{label} sums to {s:.12g}")
+    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=STOCH_TOL):
+        problems.append(f"{label} sums to {total:.12g}")
 
 
 def _check_gaussian(means, sds, label, problems):
@@ -637,27 +655,35 @@ def validate(model) -> list[str]:
     silently.  Each parameter stack is checked with whole-array masks; the
     report lists the transitions, then the emissions, node by node and row by
     row.
+
+    A valid vector or stack costs one pass over the whole of it: its least
+    entry and its row sums' largest distance from 1.  The per-row masks and
+    the report lines are built only for a stack that fails that pass (see
+    `_check_rows`).  The checks run under one ``np.errstate(invalid=
+    "ignore")``, so a row holding both infinities is reported as summing to
+    nan without a NumPy warning.
     """
     problems: list[str] = []
-    _check_vector(model.initial, problems, "initial")
     if isinstance(model, HmmModel):
         transitions, spec, path = model.transition, model.emission, None
     else:
         transitions, spec, path = model.transition_stack, model.emission_stack, cache(model.topology.path)
-    if transitions.ndim == 2:
-        _check_rows(transitions[None], lambda i: "transition", problems)
-    else:
-        _check_rows(transitions, lambda i: f"transition at node {path(i + 1)!r}", problems)
 
     def emission(i):
         return f"emission at node {path(i)!r}" if spec.stacked else "emission"
 
-    if spec.kind == "discrete":
-        matrix = spec.matrix if spec.stacked else spec.matrix[None]
-        _check_rows(matrix, lambda i: f"{emission(i)} matrix", problems)
-    else:
-        means, sds = (spec.means, spec.sds) if spec.stacked else (spec.means[None], spec.sds[None])
-        _check_gaussian(means, sds, emission, problems)
+    with np.errstate(invalid="ignore"):
+        _check_vector(model.initial, problems, "initial")
+        if transitions.ndim == 2:
+            _check_rows(transitions[None], lambda i: "transition", problems)
+        else:
+            _check_rows(transitions, lambda i: f"transition at node {path(i + 1)!r}", problems)
+        if spec.kind == "discrete":
+            matrix = spec.matrix if spec.stacked else spec.matrix[None]
+            _check_rows(matrix, lambda i: f"{emission(i)} matrix", problems)
+        else:
+            means, sds = (spec.means, spec.sds) if spec.stacked else (spec.means[None], spec.sds[None])
+            _check_gaussian(means, sds, emission, problems)
     return problems
 
 

@@ -104,6 +104,28 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
 #: scaled by 2^4096 overflows, and the cap keeps the exponent a C int.
 _MAX_EXPONENT = 4096
 
+#: Binary logarithm below which a bound on every partial sum of
+#: `geometric_weighted_sum` lets its products skip the ``0 * inf`` rule; 64
+#: bits short of the float range, a margin for the rows of `pi`, which sum
+#: to 1 only within the validation tolerance.
+_DIRECT_BITS = 960
+
+
+def _cannot_overflow(top: float, children: int, terms: int) -> bool:
+    """Whether ``top * terms * children^(terms - 1)`` stays below
+    ``2^_DIRECT_BITS``: with nonnegative powers whose rows sum to 1, that
+    bounds every partial sum of `terms` steps whose largest step entry is
+    `top`.  Decided in binary logarithms, so that a depth past the float
+    range (``10**310``) is never made a float; NaN gives False."""
+    if not top > 0:
+        return top == 0
+    growth = terms.bit_length()
+    if children > 1:
+        if terms > _DIRECT_BITS:
+            return False
+        growth += (terms - 1) * math.log2(children)
+    return math.log2(top) + growth < _DIRECT_BITS
+
 
 def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
     """Evaluate ``sum_{i=1}^{depth-1} children^i  pi^(i-1) @ k`` in O(d^3 log depth).
@@ -120,6 +142,17 @@ def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
     ``children^(depth-1)``; if the sum stops being finite at a state that
     reaches no infinite entry, the depth is too large for 64-bit floats and
     an OverflowError is raised.
+
+    The products against `pi`'s powers are plain ``ndarray.dot`` calls, the
+    product `weighted_sum` takes on finite values, when `pi` has no negative
+    entry and the largest finite entry of ``children * k``, `children` and
+    `depth` bound every partial sum below ``2^_DIRECT_BITS``
+    (`_cannot_overflow`): then no sum can become infinite, and the value has
+    the same bits; for a chain, that is a largest local term times N below
+    about 2^959.  Otherwise each product keeps `weighted_sum`'s
+    ``0 * inf = 0`` rule, which keeps an overflow at one state from turning
+    the sum at a state that never reaches it into NaN.  When `k` has no
+    infinite entry, the support graph is not searched.
     """
     if children < 1:
         raise ValueError("children count must be >= 1")
@@ -131,32 +164,38 @@ def geometric_weighted_sum(pi, k, children: int, depth: int) -> np.ndarray:
     acc = np.zeros_like(k)
     if depth == 1:
         return acc
-    # States within depth - 2 steps of an infinite entry; saturates after d - 1 steps.
-    reach, support = infinite, pi != 0
-    for _ in range(min(depth - 2, k.shape[0] - 1)):
-        grown = infinite | (support & reach).any(axis=1)
-        if (grown == reach).all():
-            break
-        reach = grown
-    # f^(2^j): acc -> mantissa * 2^exponent * (power @ acc) + step
-    power, step = pi, children * np.where(infinite, 0.0, k)
-    mantissa, exponent = math.frexp(children)
     n = depth - 1
+    reach = None
+    if infinite.any():
+        # States within depth - 2 steps of an infinite entry; saturates after d - 1 steps.
+        reach, support = infinite, pi != 0
+        for _ in range(min(n - 1, k.shape[0] - 1)):
+            grown = infinite | (support & reach).any(axis=1)
+            if (grown == reach).all():
+                break
+            reach = grown
+        k = np.where(infinite, 0.0, k)
+    # f^(2^j): acc -> mantissa * 2^exponent * (power @ acc) + step
+    power, step = pi, children * k
+    direct = pi.min(initial=0.0) >= 0 and _cannot_overflow(float(np.abs(step).max(initial=0.0)), children, n)
+    product = np.ndarray.dot if direct else weighted_sum
+    mantissa, exponent = math.frexp(children)
     with np.errstate(over="ignore"):
         while True:
             if n & 1:
-                acc = np.ldexp(mantissa * weighted_sum(power, acc), exponent) + step
+                acc = np.ldexp(mantissa * product(power, acc), exponent) + step
             n >>= 1
             if not n:
                 break
-            step = np.ldexp(mantissa * weighted_sum(power, step), exponent) + step
-            power = power @ power
+            step = np.ldexp(mantissa * product(power, step), exponent) + step
+            power = power.dot(power)
             power /= power.sum(axis=1, keepdims=True)
             mantissa, shift = math.frexp(mantissa * mantissa)
             exponent = min(2 * exponent + shift, _MAX_EXPONENT)
-    if not np.isfinite(acc[~reach]).all():
+    if not np.isfinite(acc if reach is None else acc[~reach]).all():
         raise OverflowError(f"geometric sum overflows 64-bit floats (children={children}, depth={depth})")
-    acc[reach] = np.inf
+    if reach is not None:
+        acc[reach] = np.inf
     return acc
 
 

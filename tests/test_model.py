@@ -764,16 +764,19 @@ class TestImmutability:
 
 
 def reference_report(model):
-    """Per-row validation through the path accessors, one matrix row at a time."""
+    """Per-row validation through the path accessors, one vector or matrix
+    row at a time."""
     problems = []
 
-    def rows(matrix, label):
+    def rows(matrix, label, named=True):
         for r, row in enumerate(np.atleast_2d(matrix)):
+            name = f"{label} row {r + 1}" if named else label
             if (row < 0).any():
-                problems.append(f"{label} row {r + 1} has a negative entry")
-            total = float(row.sum())
+                problems.append(f"{name} has a negative entry")
+            with np.errstate(invalid="ignore"):  # inf + -inf sums to nan
+                total = float(row.sum())
             if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
-                problems.append(f"{label} row {r + 1} sums to {total:.12g}")
+                problems.append(f"{name} sums to {total:.12g}")
 
     def emission(spec, label):
         if spec.kind == "discrete":
@@ -787,6 +790,11 @@ def reference_report(model):
             elif not math.isfinite(sd):
                 problems.append(f"{label} sd for state {state + 1} is not finite")
 
+    rows(model.initial, "initial", named=False)
+    if isinstance(model, HmmModel):
+        rows(model.transition, "transition")
+        emission(model.emission, "emission")
+        return problems
     nodes = model.topology.nodes
     if isinstance(model.transitions, np.ndarray):
         rows(model.transitions, "transition")
@@ -801,13 +809,46 @@ def reference_report(model):
     return problems
 
 
+def edge_sum(sign):
+    """The float farthest from 1 on the side of `sign` whose distance from 1,
+    as computed, is still within the validation tolerance of 1e-12."""
+    edge = 1.0 + sign * 1e-12
+    while abs(edge - 1.0) > 1e-12:
+        edge = math.nextafter(edge, 1.0)
+    while abs(math.nextafter(edge, sign * math.inf) - 1.0) <= 1e-12:
+        edge = math.nextafter(edge, sign * math.inf)
+    return edge
+
+
+def one_entry(value):
+    """A fault that leaves `value` alone in the row, so that the row sums to
+    `value` exactly."""
+
+    def plant(row, c):
+        row[:] = 0.0
+        row[c] = value
+
+    return plant
+
+
+def both_infinities(row, c):
+    row[c] = math.inf
+    row[(c + 1) % row.size] = -math.inf  # a one-entry row keeps -inf alone
+
+
 ROW_FAULTS = {
     "negative": lambda row, c: row.__setitem__(c, -row[c] - 0.25),
     "nan": lambda row, c: row.__setitem__(c, math.nan),
     "inf": lambda row, c: row.__setitem__(c, math.inf),
+    "-inf": lambda row, c: row.__setitem__(c, -math.inf),
+    "both infinities": both_infinities,
     "above": lambda row, c: row.__setitem__(c, row[c] + 1e-11),
     "below": lambda row, c: row.__setitem__(c, row[c] - 1e-11),
     "within": lambda row, c: row.__setitem__(c, row[c] + 1e-13),
+    "at the upper edge": one_entry(edge_sum(1)),
+    "past the upper edge": one_entry(math.nextafter(edge_sum(1), math.inf)),
+    "at the lower edge": one_entry(edge_sum(-1)),
+    "past the lower edge": one_entry(math.nextafter(edge_sum(-1), -math.inf)),
 }
 GAUSSIAN_FAULTS = {
     "means": [math.nan, math.inf, -math.inf],
@@ -815,15 +856,21 @@ GAUSSIAN_FAULTS = {
 }
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 12),
     d=st.integers(1, 4),
     m=st.integers(1, 4),
+    chain_model=st.booleans(),
     gaussian=st.booleans(),
     shared=st.tuples(st.booleans(), st.booleans()),
     row_faults=st.lists(
-        st.tuples(st.booleans(), st.sampled_from(sorted(ROW_FAULTS)), st.integers(0, 10**6), st.integers(0, 10**6)),
+        st.tuples(
+            st.sampled_from(["initial", "transition", "emission"]),
+            st.sampled_from(sorted(ROW_FAULTS)),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
         max_size=6,
     ),
     gaussian_faults=st.lists(
@@ -831,17 +878,24 @@ GAUSSIAN_FAULTS = {
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_validation_matches_per_row_reference(n, d, m, gaussian, shared, row_faults, gaussian_faults, seed):
+def test_stacked_validation_matches_per_row_reference(n, d, m, chain_model, gaussian, shared, row_faults, gaussian_faults, seed):
+    """`validate` reports what the per-row reference reports, line for line,
+    on a chain or on a tree with per-node stacks, with faults planted in the
+    initial law, the transitions and the emission matrices: negative, NaN and
+    infinite entries, rows holding both infinities, and rows that sum to 1
+    within or just past the tolerance, at its edge and one float beyond."""
     rng = np.random.default_rng(seed)
     # a chain or a star, so that node labels have several lengths and orders
     topo = HmtTopology.regular(n, 1) if seed % 2 else HmtTopology.from_nodes([""] + [str(c) for c in range(min(n, 11) - 1)])
     count = topo.n_nodes
+    shared = (True, True) if chain_model else shared
+    initial = rng.dirichlet(np.ones(d))
     transitions = rng.dirichlet(np.ones(d), size=(d,) if shared[0] else (count - 1, d))
     lead = () if shared[1] else (count,)
     matrix = rng.dirichlet(np.ones(m), size=lead + (d,))
     means, sds = rng.normal(size=lead + (d,)), rng.uniform(0.5, 2.0, size=lead + (d,))
-    for in_transitions, fault, at_row, at_col in row_faults:
-        target = transitions if in_transitions or gaussian else matrix
+    for where, fault, at_row, at_col in row_faults:
+        target = {"initial": initial, "transition": transitions, "emission": transitions if gaussian else matrix}[where]
         flat = target.reshape(-1, target.shape[-1])
         if flat.size:
             ROW_FAULTS[fault](flat[at_row % flat.shape[0]], at_col % flat.shape[1])
@@ -851,8 +905,20 @@ def test_stacked_validation_matches_per_row_reference(n, d, m, gaussian, shared,
             values = GAUSSIAN_FAULTS[key]
             flat[at % flat.size] = values[choice % len(values)]
     emissions = GaussianEmission(means, sds) if gaussian else DiscreteEmission(matrix)
-    model = HmtModel(topology=topo, initial=np.eye(d)[0], transitions=transitions, emissions=emissions)
+    if chain_model:
+        model = HmmModel(length=n, initial=initial, transition=transitions, emission=emissions)
+    else:
+        model = HmtModel(topology=topo, initial=initial, transitions=transitions, emissions=emissions)
     assert validate(model) == reference_report(model)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_row_sums_at_the_tolerance_edge_are_valid_and_one_float_beyond_is_not(sign):
+    edge = edge_sum(sign)
+    beyond = math.nextafter(edge, sign * math.inf)
+    for value, report in ((edge, []), (beyond, [f"transition row 2 sums to {beyond:.12g}"])):
+        model = HmmModel(length=3, initial=[1.0, 0.0], transition=[[0.5, 0.5], [value, 0.0]], emission=DiscreteEmission([[1.0], [1.0]]))
+        assert validate(model) == reference_report(model) == report
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,15 @@ class TestGeometricSum:
         out = geometric_weighted_sum(pi, np.array([1.0, math.inf]), 2, 3)
         assert np.isinf(out).all()
 
+    def test_overflow_at_one_state_leaves_an_unreached_state_finite(self):
+        # state 0 overflows on its own (1e300 * 1e20) and also reaches the infinite
+        # state 1; state 2 reaches neither, so its sum is 1e20.  A product without
+        # the 0 * inf = 0 rule would meet the overflowed entry with a zero weight,
+        # make state 2 NaN and raise.
+        pi = [[1 - 1e-12, 1e-12, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        out = geometric_weighted_sum(pi, [1e300, math.inf, 1.0], 1, 10**20)
+        assert out.tolist() == [math.inf, math.inf, 1e20]
+
 
 def horner_geometric_sum(pi, k, children, depth):
     """``sum_{i=1}^{depth-1} children^i pi^(i-1) @ k`` by the Horner fold
