@@ -80,8 +80,8 @@ def cmd_validate(args) -> int:
     for path in [args.model_a] + ([args.model_b] if args.model_b else []):
         try:
             load_model(_read(path))
-        except ModelValidationError as exc:
-            for line in exc.report:
+        except ModelError as exc:
+            for line in getattr(exc, "report", [str(exc)]):
                 print(f"{path}: {line}")
             status = 2
         else:

@@ -11,12 +11,14 @@ sum to 1 after each product), and the divergence between the two models'
 hidden-path posteriors given a fully observed emission sequence.  The
 evidence route runs both models' backward recursions in one loop from the
 last symbol to the first, `_posterior_sweep`, whose posterior weights come
-in backward blocks of at most ``divergence._BLOCK_ENTRIES // d**2``
-positions.  As soon as a block is filled it is turned, from its end and a
-slice of at most a quarter of a block at a time, into both models'
-posterior factors and row divergences, which the tree's chain step
-`tree._fold`, run in the same direction, folds in; so its memory is one
-block of weights and one slice of factors per model plus O(d), whatever N.
+in blocks of ``divergence._BLOCK_ENTRIES // d**2`` positions counted from
+the first, the last block first.  As soon as a block is filled it is
+turned, from its end and a slice of at most a quarter of a block at a time,
+into both models' posterior factors and row divergences, which the tree's
+chain step `tree._fold`, run in the same direction, folds in; so its memory
+is one block of weights and one slice of factors per model plus O(d),
+whatever N.  `montecarlo` keeps every block, each one window of its
+posterior draws.
 Each step of that loop takes one product with the emission columns and one
 stacked `np.matmul` for both models, then one argmax and one in-place
 division for each.  The public one-model tables, `backward_quantities` and
@@ -367,9 +369,10 @@ def _posterior_sweep(m1: HmmModel, m0: HmmModel, evidence: Evidence, initial: np
 
     Yields the posterior weights ``e(s, x_i) B_i(s)`` of positions i = N..2,
     from which `_factor_block` builds the posterior conditionals, as
-    ``(B, 2, d)`` blocks (the first model's rows, then the second's) of at
-    most ``divergence._BLOCK_ENTRIES // d**2`` positions, the last block
-    first; then writes the two initial posteriors P(S_1 | X = x) into the
+    ``(B, 2, d)`` blocks (the first model's rows, then the second's): with
+    B = ``divergence._BLOCK_ENTRIES // d**2``, and at least 1, block k holds
+    positions 2 + kB onwards, and the last, maybe shorter, block comes
+    first.  Then it writes the two initial posteriors P(S_1 | X = x) into the
     rows of `initial`.  Only the block being filled is held, so the memory
     does not grow with N.  A step is one in-place product with the emission
     columns and one stacked `np.matmul` for both models, then an argmax and
@@ -390,8 +393,8 @@ def _posterior_sweep(m1: HmmModel, m0: HmmModel, evidence: Evidence, initial: np
     symbols, b, matmul = evidence.symbols, np.ones((2, d, 1)), np.matmul
     b1, b0 = b[:, :, 0]  # each model's B_i, the rows that `matmul` writes
     block = max(1, divergence._BLOCK_ENTRIES // d**2)
-    for hi in range(n - 1, 0, -block):
-        lo = max(0, hi - block)
+    for lo in range((n - 2) // block * block, -1, -block):
+        hi = min(n - 1, lo + block)
         # row j is position lo + j + 2: e(., x_i), then e(., x_i) B_i in place
         weights = emitted[symbols[lo + 1 : hi + 1]]
         for i, w in zip(range(hi + 1, lo + 1, -1), weights[::-1]):

@@ -181,17 +181,14 @@ class HmtTopology:
     def level_offsets(self) -> np.ndarray:
         """Level L holds the nodes ``level_offsets[L]:level_offsets[L + 1]``.
 
-        A regular tree of arity C holds C**L nodes at level L, so its offsets
-        are sums of powers (a chain's are ``0..n``).  Otherwise they follow
-        from the sorted `parent` array: the children of the level starting at
-        ``o`` begin where ``parent`` first reaches that level's end, so each
-        next offset is one binary search.
+        A chain's are ``0..n``.  Any other tree's follow from the sorted
+        `parent` array: the children of the level starting at ``o`` begin
+        where ``parent`` first reaches that level's end, so each next offset
+        is one binary search: at most 20 for a regular tree of two or more
+        children, whose `MAX_NODES` nodes fit in 20 levels.
         """
-        arity = self.regular_arity
-        if arity == 1:
+        if self.regular_arity == 1:
             return _freeze(np.arange(self.n_nodes + 1), dtype=np.intp)
-        if arity:
-            return _freeze([(arity**level - 1) // (arity - 1) for level in range(self.depth + 1)], dtype=np.intp)
         offsets = [0, 1]
         while offsets[-1] < self.n_nodes:
             offsets.append(int(np.searchsorted(self.parent, offsets[-1])))

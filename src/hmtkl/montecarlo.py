@@ -47,15 +47,15 @@ terms are computed on the complex rows viewed as float64, both models'
 halves side by side, each in the operations of one model's terms.
 `loglik_joint` and `sample_joint` keep one model's real law.
 
-The evidence estimator keeps both models' posterior weights, ``(N-1, 2,
-d)``, from one backward sweep, and builds a window's posterior CDFs and
-pair logs, ``divergence._BLOCK_ENTRIES // d**2`` positions of them, only
-when the pass reaches it (`_Windows`); blocks end at window edges.  So past
-the chunk it holds O(N d) and one window, 5.7 MiB in all at N = 1000, d =
-64 and 200 trials, where whole stacks took 97.6 MiB.  A chain of one window
-builds it once per call; a longer one builds each window once per chunk,
-which at d = 64 and N = 1000 costs about a third more time over five
-chunks.
+The evidence estimator keeps the blocks of both models' posterior weights
+that one backward sweep, `hmm._posterior_sweep`, yields, O(N d) in all, and
+each block is one window: its posterior CDFs and pair logs are built only
+when the pass reaches it (`_Windows`), and blocks of the pass end at window
+edges.  So past the chunk it holds the weights and one window, 5.7 MiB in
+all at N = 1000, d = 64 and 200 trials, where whole stacks took 97.6 MiB.
+A chain of one window builds it once per call; a longer one builds each
+window once per chunk, which at d = 64 and N = 1000 costs about a third
+more time over five chunks.
 
 A block of a chunk of t trials has ``2**14 // (k * t)`` nodes, and at least
 one, k log-terms per node, so its stack holds about `_BLOCK` = 2**14
@@ -79,7 +79,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import divergence
 from .model import Evidence, HmmModel, HmtModel, check_pair
 from .hmm import _factor_block, _posterior_sweep, posterior_conditionals
 
@@ -620,36 +619,35 @@ class _Windows:
     first model's law to draw with, and both models' logs as one pair law
     (see `_pair`).
 
-    The posterior weights of every position, ``(N-1, 2, d)``, are kept as
-    `_posterior_sweep` yields them.  A window is ``divergence._BLOCK_ENTRIES
-    // d**2`` positions, and at least one, in walk order from node 1.  When
-    the pass first reaches one, `_factor_block` builds each model's factors
-    straight into its half of the window's pair stack; the CDFs are taken
-    from the first half and then both halves are overwritten by their logs.
-    Only the last window built is held, so past the weights the memory is
-    one window's CDF and pair stacks, three real ``(B, d, d)`` stacks.
-    Factors, CDFs and logs are elementwise or per row, so no bit depends on
-    the window.
+    The ``(B, 2, d)`` blocks of posterior weights that `_posterior_sweep`
+    yields are kept as they come, front first, and window k is block k:
+    nodes 1 + kB onwards, B the first block's length.  When the pass first
+    reaches a window, `_factor_block` builds each model's factors straight
+    into its half of the window's pair stack; the CDFs are taken from the
+    first half and then both halves are overwritten by their logs.  Only
+    the last window built is held, so past the weights the memory is one
+    window's CDF and pair stacks, three real ``(B, d, d)`` stacks.  Factors,
+    CDFs and logs are elementwise or per row, so no bit depends on the
+    window.
     """
 
     def __init__(self, m1: HmmModel, m0: HmmModel, evidence: Evidence):
-        n, d = m1.length, m1.n_states
-        self.transitions = m1.transition, m0.transition
-        self.weights, initial, hi = np.empty((n - 1, 2, d)), np.empty((2, d)), n - 1
-        for weights in _posterior_sweep(m1, m0, evidence, initial):
-            self.weights[hi - len(weights) : hi] = weights
-            hi -= len(weights)
+        d = m1.n_states
+        self.transitions, initial = (m1.transition, m0.transition), np.empty((2, d))
+        # front first; a one-node chain has no position past the root, and one empty window
+        self.blocks = [*_posterior_sweep(m1, m0, evidence, initial)][::-1] or [np.empty((0, 2, d))]
         self.first = _inclusive_cdf(initial[0]), _pair(*initial)
-        self.width = max(1, divergence._BLOCK_ENTRIES // d**2)
+        self.width = max(1, len(self.blocks[0]))
         self._held = None, None
 
     def laws(self, node: int) -> tuple[_Law, _Law]:
         """The draw and pair laws of the window that holds node `node` (the
         root's is the first)."""
-        node0 = 1 + max(0, node - 1) // self.width * self.width
+        k = max(0, node - 1) // self.width
+        node0 = 1 + k * self.width
         if self._held[0] != node0:
             self._held = None, None  # let go of the last window before building this one
-            weights = self.weights[node0 - 1 : node0 - 1 + self.width]
+            weights = self.blocks[k]
             (pi1, pi0), d = self.transitions, weights.shape[2]
             steps = np.empty((len(weights), d, d), dtype=complex)
             _factor_block(pi1, weights[:, 0], out=steps.real)
@@ -683,8 +681,8 @@ class _WindowedLaw:
 
 def _evidence_laws(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> tuple[_WindowedLaw, _WindowedLaw]:
     """The first model's posterior law to draw with, and both models'
-    posterior logs as one pair law (see `_pair`), built one window at a
-    time by one `_Windows`."""
+    posterior logs as one pair law (see `_pair`), built one window, one
+    block of the backward sweep, at a time by one `_Windows`."""
     windows = _Windows(m1, m0, evidence)
     return _WindowedLaw(windows, 0), _WindowedLaw(windows, 1)
 

@@ -87,7 +87,26 @@ class TestValidate:
         for argv in (["validate"], ["exact", "--model-b", path], ["mc", "--model-b", path, "--trials", "10"]):
             assert main([*argv, "--model-a", path]) == 2
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", "model: initial must be a vector\n")
+            if argv == ["validate"]:  # a report line, prefixed with the file's path
+                assert (captured.out, captured.err) == (f"{path}: model: initial must be a vector\n", "")
+            else:
+                assert (captured.out, captured.err) == ("", "model: initial must be a vector\n")
+
+    def test_a_broken_file_is_named_and_the_next_is_checked(self, capsys, tmp_path):
+        doc = json.loads(data_text("hmm_a.json"))
+        del doc["states"]
+        broken = tmp_path / "no_states.json"
+        broken.write_text(json.dumps(doc))
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(data_text("hmm_a.json")[:40])
+        for path in (broken, truncated):
+            assert main(["validate", "--model-a", str(path), "--model-b", HMM_B]) == 2
+            captured = capsys.readouterr()
+            first, second = captured.out.splitlines()
+            assert first.startswith(f"{path}: ") and second == f"{HMM_B}: ok"
+            assert captured.err == ""
+        assert main(["validate", "--model-a", str(broken)]) == 2
+        assert capsys.readouterr().out == f"{broken}: model: missing required key 'states'\n"
 
     @pytest.mark.parametrize(
         "key, value, problem",
@@ -126,8 +145,8 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert main(["validate", "--model-a", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("model: ") and "dict" in captured.err
+        assert captured.err == ""
+        assert captured.out.startswith(f"{path}: model: ") and "dict" in captured.out
 
 
     @pytest.mark.parametrize("name, key", [("hmm_a.json", "length"), ("hmm_a.json", "states"), ("gauss_tree_a.json", "depth")])
@@ -137,10 +156,14 @@ class TestValidate:
         path = tmp_path / "boolean.json"
         path.write_text(json.dumps(doc))
         context = {"length": "hmm model", "states": "model", "depth": "hmt model"}[key]
-        for argv in (["validate", "--model-a", str(path)], ["exact", "--model-a", str(path), "--model-b", str(path)]):
+        line = f"{context}: key '{key}' has unexpected type bool\n"
+        for argv, expected in (
+            (["validate", "--model-a", str(path)], (f"{path}: {line}", "")),
+            (["exact", "--model-a", str(path), "--model-b", str(path)], ("", line)),
+        ):
             assert main(argv) == 2
             captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", f"{context}: key '{key}' has unexpected type bool\n")
+            assert (captured.out, captured.err) == expected
 
 
 class TestHostileTopology:
@@ -162,7 +185,9 @@ class TestHostileTopology:
             start = time.perf_counter()
             assert main(argv) == 2
             assert time.perf_counter() - start < 1.0
-            assert "more than 1048576 nodes" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            # validate prints the error as a report line of the file
+            assert "more than 1048576 nodes" in (captured.out if argv[0] == "validate" else captured.err)
 
 
 class TestExact:
@@ -546,11 +571,13 @@ class TestNestedJson:
 
     @pytest.mark.parametrize("command", ["validate", "exact"])
     def test_too_deep_exits_2_with_one_line(self, capsys, tmp_path, command):
-        args = [command, "--model-a", self.nested_copy(tmp_path, 1100), "--model-b", HMM_B]
-        assert main(args) == 2
+        nested = self.nested_copy(tmp_path, 1100)
+        assert main([command, "--model-a", nested, "--model-b", HMM_B]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "JSON is nested too deeply to decode\n"
+        if command == "validate":  # a report line of the file, and the next file is checked
+            assert (captured.out, captured.err) == (f"{nested}: JSON is nested too deeply to decode\n{HMM_B}: ok\n", "")
+        else:
+            assert (captured.out, captured.err) == ("", "JSON is nested too deeply to decode\n")
 
     def test_shallower_nesting_loads(self, capsys, tmp_path):
         assert main(["validate", "--model-a", self.nested_copy(tmp_path, 900)]) == 0
@@ -707,8 +734,9 @@ def test_integer_too_large_for_a_float_exits_2(capsys, tmp_path, edit, command):
     path.write_text(json.dumps(doc))
     assert main([command, "--model-a", str(path), "--model-b", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "model: int too large to convert to float\n"
+    line = "model: int too large to convert to float\n"
+    # validate checks both files and prints each error as a report line of its file
+    assert (captured.out, captured.err) == ((f"{path}: {line}" * 2, "") if command == "validate" else ("", line))
 
 
 def test_oversized_length_is_an_overflow_and_exits_3(capsys, tmp_path):

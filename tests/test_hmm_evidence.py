@@ -23,7 +23,7 @@ from hmtkl import (
     posterior_conditionals,
 )
 from hmtkl.divergence import weighted_sum
-from modelgen import chain, model_pairs
+from modelgen import chain, model_pairs, rows
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,43 @@ def test_values_do_not_depend_on_the_memory_layout():
             )
         for c_ordered, fortran_ordered in zip(*routes):
             assert c_ordered.tobytes() == fortran_ordered.tobytes()
+
+
+def edge_pair(rng, n, d=3):
+    """A chain pair over four symbols: the first model never emits symbol 2,
+    the second never emits symbol 3, and both emit 0 and 1."""
+    pair = []
+    for never in (2, 3):
+        initial, transition, emission = rows(rng, (d,)), rows(rng, (d, d)), rows(rng, (d, 4))
+        emission[:, never] = 0.0
+        emission /= emission.sum(axis=1, keepdims=True)
+        pair.append(HmmModel(length=n, initial=initial, transition=transition, emission=DiscreteEmission(emission)))
+    return pair
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_impossible_evidence_at_block_edges_is_named_as_in_one_block(block, monkeypatch):
+    # blocks of `block` positions from position 2 and a last block of one:
+    # each edge, position 1 and the short last block, under either model or
+    # under both, where the second model's mass vanishes first, at N
+    d, n = 3, 2 * block + 2
+    rng = np.random.default_rng(block)
+    m1, m0 = edge_pair(rng, n, d)
+    positions = sorted({1, 2, block + 1, block + 2, 2 * block + 1, n})
+    routes = (kld_hmm_evidence, lambda *case: mc_kld_evidence(*case, 2, 0))
+    for position in positions:
+        for name, symbols in ("first", {position: 2}), ("second", {position: 3}), ("first", {n: 3, position: 2}):
+            x = rng.integers(0, 2, size=n)
+            for i, symbol in symbols.items():
+                x[i - 1] = symbol
+            seen = []
+            for entries in (2**20, block * d * d):
+                monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", entries)
+                for route in routes:
+                    with pytest.raises(ZeroLikelihoodError) as err:
+                        route(m1, m0, Evidence(x))
+                    seen.append((err.value.position, str(err.value)))
+            assert seen == [(position, f"zero likelihood under the {name} model (position {position})")] * 4
 
 
 # ---------------------------------------------------------------------------

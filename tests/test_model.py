@@ -165,6 +165,14 @@ def test_topology_properties(t):
     assert save_model(load_model(text)) == text
 
 
+@settings(max_examples=150, deadline=None)
+@given(topologies())
+def test_level_offsets_count_the_nodes_of_each_path_length(t):
+    # level L is the nodes whose paths have L digits, whatever the tree's shape
+    counts = np.bincount([len(p) for p in t.nodes])
+    np.testing.assert_array_equal(t.level_offsets, np.concatenate(([0], np.cumsum(counts))))
+
+
 def test_relabelled_siblings_are_another_topology():
     one = HmtTopology.from_nodes(["", "1"])
     zero = HmtTopology.from_nodes(["", "0"])
