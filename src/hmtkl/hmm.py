@@ -3,12 +3,16 @@
 Implements the closed form for the unconditional divergence (the chain is
 the one-child tree, so its value is the tree's closed form,
 `tree._closed_form`, binary doubling in O(d^3 log N)), its large-N rate, a
-fast path that checks the eigendecomposition preconditions and then runs the
-same evaluator, the classical upper bound (which equals the exact value, and
+fast path that checks the spectral preconditions and then runs the same
+evaluator, the classical upper bound (which equals the exact value, and
 is summed along an independent route: binary doubling on the matrix pair
 ``(P^n, sum_{i<n} P^i)`` in O(d^3 log N), the power's rows renormalised to
 sum to 1 after each product), and the divergence between the two models'
-hidden-path posteriors given a fully observed emission sequence.  The
+hidden-path posteriors given a fully observed emission sequence.  The fast
+path and the stationary law first test the mass every row of the transition
+matrix shares, `_minorized`, in O(d^2): when it exceeds the route's
+tolerance it proves a simple unit eigenvalue with every other one inside the
+unit disc by that tolerance, and no eigendecomposition runs.  The
 evidence route runs both models' backward recursions in one loop from the
 last symbol to the first, `_posterior_sweep`, whose posterior weights come
 in blocks of ``divergence._BLOCK_ENTRIES // d**2`` positions counted from
@@ -38,7 +42,7 @@ import numpy as np
 from . import divergence
 from .divergence import _emission_rows, local_k_terms, local_k_vector, weighted_sum
 from .errors import SpectralError, StationaryError, ZeroLikelihoodError
-from .model import Evidence, HmmModel, check_evidence, check_pair
+from .model import STOCH_TOL, Evidence, HmmModel, check_evidence, check_pair
 from .tree import _closed_form, _fold
 
 __all__ = [
@@ -70,26 +74,57 @@ def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
     return _closed_form(m1.initial, root, m1.transition, step, 1, m1.length)
 
 
+def _minorized(pi, margin: float, row_tol: float) -> bool:
+    """Whether the mass every row of `pi` shares, ``delta = sum_j min_i
+    pi(i, j)``, proves that `pi` has one eigenvalue within ``3 row_tol`` of 1
+    and every other modulus below ``1 - margin``.  O(d^2), no
+    eigendecomposition.
+
+    For a stochastic matrix, Doeblin's minorization bounds Dobrushin's
+    coefficient by 1 - delta, so the unit eigenvalue is simple and every
+    other modulus is at most 1 - delta.  Rows of `pi` that sum to 1 only
+    within `row_tol` make it a stochastic matrix plus a perturbation of norm
+    at most `row_tol` in that bound's norm, whose resolvent then keeps one
+    eigenvalue within ``3 row_tol`` of 1 and the others at most
+    ``1 - delta + 3 row_tol``; one more `row_tol` absorbs the row scaling
+    and the rounding of the sum.  Both callers' unit tolerances are at least
+    ``3 row_tol``, so that eigenvalue is the one they count as 1.  `pi` must
+    be nonnegative; a NaN entry certifies nothing.
+    """
+    return pi.min(axis=0).sum() > margin + 4 * row_tol
+
+
+#: Tolerances of `stationary_distribution`: an eigenvalue within
+#: `_STATIONARY_TOL` of 1 is a unit one, and another must be inside the unit
+#: circle by as much; rows must sum to 1 within `_STATIONARY_ROW_TOL`.
+_STATIONARY_TOL = 1e-8
+_STATIONARY_ROW_TOL = 1e-9
+
+
 def stationary_distribution(pi) -> np.ndarray:
     """Row vector nu with nu @ pi = nu, entries >= 0, sum 1.
 
     Solves the linear system (pi^T - I | sum = 1) directly.  Raises
     StationaryError when the unit eigenvalue is not simple or another
     eigenvalue sits on (or numerically at) the unit circle, i.e. for
-    reducible or periodic chains.
+    reducible or periodic chains.  The eigenvalues are computed only when
+    the rows' shared mass does not already prove both conditions
+    (`_minorized`, at this function's own tolerances); either way the same
+    solve gives nu.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
         raise ValueError(f"transition matrix must be square, got {pi.shape}")
-    if (pi < 0).any() or np.abs(pi.sum(axis=1) - 1.0).max() > 1e-9:
+    if (pi < 0).any() or np.abs(pi.sum(axis=1) - 1.0).max() > _STATIONARY_ROW_TOL:
         raise ValueError("transition matrix must be row-stochastic")
     d = pi.shape[0]
-    eigenvalues = np.linalg.eigvals(pi)
-    unit = np.abs(eigenvalues - 1.0) <= 1e-8
-    if unit.sum() != 1:
-        raise StationaryError(f"no unique stationary distribution: eigenvalue 1 has multiplicity {unit.sum()}")
-    if (np.abs(eigenvalues[~unit]) > 1.0 - 1e-8).any():
-        raise StationaryError("no unique stationary distribution: another eigenvalue lies on the unit circle")
+    if not _minorized(pi, _STATIONARY_TOL, _STATIONARY_ROW_TOL):
+        eigenvalues = np.linalg.eigvals(pi)
+        unit = np.abs(eigenvalues - 1.0) <= _STATIONARY_TOL
+        if unit.sum() != 1:
+            raise StationaryError(f"no unique stationary distribution: eigenvalue 1 has multiplicity {unit.sum()}")
+        if (np.abs(eigenvalues[~unit]) > 1.0 - _STATIONARY_TOL).any():
+            raise StationaryError("no unique stationary distribution: another eigenvalue lies on the unit circle")
     system = pi.T - np.eye(d)
     system[-1, :] = 1.0
     rhs = np.zeros(d)
@@ -247,21 +282,34 @@ def spectral_split(pi) -> Spectral:
 
 def _kld_hmm_spectral(m1: HmmModel, m0: HmmModel) -> float:
     """Fast-path value, `kld_hmm_no_evidence`'s bit for bit; raises
-    SpectralError when the preconditions fail."""
+    SpectralError when the preconditions fail.
+
+    The preconditions are finite local divergences and a simple unit
+    eigenvalue of the first model's transition matrix, every other modulus
+    below 1 by `_CONTRACTION_MARGIN`.  When the rows' shared mass proves the
+    latter (`_minorized`, its rows validated to `STOCH_TOL`), no
+    eigendecomposition runs; otherwise `spectral_split` decides, and its
+    error is the fallback's reason.
+    """
     check_pair(m1, m0, HmmModel)
     root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
     if m1.length == 1:
         return float(root)
     if not (np.isfinite(step).all() and math.isfinite(root)):
         raise SpectralError("local divergences are infinite; the spectral series does not apply")
-    spectral_split(m1.transition)
+    if not _minorized(m1.transition, _CONTRACTION_MARGIN, STOCH_TOL):
+        spectral_split(m1.transition)
     return _closed_form(m1.initial, root, m1.transition, step, 1, m1.length)
 
 
 def kld_hmm_fast(m1: HmmModel, m0: HmmModel) -> float:
-    """kld_hmm_no_evidence, bit for bit, after checking the eigendecomposition
-    preconditions: finite local divergences and a transition matrix that
-    `spectral_split` accepts.
+    """kld_hmm_no_evidence, bit for bit, after checking the spectral
+    preconditions: finite local divergences, and a transition matrix whose
+    rows share more than `_CONTRACTION_MARGIN` (plus an allowance for rows
+    that sum to 1 within `STOCH_TOL`) of their mass or, failing that, that
+    `spectral_split` accepts.  A matrix that passes the first test needs no
+    eigendecomposition, so it takes the fast path even when a defective
+    eigenvalue inside the unit disc would make `spectral_split` refuse it.
 
     Falls back to `kld_hmm_no_evidence` (with a warning naming the reason)
     whenever a precondition fails.

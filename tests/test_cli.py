@@ -267,6 +267,22 @@ class TestExact:
         assert captured.out == direct
         assert direct.endswith(" method=closed-form\n")
 
+    def test_a_jordan_block_inside_the_disc_takes_the_fast_path(self, capsys, tmp_path):
+        # rows sharing 0.77 of their mass prove a simple unit eigenvalue, so
+        # the defective eigenvalue 0 that `spectral_split` refuses at its
+        # residual no longer sends the job to the fallback
+        nu, x, y = [0.4, 0.35, 0.25], [1, -8 / 7, 0], [8 / 7, 1, -15 / 7]
+        transition = [[nu[j] + 0.05 * x[i] * y[j] for j in range(3)] for i in range(3)]
+        assert min(map(min, transition)) >= 0.14
+        paths = _chain_pair(tmp_path, transition)
+        assert main(["exact", *paths]) == 0
+        direct = capsys.readouterr().out
+        assert main(["exact", *paths, "--fast"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == direct.replace(" method=closed-form", " method=fast-path")
+        assert direct.endswith(" method=closed-form\n")
+
     def test_mixed_types_rejected(self, capsys):
         assert main(["exact", "--model-a", HMM_A, "--model-b", TREE_A]) == 2
 
@@ -336,6 +352,66 @@ def test_repeated_calls_parse_each_command_afresh(capsys):
     assert capsys.readouterr().out.endswith(" method=fast-path\n")
     assert main(["exact", "--model-a", HMM_A, "--model-b", HMM_B]) == 0
     assert capsys.readouterr().out == "exact_kld=5.6628668946 method=closed-form\n"
+
+
+def _chain_pair(tmp_path, transition):
+    """``--model-a``/``--model-b`` arguments for two chains of length 20: the
+    first with `transition`, the second with uniform, so all positive,
+    transition rows."""
+    paths, d = [], len(transition)
+    for name in ("a", "b"):
+        doc = {"type": "hmm", "states": d, "alphabet": 2, "length": 20, "initial": [1 / d] * d}
+        doc["transition"] = transition if name == "a" else [[1 / d] * d] * d
+        doc["emission"] = {"kind": "discrete", "matrix": [[0.3, 0.7]] * d if name == "a" else [[0.6, 0.4]] * d}
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        paths += ["--model-" + name, str(tmp_path / f"{name}.json")]
+    return paths
+
+
+#: The flip ``[[eps, 1 - eps], [1 - eps, eps]]`` has eigenvalues 1 and
+#: 2 eps - 1, and its rows share 2 eps of their mass.  The fast path trusts
+#: the shared mass above 1e-10 + 4e-12 (its contraction margin plus four times
+#: STOCH_TOL) and `rate` above 1e-8 + 4e-9 (its unit tolerance plus four times
+#: its row tolerance); below, the eigenvalues decide, as before.  Each case is
+#: 2 eps a thousandth below or above one of those thresholds or one of the
+#: eigenvalue tests', with the fast path's note (None: `fast-path`) and
+#: `rate`'s error (None: exit 0).
+FAST_NOTE = "second-largest eigenvalue modulus"
+RATE_ERROR = "another eigenvalue lies on the unit circle"
+FLIP_CASES = {
+    "fast-margin-below": (1e-10 * (1 - 1e-3), FAST_NOTE, RATE_ERROR),
+    "fast-margin-above": (1e-10 * (1 + 1e-3), None, RATE_ERROR),
+    "fast-mass-below": ((1e-10 + 4e-12) * (1 - 1e-3), None, RATE_ERROR),
+    "fast-mass-above": ((1e-10 + 4e-12) * (1 + 1e-3), None, RATE_ERROR),
+    "rate-tol-below": (1e-8 * (1 - 1e-3), None, RATE_ERROR),
+    "rate-tol-above": (1e-8 * (1 + 1e-3), None, None),
+    "rate-mass-below": ((1e-8 + 4e-9) * (1 - 1e-3), None, None),
+    "rate-mass-above": ((1e-8 + 4e-9) * (1 + 1e-3), None, None),
+}
+
+
+@pytest.mark.parametrize("two_eps, note, error", FLIP_CASES.values(), ids=FLIP_CASES.keys())
+def test_the_flip_keeps_its_fast_tag_and_rate_about_each_threshold(capsys, tmp_path, two_eps, note, error):
+    eps = two_eps / 2
+    paths = _chain_pair(tmp_path, [[eps, 1 - eps], [1 - eps, eps]])
+    assert main(["exact", *paths]) == 0
+    direct = capsys.readouterr().out
+    assert main(["exact", *paths, "--fast"]) == 0
+    captured = capsys.readouterr()
+    if note is None:
+        assert captured.err == ""
+        assert captured.out == direct.replace(" method=closed-form", " method=fast-path")
+    else:
+        assert captured.err.startswith(f"note: fast path unavailable ({note} ")
+        assert captured.out == direct
+    code = main(["rate", *paths])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == 0
+        assert captured.out.startswith("nu=0.500000,0.500000 rate=")
+    else:
+        assert code == 3
+        assert captured.err.splitlines()[-1].endswith(f"no unique stationary distribution: {error}")
 
 
 class TestRate:

@@ -2,6 +2,7 @@
 in front of the closed form's doubling), bound, and evidence conditioning."""
 
 import math
+import re
 import warnings
 from itertools import product
 
@@ -29,8 +30,10 @@ from hmtkl import (
     spectral_split,
     stationary_distribution,
 )
-from hmtkl.divergence import weighted_sum
+from hmtkl import hmm
+from hmtkl.divergence import local_k_terms, weighted_sum
 from hmtkl.errors import SpectralError
+from hmtkl.model import STOCH_TOL
 from modelgen import chain, model_pairs
 
 COUNTEREXAMPLE_STATES = (0, 0, 0, 0, 0, 1, 1, 1, 1, 1)
@@ -419,6 +422,135 @@ class TestFastPath:
         rebuilt = split.basis @ np.diag(split.eigenvalues) @ split.basis_inv
         assert np.abs(rebuilt - a.transition).max() <= 1e-9
         assert abs(split.eigenvalues[split.unit_index] - 1.0) <= 1e-10
+
+
+#: A positive 3x3 with a Jordan block at eigenvalue 0: ``1 nu + a x y^T`` with
+#: nu @ x = 0, y @ 1 = 0 and y @ x = 0, so the rows sum to 1 and ``x y^T`` is
+#: nilpotent.  Its rows share 0.77 of their mass.
+JORDAN_AT_ZERO = (
+    np.outer(np.ones(3), [0.4, 0.35, 0.25]) + 0.05 * np.outer([1.0, -8 / 7, 0.0], [8 / 7, 1.0, -15 / 7])
+).tolist()
+
+#: The shared row mass above which the fast path skips `spectral_split`.
+FAST_MASS = hmm._CONTRACTION_MARGIN + 4 * STOCH_TOL
+#: The shared row mass above which `stationary_distribution` skips the eigenvalues.
+STATIONARY_MASS = hmm._STATIONARY_TOL + 4 * hmm._STATIONARY_ROW_TOL
+
+
+def shared_mass(pi):
+    return float(np.asarray(pi).min(axis=0).sum())
+
+
+def spectral_refusal(pi):
+    """`spectral_split`'s error text for `pi`, or None when it accepts it."""
+    try:
+        spectral_split(pi)
+    except SpectralError as exc:
+        return str(exc)
+    return None
+
+
+def eigenvalue_stationary_law(pi):
+    """`stationary_distribution` with its eigenvalue checks run on every
+    matrix, then the same solve: the reference for the shared-mass test."""
+    pi = np.asarray(pi, dtype=float)
+    eigenvalues = np.linalg.eigvals(pi)
+    unit = np.abs(eigenvalues - 1.0) <= 1e-8
+    if unit.sum() != 1:
+        raise StationaryError(f"no unique stationary distribution: eigenvalue 1 has multiplicity {unit.sum()}")
+    if (np.abs(eigenvalues[~unit]) > 1.0 - 1e-8).any():
+        raise StationaryError("no unique stationary distribution: another eigenvalue lies on the unit circle")
+    system = pi.T - np.eye(len(pi))
+    system[-1, :] = 1.0
+    rhs = np.zeros(len(pi))
+    rhs[-1] = 1.0
+    nu = np.linalg.solve(system, rhs)
+    if nu.min() < -1e-12:
+        raise StationaryError(f"stationary solve produced a negative mass {nu.min():.3g}")
+    return np.clip(nu, 0.0, None)
+
+
+def _refuse(*args):
+    raise AssertionError("no eigendecomposition may run on a minorized chain")
+
+
+class TestSharedMass:
+    """The fast path and the stationary law decide from the mass every row
+    of the transition matrix shares before any eigendecomposition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model_pairs(
+            nodes=st.integers(1, 40), states=st.integers(1, 8), p_zero=st.sampled_from([0.0, 0.3, 0.6]), chains=True
+        )
+    )
+    def test_fast_warns_exactly_when_spectral_split_refuses(self, pair):
+        # the one exception: rows sharing their mass prove the spectrum, so a
+        # defective eigenvalue inside the unit disc, which `spectral_split`
+        # refuses at its inverse or residual, no longer sends them to the fallback
+        a, b = pair
+        refusal = spectral_refusal(a.transition)
+        minorized = shared_mass(a.transition) > FAST_MASS
+        if minorized and refusal is not None:
+            assert refusal.startswith(("eigendecomposition residual", "eigenvector basis is singular"))
+        root, step = local_k_terms(a.initial, b.initial, a.transition, b.transition, a.emission, b.emission)
+        if a.length == 1:
+            reason = None
+        elif not (np.isfinite(step).all() and math.isfinite(root)):
+            reason = "local divergences are infinite; the spectral series does not apply"
+        else:
+            reason = None if minorized else refusal
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = kld_hmm_fast(a, b)
+        expected = [] if reason is None else [f"fast path unavailable ({reason}); using direct summation"]
+        assert [str(w.message) for w in caught] == expected
+        assert value == kld_hmm_no_evidence(a, b)
+
+    def test_a_minorized_chain_runs_no_eigendecomposition(self, monkeypatch):
+        a, b = bundled_hmm_pair(length=1000)
+        assert shared_mass(a.transition) > FAST_MASS
+        nu = eigenvalue_stationary_law(a.transition)
+        monkeypatch.setattr(hmm, "spectral_split", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kld_hmm_fast(a, b) == kld_hmm_no_evidence(a, b)
+        assert stationary_distribution(a.transition).tobytes() == nu.tobytes()
+
+    def test_a_jordan_block_inside_the_disc_takes_the_fast_path(self):
+        pi = JORDAN_AT_ZERO
+        assert min(map(min, pi)) >= 0.14
+        assert shared_mass(pi) > FAST_MASS
+        with pytest.raises(SpectralError, match=r"eigendecomposition residual .* exceeds 1e-09"):
+            spectral_split(pi)
+        rng = np.random.default_rng(29)
+        e = DiscreteEmission(rng.dirichlet(np.ones(2), 3))
+        a = HmmModel(length=200, initial=[0.2, 0.3, 0.5], transition=pi, emission=e)
+        b = chain(rng, 200, 3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = kld_hmm_fast(a, b)
+        assert value == kld_hmm_no_evidence(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model_pairs(nodes=st.just(2), states=st.integers(1, 8), p_zero=st.sampled_from([0.0, 0.3, 0.6]), chains=True))
+    def test_stationary_law_keeps_its_bits_and_errors(self, pair):
+        pi = pair[0].transition
+        try:
+            expected = eigenvalue_stationary_law(pi)
+        except StationaryError as exc:
+            assert shared_mass(pi) <= STATIONARY_MASS  # a minorized chain has a unique law
+            with pytest.raises(StationaryError, match=f"^{re.escape(str(exc))}$"):
+                stationary_distribution(pi)
+            return
+        if shared_mass(pi) > STATIONARY_MASS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "eigvals", _refuse)
+                nu = stationary_distribution(pi)
+        else:
+            nu = stationary_distribution(pi)
+        assert nu.tobytes() == expected.tobytes()
 
 
 def folded_chain_kld(m1, m0):
