@@ -25,7 +25,7 @@ import math
 import sys
 
 from .errors import ModelError, ModelValidationError, PreconditionError, SpectralError
-from .hmm import _kld_hmm_spectral, _rate_at, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
+from .hmm import _fast_fallback, _kld_hmm_spectral, _rate_at, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
 from .model import HmmModel, HmtModel, check_pair, load_evidence, load_model
 from .montecarlo import mc_kld_evidence, mc_kld_no_evidence
 from .tree import kld_exact_tree, kld_homogeneous_tree
@@ -98,7 +98,7 @@ def cmd_exact(args) -> int:
                 value = _kld_hmm_spectral(m_a, m_b)
                 method = "fast-path"
             except SpectralError as exc:
-                print(f"note: fast path unavailable ({exc}); using direct summation", file=sys.stderr)
+                print(f"note: {_fast_fallback(exc)}", file=sys.stderr)
                 value = kld_hmm_no_evidence(m_a, m_b)
         else:
             value = kld_hmm_no_evidence(m_a, m_b)
@@ -117,8 +117,8 @@ def cmd_exact(args) -> int:
 
 def cmd_rate(args) -> int:
     m_a, m_b = _load_hmm_pair(args)
-    nu = stationary_distribution(m_a.transition)
     check_pair(m_a, m_b)
+    nu = stationary_distribution(m_a.transition)
     rate = _rate_at(nu, m_a, m_b)
     print(f"nu={','.join(f'{v:.6f}' for v in nu)} rate={_fmt(rate)}")
     return 0

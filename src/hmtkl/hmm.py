@@ -317,8 +317,14 @@ def kld_hmm_fast(m1: HmmModel, m0: HmmModel) -> float:
     try:
         return _kld_hmm_spectral(m1, m0)
     except SpectralError as exc:
-        warnings.warn(f"fast path unavailable ({exc}); using direct summation", stacklevel=2)
+        warnings.warn(_fast_fallback(exc), stacklevel=2)
         return kld_hmm_no_evidence(m1, m0)
+
+
+def _fast_fallback(exc: SpectralError) -> str:
+    """Why the fast path fell back, as `kld_hmm_fast` warns it and
+    ``hmtkl exact --fast`` notes it."""
+    return f"fast path unavailable ({exc}); using direct summation"
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,13 @@ a tile of `_TILE` = 2^17 uniforms (1 MiB) of whole trials at a time, which
 is transposed into the chunk: a tile of 2000-draw trials writes 65
 contiguous values into each row of it.
 
-Each chunk takes one pass over the nodes in blocks of consecutive nodes in
-breadth-first order (`_pass`).  The root is a block of its own, drawn from
-the initial law as the table of one parent in state 0.  A block draws its
+Each chunk walks a sequence of windows, ranges of consecutive nodes in
+breadth-first order, each with the law to draw it from and the pair law to
+score it under: a tree is one window, a chain's posterior one window per
+block of the backward sweep.  A window takes one pass over its nodes in
+blocks of consecutive nodes (`_pass`).  The root is a block of its own,
+drawn from the initial law as the table of one parent in state 0.  A
+block draws its
 states one segment at a time, a segment being a run of nodes whose parents
 are all drawn (a level, or a chain's next position), then all its
 emissions with one draw, and gathers both models' log-terms with one
@@ -49,13 +53,13 @@ halves side by side, each in the operations of one model's terms.
 
 The evidence estimator keeps the blocks of both models' posterior weights
 that one backward sweep, `hmm._posterior_sweep`, yields, O(N d) in all, and
-each block is one window: its posterior CDFs and pair logs are built only
-when the pass reaches it (`_Windows`), and blocks of the pass end at window
-edges.  So past the chunk it holds the weights and one window, 5.7 MiB in
-all at N = 1000, d = 64 and 200 trials, where whole stacks took 97.6 MiB.
-A chain of one window builds it once per call; a longer one builds each
-window once per chunk, which at d = 64 and N = 1000 costs about a third
-more time over five chunks.
+walks them as a sequence of windows, one per block (`_Windows`): a window's
+posterior CDFs and pair logs are built when the walk reaches it, after the
+last window built is let go.  So past the chunk it holds the weights and
+one window, 5.7 MiB in all at N = 1000, d = 64 and 200 trials, where whole
+stacks took 97.6 MiB.  A chain of one window builds it once per call; a
+longer one builds each window once per chunk, which at d = 64 and N = 1000
+costs about a third more time over five chunks.
 
 A block of a chunk of t trials has ``2**14 // (k * t)`` nodes, and at least
 one, k log-terms per node, so its stack holds about `_BLOCK` = 2**14
@@ -251,13 +255,13 @@ class _Law:
     matrix or the ``(n - 1, d, d)`` stack of nodes 1..n-1.  `emission` is
     the shared ``(d, m)`` emission matrix or the ``(n, d, m)`` stack, or, for
     Gaussian emissions, the logs of the sds, ``(d,)`` or ``(n, d)``, with the
-    means and sds in `gaussian`; posterior paths emit nothing.  A law of one
-    window of a chain's posterior (see `_Windows`) holds the stack of nodes
-    `node0` onwards.  A shared
-    table is read through its own entries, never broadcast over the nodes:
-    a `take` on a broadcast view copies the whole stack.  `np.log` is
-    elementwise, so a gathered log equals the log of the gathered factor bit
-    for bit; a zero factor scores -inf.
+    means and sds in `gaussian`; posterior paths emit nothing.  A tree's law
+    covers every node, as the one window that `_log_ratios` walks; a law of
+    one window of a chain's posterior (see `_Windows`) holds the stack of
+    nodes `node0` onwards.  A shared table is read through its own entries,
+    never broadcast over the nodes: a `take` on a broadcast view copies the
+    whole stack.  `np.log` is elementwise, so a gathered log equals the log
+    of the gathered factor bit for bit; a zero factor scores -inf.
     """
 
     first: np.ndarray
@@ -265,14 +269,6 @@ class _Law:
     emission: np.ndarray | None = None
     gaussian: tuple[np.ndarray, np.ndarray] | None = None
     node0: int = 1
-
-    #: Nodes per window past the root, as `_WindowedLaw` has them: a whole
-    #: law is one window.
-    window = None
-
-    def at(self, node: int) -> _Law:
-        """The law that holds node `node`'s tables: this one."""
-        return self
 
     @cached_property
     def draws_per_node(self) -> int:
@@ -351,20 +347,18 @@ def _block_nodes(draws_per_node: int, trials: int) -> int:
     return max(1, _BLOCK // (draws_per_node * trials))
 
 
-def _blocks(n: int, width: int, window: int | None = None):
-    """``(a, b)``: the root, then ranges of at most `width` of the `n` nodes,
-    in breadth-first order, which end at the edges of the windows of
-    `window` nodes from node 1 (one window if None)."""
-    yield 0, 1
-    window = window or n
-    for lo in range(1, n, window):
-        hi = min(lo + window, n)
-        for a in range(lo, hi, width):
-            yield a, min(a + width, hi)
+def _blocks(lo: int, hi: int, width: int):
+    """``(a, b)``: ranges of at most `width` of the nodes lo..hi-1, in
+    breadth-first order, the root (node 0) in a range of its own."""
+    if not lo:
+        yield 0, 1
+    for a in range(max(lo, 1), hi, width):
+        yield a, min(a + width, hi)
 
 
-def _pass(parent: np.ndarray, law: _Law | _WindowedLaw, uniforms: np.ndarray):
-    """Ancestral sampling of a node-major chunk from `law`'s row CDFs.
+def _pass(parent: np.ndarray, law: _Law, uniforms: np.ndarray, lo: int = 0, hi: int | None = None):
+    """Ancestral sampling of nodes lo..hi-1 (every node if hi is None) of a
+    node-major chunk from `law`'s row CDFs, their parents already drawn.
 
     Row ``k * j`` of `uniforms` draws node j's states, where k is the law's
     draws per node, and row ``k * j + 1`` its emissions.  Every drawn state
@@ -372,28 +366,29 @@ def _pass(parent: np.ndarray, law: _Law | _WindowedLaw, uniforms: np.ndarray):
     where the node's children read it.
 
     Yields the `_blocks` ``(a, b, step, factor, x)`` of nodes a..b-1 in
-    order, one row per node and one column per trial: the root, then blocks
-    of `_block_nodes` nodes, which end at the edges of the law's windows.
-    Each block is drawn from ``law.at(a)``.  `step` is a flat index into that
+    order, one row per node and one column per trial: the root, if lo is 0,
+    then blocks of `_block_nodes` nodes.  `step` is a flat index into the
     law's whole transition table (at the root, into the initial vector) and
     `factor` into its whole emission table or, for Gaussian emissions, its
     means and sds: node j's table starts at j - node0 (transitions) or j
     (emissions) times the law's node stride.  `x` holds Gaussian emissions.
     What a law does not emit is None.
     """
-    n = parent.shape[0]
+    hi = parent.shape[0] if hi is None else hi
     # the segment from node c, a run of nodes whose parents are all drawn,
-    # ends where `parent` first reaches c: a level, or a chain's next position
-    ready = memoryview(np.searchsorted(parent, np.arange(n)))
-    for a, b in _blocks(n, _block_nodes(law.draws_per_node, uniforms.shape[1]), law.window):
-        yield _draw_block(parent, ready, law.at(a), uniforms, a, b)
+    # ends where `parent` first reaches c: a level, or a chain's next
+    # position.  Each node's parent precedes it, so that end lies past c
+    # and the range's own parents give it, or hi
+    ready = memoryview(np.searchsorted(parent[lo:hi], np.arange(lo, hi)) + lo)
+    for a, b in _blocks(lo, hi, _block_nodes(law.draws_per_node, uniforms.shape[1])):
+        yield _draw_block(parent, ready[a - lo : b - lo], law, uniforms, a, b)
 
 
 def _draw_block(parent, ready, law, uniforms, a, b):
     """Draw nodes a..b-1 of a chunk (see `_pass`): their states one segment
     at a time, each with one `_draw`, then all their emissions with one
-    `_draw`.  The root draws from `law.first`, the table of one parent in
-    state 0.
+    `_draw`.  ``ready[c - a]`` is where the segment from node c ends.  The
+    root draws from `law.first`, the table of one parent in state 0.
 
     A one-node segment, a chain position or a node of a single-child run,
     takes the chain step on rows of the chunk: one multiply of its parent's
@@ -409,7 +404,7 @@ def _draw_block(parent, ready, law, uniforms, a, b):
         states[0], c = step[0], 1
     row = np.empty(uniforms.shape[1], dtype=np.int64)
     while c < b:
-        e = min(b, ready[c])
+        e = min(b, ready[c - a])
         if e - c == 1:
             np.multiply(states[k * up[c]], d, out=row)
             if ts:  # into the node's own table of the stack
@@ -516,20 +511,25 @@ def _score(acc: np.ndarray, law: _Law, block: tuple) -> None:
         acc[:] = np.add.accumulate(stack[:, 0])[-1]
 
 
-def _log_ratios(parent: np.ndarray, draw: _Law | _WindowedLaw, pair: _Law | _WindowedLaw, trials: int, seed: int) -> np.ndarray:
-    """``log p1 - log p0`` of every trial, drawn from `draw` chunk by chunk
-    and scored under the pair law `pair` of both models' logs: each chunk
-    takes one pass over the blocks, which adds both models' terms to one
-    complex sum per trial.  The laws are whole, or the two `_WindowedLaw`
-    sides of one `_Windows`, whose block of nodes a..b-1 is scored under
-    ``pair.at(a)``."""
+def _log_ratios(parent: np.ndarray, windows, trials: int, seed: int) -> np.ndarray:
+    """``log p1 - log p0`` of every trial, drawn chunk by chunk and scored
+    under pair laws of both models' logs: each chunk walks the re-iterable
+    sequence `windows` of ``(lo, hi, draw, pair)`` in node order, and takes
+    one `_pass` over nodes lo..hi-1 from the law `draw`, which adds both
+    models' terms to one complex sum per trial under the pair law `pair`.
+    A tree is one window ``(0, n, draw, pair)``; a chain's posterior is a
+    `_Windows`, which builds each window when the walk reaches it."""
+    # the uniforms a node draws, the same in every window: a `_Windows`
+    # knows them before it builds one, and so before the first chunk is drawn
+    k = windows.draws_per_node if isinstance(windows, _Windows) else windows[0][2].draws_per_node
     diffs = np.empty(trials)
-    for start, uniforms in _chunked_uniforms(seed, trials, draw.draws_per_node * parent.shape[0]):
+    for start, uniforms in _chunked_uniforms(seed, trials, k * parent.shape[0]):
         acc = np.zeros(uniforms.shape[1], dtype=complex)
-        for block in _pass(parent, draw, uniforms):
-            source, law = draw.at(block[0]), pair.at(block[0])
-            _score(acc, law, _relaid(block, source.steps_stride, source.emission_stride, law))
-            del block, source, law  # before the next block, and maybe window, is drawn
+        for lo, hi, draw, pair in windows:
+            for block in _pass(parent, draw, uniforms, lo, hi):
+                _score(acc, pair, _relaid(block, draw.steps_stride, draw.emission_stride, pair))
+                del block  # before the next block is drawn
+            del draw, pair  # before the next window is built
         np.subtract(acc.real, acc.imag, out=diffs[start : start + uniforms.shape[1]])
         del uniforms  # before the next chunk is drawn
     return diffs
@@ -582,7 +582,7 @@ def loglik_joint(model: HmtModel, x: Mapping[str, object], s: Mapping[str, int])
     steps[1:] += states[model.topology.parent[1:]] * d
     factors = states * m + emitted if discrete else states
     law, acc = _tree_law(model, np.log), np.zeros(1)
-    for a, b in _blocks(model.topology.n_nodes, _block_nodes(2, 1)):
+    for a, b in _blocks(0, model.topology.n_nodes, _block_nodes(2, 1)):
         # one trial: the indices, read within each node's own table, form one column
         _score(acc, law, _relaid((a, b, steps[a:b, None], factors[a:b, None], emitted[a:b, None]), 0, 0, law))
     return float(acc[0])
@@ -593,7 +593,8 @@ def mc_kld_no_evidence(m1: HmtModel, m0: HmtModel, trials: int, seed: int) -> Mc
     i.i.d. draws from the first model."""
     check_pair(m1, m0, HmtModel)
     _check_mc_args(trials, seed)
-    return _estimate(_log_ratios(m1.topology.parent, _tree_law(m1, _inclusive_cdf), _tree_pair(m1, m0), trials, seed), seed)
+    windows = ((0, m1.topology.n_nodes, _tree_law(m1, _inclusive_cdf), _tree_pair(m1, m0)),)
+    return _estimate(_log_ratios(m1.topology.parent, windows, trials, seed), seed)
 
 
 def _chain_parent(length: int) -> np.ndarray:
@@ -615,21 +616,27 @@ def sample_posterior(model: HmmModel, evidence: Evidence, rng: np.random.Generat
 
 
 class _Windows:
-    """A chain's posterior laws, one window of positions at a time: the
-    first model's law to draw with, and both models' logs as one pair law
-    (see `_pair`).
+    """A chain's posterior laws as the re-iterable sequence of windows
+    ``(lo, hi, draw, pair)`` that `_log_ratios` walks, in node order: the
+    first model's law to draw nodes lo..hi-1 with, and both models' logs as
+    one pair law (see `_pair`).
 
     The ``(B, 2, d)`` blocks of posterior weights that `_posterior_sweep`
     yields are kept as they come, front first, and window k is block k:
-    nodes 1 + kB onwards, B the first block's length.  When the pass first
-    reaches a window, `_factor_block` builds each model's factors straight
-    into its half of the window's pair stack; the CDFs are taken from the
-    first half and then both halves are overwritten by their logs.  Only
-    the last window built is held, so past the weights the memory is one
-    window's CDF and pair stacks, three real ``(B, d, d)`` stacks.  Factors,
-    CDFs and logs are elementwise or per row, so no bit depends on the
-    window.
+    nodes 1 + kB onwards, B the first block's length, and the root in the
+    first window.  A window is built when the walk reaches it:
+    `_factor_block` builds each model's factors straight into its half of
+    the window's pair stack; the CDFs are taken from the first half and
+    then both halves are overwritten by their logs.  Only the last window
+    built is held, and it is let go before the next is built, so past the
+    weights the memory is one window's CDF and pair stacks, three real
+    ``(B, d, d)`` stacks, and a chain of one window builds it once however
+    many chunks walk it.  Factors, CDFs and logs are elementwise or per
+    row, so no bit depends on the window.
     """
+
+    #: Uniforms per node: posterior paths emit nothing.
+    draws_per_node = 1
 
     def __init__(self, m1: HmmModel, m0: HmmModel, evidence: Evidence):
         d = m1.n_states
@@ -637,17 +644,19 @@ class _Windows:
         # front first; a one-node chain has no position past the root, and one empty window
         self.blocks = [*_posterior_sweep(m1, m0, evidence, initial)][::-1] or [np.empty((0, 2, d))]
         self.first = _inclusive_cdf(initial[0]), _pair(*initial)
-        self.width = max(1, len(self.blocks[0]))
         self._held = None, None
 
-    def laws(self, node: int) -> tuple[_Law, _Law]:
-        """The draw and pair laws of the window that holds node `node` (the
-        root's is the first)."""
-        k = max(0, node - 1) // self.width
-        node0 = 1 + k * self.width
-        if self._held[0] != node0:
-            self._held = None, None  # let go of the last window before building this one
-            weights = self.blocks[k]
+    def __iter__(self):
+        node0 = 1
+        for k, weights in enumerate(self.blocks):
+            yield (node0 if k else 0), node0 + len(weights), *self._laws(k, node0, weights)
+            node0 += len(weights)
+
+    def _laws(self, k: int, node0: int, weights: np.ndarray) -> tuple[_Law, _Law]:
+        """The draw and pair laws of window k, whose stacks start at node
+        `node0`: the ones held, or built after the held ones are let go."""
+        if self._held[0] != k:
+            self._held = None, None
             (pi1, pi0), d = self.transitions, weights.shape[2]
             steps = np.empty((len(weights), d, d), dtype=complex)
             _factor_block(pi1, weights[:, 0], out=steps.real)
@@ -657,34 +666,8 @@ class _Windows:
                 for half in (steps.real, steps.imag):
                     np.log(half, out=half)
             first_cdf, first_pair = self.first
-            self._held = node0, (_Law(first_cdf, cdf, node0=node0), _Law(first_pair, steps, node0=node0))
+            self._held = k, (_Law(first_cdf, cdf, node0=node0), _Law(first_pair, steps, node0=node0))
         return self._held[1]
-
-
-@dataclass(frozen=True)
-class _WindowedLaw:
-    """One side of a `_Windows`, taken by `_pass` and `_log_ratios` in place
-    of a whole law: the draw law (side 0) or the pair law (side 1) of the
-    window that holds a node."""
-
-    windows: _Windows
-    side: int
-    draws_per_node = 1
-
-    @property
-    def window(self) -> int:
-        return self.windows.width
-
-    def at(self, node: int) -> _Law:
-        return self.windows.laws(node)[self.side]
-
-
-def _evidence_laws(m1: HmmModel, m0: HmmModel, evidence: Evidence) -> tuple[_WindowedLaw, _WindowedLaw]:
-    """The first model's posterior law to draw with, and both models'
-    posterior logs as one pair law (see `_pair`), built one window, one
-    block of the backward sweep, at a time by one `_Windows`."""
-    windows = _Windows(m1, m0, evidence)
-    return _WindowedLaw(windows, 0), _WindowedLaw(windows, 1)
 
 
 def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int, seed: int) -> McEstimate:
@@ -695,4 +678,4 @@ def mc_kld_evidence(m1: HmmModel, m0: HmmModel, evidence: Evidence, trials: int,
     """
     check_pair(m1, m0, HmmModel)
     _check_mc_args(trials, seed)
-    return _estimate(_log_ratios(_chain_parent(m1.length), *_evidence_laws(m1, m0, evidence), trials, seed), seed)
+    return _estimate(_log_ratios(_chain_parent(m1.length), _Windows(m1, m0, evidence), trials, seed), seed)

@@ -217,6 +217,13 @@ class TestExact:
         assert "method=closed-form" in captured.out
         assert "fast path unavailable" in captured.err
 
+    def test_fast_fallback_note_is_the_library_warning(self, capsys, periodic_model_file):
+        assert main(["exact", "--model-a", periodic_model_file, "--model-b", HMM_B, "--fast"]) == 0
+        note = capsys.readouterr().err
+        with pytest.warns(UserWarning) as record:
+            hmtkl.kld_hmm_fast(load_model(Path(periodic_model_file).read_text()), load_model(data_text("hmm_b.json")))
+        assert [f"note: {w.message}\n" for w in record] == [note]
+
     @pytest.mark.parametrize("n", ["10", "1000", "1000000000"])
     def test_fast_prints_the_closed_form_value(self, capsys, n):
         assert main(["exact", "--model-a", HMM_A, "--model-b", HMM_B, "--n", n]) == 0
@@ -428,15 +435,18 @@ class TestRate:
         assert main(["rate", "--model-a", periodic_model_file, "--model-b", HMM_B]) == 3
         assert "no unique stationary distribution" in capsys.readouterr().err
 
-    def test_stationary_solve_precedes_the_pair_check(self, capsys, tmp_path, periodic_model_file):
-        doc = json.loads(data_text("hmm_b.json"))
-        doc["length"] += 1
-        longer = tmp_path / "longer.json"
-        longer.write_text(json.dumps(doc))
-        assert main(["rate", "--model-a", periodic_model_file, "--model-b", str(longer)]) == 3
-        assert "no unique stationary distribution" in capsys.readouterr().err
-        assert main(["rate", "--model-a", HMM_A, "--model-b", str(longer)]) == 2
-        assert "length mismatch" in capsys.readouterr().err
+    def test_pair_check_precedes_the_stationary_solve(self, capsys, tmp_path, periodic_model_file):
+        """A pair the divergence is not defined between exits 2, as it does
+        under `exact`, even when the first chain has no stationary law."""
+        longer, binary = json.loads(data_text("hmm_b.json")), json.loads(data_text("hmm_b.json"))
+        longer["length"] += 1
+        binary.update(alphabet=2, emission={"kind": "discrete", "matrix": [[0.4, 0.6], [0.9, 0.1]]})
+        for name, doc, message in (("longer", longer, "length mismatch: 10 vs 11"), ("binary", binary, "alphabet size mismatch: 3 vs 2")):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            for model_a in (periodic_model_file, HMM_A):
+                for command in ("rate", "exact"):
+                    assert main([command, "--model-a", model_a, "--model-b", str(tmp_path / f"{name}.json")]) == 2
+                    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
 
 class TestBound:

@@ -16,6 +16,7 @@ from hmtkl import (
     HmtModel,
     HmtTopology,
     bundled_gaussian_tree_pair,
+    block_evidence,
     bundled_hmm_pair,
     brute_force_kld_joint,
     kld_hmm_evidence,
@@ -26,12 +27,12 @@ from hmtkl import (
     sample_posterior,
 )
 from hmtkl.errors import ZeroLikelihoodError
-from hmtkl.hmm import posterior_conditionals
+from hmtkl.hmm import _factor_block, posterior_conditionals
 from hmtkl.montecarlo import (
     _Law,
+    _Windows,
     _chunked_uniforms,
     _draw,
-    _evidence_laws,
     _inclusive_cdf,
     _inverse_normal,
     _log_ratios,
@@ -566,6 +567,72 @@ def test_evidence_holds_one_window_of_posterior_stacks():
     assert traced_peak(lambda: mc_kld_evidence(m1, m0, ev, trials, 0)) < 10 * 2**20
 
 
+def test_evidence_over_windows_and_chunks_equals_one_window_and_chunk(monkeypatch):
+    """The evidence estimate walked over 15 windows of 7 positions, in 129
+    chunks of 7 trials, has the bits of the one window walked in one chunk:
+    each chunk rebuilds the windows it walks, and a chain of one window
+    builds it once per call however many chunks walk it."""
+    import hmtkl.montecarlo as mc
+
+    m1, m0 = bundled_hmm_pair(length=100)
+    ev, d, estimates = block_evidence(100), m1.n_states, []
+    # _BLOCK_ENTRIES, _TRIALS, and the windows, chunks and factor stacks they give
+    cases = [(None, None, 1, 1, 2), (None, 7, 1, 129, 2), (7 * d * d, None, 15, 1, 30), (7 * d * d, 7, 15, 129, 2 * 15 * 129)]
+    for entries, cap, windows, chunks, builds in cases:
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            if entries is not None:
+                patch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", entries)
+            if cap is not None:
+                patch.setattr(mc, "_TRIALS", cap)
+            assert (len([*_Windows(m1, m0, ev)]), -(-900 // mc._chunk_trials(100))) == (windows, chunks)
+            patch.setattr(mc, "_factor_block", lambda *args, **kwargs: calls.append(args) or _factor_block(*args, **kwargs))
+            estimates.append(mc_kld_evidence(m1, m0, ev, 900, 9))
+        # a window is built with one factor stack per model
+        assert len(calls) == builds
+    assert estimates[0].infinite_trials == 0
+    assert all(est == estimates[0] for est in estimates)
+
+
+def test_each_window_is_built_after_the_last_is_let_go(monkeypatch):
+    """While a window of the evidence walk is built, no earlier window's CDF
+    or pair stack is still alive, and the first chunk of uniforms has been
+    drawn and its tile let go: so one window's stacks are held at a time,
+    across windows and across chunks."""
+    import weakref
+
+    import hmtkl.montecarlo as mc
+
+    stacks, alive, drawn = [], [], []
+
+    def inclusive_cdf(rows):
+        cdf = _inclusive_cdf(rows)
+        if cdf.ndim == 3:  # a window's CDF stack, not the initial law's
+            stacks.append(weakref.ref(cdf))
+        return cdf
+
+    def factor_block(transition, weights, out):
+        # `out` is one half of the pair stack being built, which stays alive
+        alive.append((len(drawn), [ref for ref in stacks if ref() is not None and ref() is not out.base]))
+        stacks.append(weakref.ref(out.base))
+        return _factor_block(transition, weights, out=out)
+
+    def chunked_uniforms(*args):
+        for chunk in _chunked_uniforms(*args):
+            drawn.append(chunk[0])
+            yield chunk
+
+    m1, m0 = bundled_hmm_pair(length=100)
+    monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", 7 * m1.n_states**2)
+    monkeypatch.setattr(mc, "_TRIALS", 300)
+    for name, wrapper in (("_inclusive_cdf", inclusive_cdf), ("_factor_block", factor_block), ("_chunked_uniforms", chunked_uniforms)):
+        monkeypatch.setattr(mc, name, wrapper)
+    mc_kld_evidence(m1, m0, block_evidence(100), 900, 9)
+    assert drawn == [0, 300, 600]
+    assert len(alive) == 2 * 15 * 3
+    assert all(chunks and not live for chunks, live in alive)
+
+
 def test_pair_tables_hold_each_models_logs_and_never_nan(monkeypatch):
     """A zero probability in either model makes its half of the pair entry
     -inf, (-inf, x) or (x, -inf), and never NaN; every half holds its own
@@ -590,8 +657,8 @@ def test_pair_tables_hold_each_models_logs_and_never_nan(monkeypatch):
     c1, c0 = (HmmModel(length=12, initial=rows(rng, (3,)), transition=rows(rng, (3, 3), 0.4), emission=DiscreteEmission(rows(rng, (3, 2)))) for _ in range(2))
     ev = Evidence.from_external(rng.integers(1, 3, 12).tolist())
     monkeypatch.setattr(hmtkl.divergence, "_BLOCK_ENTRIES", 5 * 3 * 3)
-    draw, pair = _evidence_laws(c1, c0, ev)
-    windows = [(draw.at(node), pair.at(node)) for node in (0, 1, 6, 11)]
+    walk = [*_Windows(c1, c0, ev)]
+    windows = [next((draw, pair) for lo, hi, draw, pair in walk if lo <= node < hi) for node in (0, 1, 6, 11)]
     assert [(cdf.node0, logs.node0, len(logs.steps)) for cdf, logs in windows] == [(1, 1, 5), (1, 1, 5), (6, 6, 5), (11, 11, 1)]
     evidence_logs = _Law(windows[0][1].first, np.concatenate([logs.steps for _, logs in windows[1:]]))
     (initial1, factors1), (initial0, factors0) = (posterior_conditionals(m, ev) for m in (c1, c0))
@@ -790,9 +857,9 @@ def reference_log_ratios(parent, draw, score1, score0, trials, seed):
 
 @st.composite
 def estimator_laws(draw):
-    """``(parent, (draw, pair), (draw, score1, score0))`` of the joint
+    """``(parent, windows, (draw, score1, score0))`` of the joint
     estimator on a ragged or regular tree, a spine or a chain, or of the
-    evidence estimator on a chain: the laws of the pass and, built apart
+    evidence estimator on a chain: the windows the pass walks and, built apart
     from them, the one-model laws of the node walk.
 
     A spine is a root with 2-4 children, the last of which heads a
@@ -832,9 +899,9 @@ def estimator_laws(draw):
         with np.errstate(divide="ignore"):
             logs = [_Law(np.log(i), np.log(f)) for i, f in ((initial1, factors1), (initial0, factors0))]
         reference = (_Law(_inclusive_cdf(initial1), _inclusive_cdf(factors1)), *logs)
-        return np.arange(m1.length) - 1, _evidence_laws(m1, m0, ev), reference
+        return np.arange(m1.length) - 1, _Windows(m1, m0, ev), reference
     cdfs = _tree_law(m1, _inclusive_cdf)
-    return m1.topology.parent, (cdfs, _tree_pair(m1, m0)), (cdfs, _tree_law(m1, np.log), _tree_law(m0, np.log))
+    return m1.topology.parent, ((0, m1.topology.n_nodes, cdfs, _tree_pair(m1, m0)),), (cdfs, _tree_law(m1, np.log), _tree_law(m0, np.log))
 
 
 @settings(max_examples=120, deadline=None)
@@ -856,13 +923,13 @@ def test_block_pass_matches_the_node_walk_bit_for_bit(laws, trials, seed, cap, w
     tables, the walk each model under its own real law."""
     import hmtkl.montecarlo as mc
 
-    parent, pass_laws, reference = laws
+    parent, windows, reference = laws
     with pytest.MonkeyPatch.context() as patch:
         if cap is not None:
             patch.setattr(mc, "_TRIALS", cap)
         if widths is not None:
             patch.setattr(mc, "_BLOCK", widths)
-        got = _log_ratios(parent, *pass_laws, trials, seed)
+        got = _log_ratios(parent, windows, trials, seed)
     np.testing.assert_array_equal(got, reference_log_ratios(parent, *reference, trials, seed))
 
 
@@ -879,7 +946,7 @@ def spine_laws(draw):
     rng, d, gaussian = np.random.default_rng(draw(SEEDS)), draw(st.integers(2, 3)), draw(st.booleans())
     m1, m0 = (tree(rng, topology, d, 2, draw(st.tuples(st.booleans(), st.booleans())), gaussian) for _ in range(2))
     cdfs = _tree_law(m1, _inclusive_cdf)
-    return topology.parent, (cdfs, _tree_pair(m1, m0)), (cdfs, _tree_law(m1, np.log), _tree_law(m0, np.log))
+    return topology.parent, ((0, topology.n_nodes, cdfs, _tree_pair(m1, m0)),), (cdfs, _tree_law(m1, np.log), _tree_law(m0, np.log))
 
 
 @settings(max_examples=40, deadline=None)
@@ -891,11 +958,11 @@ def test_a_block_that_starts_on_the_spine_reads_the_right_parent(laws, seed):
     for bit there, every run."""
     import hmtkl.montecarlo as mc
 
-    parent, pass_laws, reference = laws
+    parent, windows, reference = laws
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc, "_BLOCK", 48)
         assert mc._block_nodes(2, 2) == 12
-        got = _log_ratios(parent, *pass_laws, 2, seed)
+        got = _log_ratios(parent, windows, 2, seed)
     np.testing.assert_array_equal(got, reference_log_ratios(parent, *reference, 2, seed))
 
 
@@ -918,7 +985,7 @@ def test_loglik_joint_scores_each_trial_as_the_pass_does(pair, trials, seed):
     loglik_joint(m0)`` of the draw `sample_joint` makes from trial t's
     substream, bit for bit, +inf included."""
     m1, m0 = pair
-    diffs = _log_ratios(m1.topology.parent, _tree_law(m1, _inclusive_cdf), _tree_pair(m1, m0), trials, seed)
+    diffs = _log_ratios(m1.topology.parent, ((0, m1.topology.n_nodes, _tree_law(m1, _inclusive_cdf), _tree_pair(m1, m0)),), trials, seed)
     blocks_per_trial = -(-2 * m1.topology.n_nodes // 4)
     scored = []
     for t in range(trials):
