@@ -25,7 +25,7 @@ import math
 import sys
 
 from .errors import ModelError, ModelValidationError, PreconditionError, SpectralError
-from .hmm import _fast_fallback, _kld_hmm_spectral, _rate_at, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
+from .hmm import _chain_closed_form, _fast_fallback, _kld_hmm_spectral, _rate_at, kld_hmm_evidence, kld_hmm_no_evidence, kld_rate, do_bound, stationary_distribution
 from .model import HmmModel, HmtModel, check_pair, load_evidence, load_model
 from .montecarlo import mc_kld_evidence, mc_kld_no_evidence
 from .tree import kld_exact_tree, kld_homogeneous_tree
@@ -99,7 +99,7 @@ def cmd_exact(args) -> int:
                 method = "fast-path"
             except SpectralError as exc:
                 print(f"note: {_fast_fallback(exc)}", file=sys.stderr)
-                value = kld_hmm_no_evidence(m_a, m_b)
+                value = _chain_closed_form(m_a, *exc.terms)
         else:
             value = kld_hmm_no_evidence(m_a, m_b)
     elif isinstance(m_a, HmtModel) and isinstance(m_b, HmtModel):
@@ -210,6 +210,11 @@ _OPTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The whole parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(prog="hmtkl", description="Exact and Monte Carlo KL divergence for hidden Markov trees and chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -228,17 +233,43 @@ def build_parser() -> argparse.ArgumentParser:
     add("evidence-exact", cmd_evidence_exact, "exact divergence of hidden-path posteriors given evidence", "--n", "--evidence")
     add("mc", cmd_mc, "Monte Carlo estimate with a 95%% confidence interval", "--n", "--evidence", "--trials", "--seed")
     add("sweep", cmd_sweep, "CSV sweep over chain lengths", "--evidence", "--n-min", "--n-max", "--step", "--trials", "--seed", "--out")
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once per process; parsing leaves it unchanged."""
-    return build_parser()
+def _parsers():
+    """The parsers `main` uses, built once per process; parsing leaves them unchanged."""
+    return _build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a command line that starts
+    with a subcommand parsed by that subcommand's parser alone.
+
+    The whole parser hands such a line, past the subcommand, to the same
+    parser and copies its namespace after ``command``, so the result is the
+    same.  When anything is left over, or the first word names no
+    subcommand, the whole parser parses the line again, and every usage
+    line, error message and exit code comes from it.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit code.
+
+    The line is parsed by its subcommand's own parser when it starts with
+    one and that parser takes all of it (`_parse_args`); otherwise by the
+    whole parser, whose usage and error lines are argparse's own.
+    """
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ModelValidationError as exc:

@@ -71,6 +71,11 @@ def kld_hmm_no_evidence(m1: HmmModel, m0: HmmModel) -> float:
     """
     check_pair(m1, m0, HmmModel)
     root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
+    return _chain_closed_form(m1, root, step)
+
+
+def _chain_closed_form(m1: HmmModel, root, step) -> float:
+    """`tree._closed_form` on a chain, given its local terms `root` and `step`."""
     return _closed_form(m1.initial, root, m1.transition, step, 1, m1.length)
 
 
@@ -289,17 +294,23 @@ def _kld_hmm_spectral(m1: HmmModel, m0: HmmModel) -> float:
     below 1 by `_CONTRACTION_MARGIN`.  When the rows' shared mass proves the
     latter (`_minorized`, its rows validated to `STOCH_TOL`), no
     eigendecomposition runs; otherwise `spectral_split` decides, and its
-    error is the fallback's reason.
+    error is the fallback's reason.  The error carries the local terms as
+    ``terms``, ``(root, step)``, so that a fallback evaluates
+    `_chain_closed_form` on them instead of computing them again.
     """
     check_pair(m1, m0, HmmModel)
     root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, m1.emission, m0.emission)
     if m1.length == 1:
         return float(root)
-    if not (np.isfinite(step).all() and math.isfinite(root)):
-        raise SpectralError("local divergences are infinite; the spectral series does not apply")
-    if not _minorized(m1.transition, _CONTRACTION_MARGIN, STOCH_TOL):
-        spectral_split(m1.transition)
-    return _closed_form(m1.initial, root, m1.transition, step, 1, m1.length)
+    try:
+        if not (np.isfinite(step).all() and math.isfinite(root)):
+            raise SpectralError("local divergences are infinite; the spectral series does not apply")
+        if not _minorized(m1.transition, _CONTRACTION_MARGIN, STOCH_TOL):
+            spectral_split(m1.transition)
+    except SpectralError as exc:
+        exc.terms = (root, step)
+        raise
+    return _chain_closed_form(m1, root, step)
 
 
 def kld_hmm_fast(m1: HmmModel, m0: HmmModel) -> float:
@@ -311,14 +322,15 @@ def kld_hmm_fast(m1: HmmModel, m0: HmmModel) -> float:
     eigendecomposition, so it takes the fast path even when a defective
     eigenvalue inside the unit disc would make `spectral_split` refuse it.
 
-    Falls back to `kld_hmm_no_evidence` (with a warning naming the reason)
-    whenever a precondition fails.
+    Falls back to `kld_hmm_no_evidence`'s closed form (with a warning naming
+    the reason) whenever a precondition fails, on the local terms the
+    refused attempt computed.
     """
     try:
         return _kld_hmm_spectral(m1, m0)
     except SpectralError as exc:
         warnings.warn(_fast_fallback(exc), stacklevel=2)
-        return kld_hmm_no_evidence(m1, m0)
+        return _chain_closed_form(m1, *exc.terms)
 
 
 def _fast_fallback(exc: SpectralError) -> str:

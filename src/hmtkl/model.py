@@ -30,7 +30,6 @@ import json
 import math
 import threading
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
@@ -53,8 +52,11 @@ MAX_NODES = 1 << 20
 
 
 def _freeze(array, dtype=float):
+    """`array` as a read-only C-ordered array of `dtype`: one conversion, and
+    none for an array that already is one."""
     out = np.asarray(array, dtype=dtype, order="C")
-    out.setflags(write=False)
+    if out.flags.writeable:
+        out.setflags(write=False)
     return out
 
 
@@ -212,12 +214,12 @@ class DiscreteEmission:
     kind = "discrete"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _freeze(self.matrix)
         if m.ndim < 2:  # np.atleast_2d costs more than this test on a matrix
             m = np.atleast_2d(m)
         if m.ndim > 3:
             raise ValueError("emission matrix must be two-dimensional (three-dimensional for a stack)")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n_states(self) -> int:
@@ -249,14 +251,13 @@ class GaussianEmission:
     kind = "gaussian"
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        sds = np.asarray(self.sds, dtype=float)
+        means, sds = _freeze(self.means), _freeze(self.sds)
         if means.ndim == 0 or sds.ndim == 0:
             means, sds = np.atleast_1d(means), np.atleast_1d(sds)
         if means.shape != sds.shape or means.ndim > 2:
             raise ValueError("means and sds must be one-dimensional and of equal length")
-        object.__setattr__(self, "means", _freeze(means))
-        object.__setattr__(self, "sds", _freeze(sds))
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "sds", sds)
 
     @property
     def n_states(self) -> int:
@@ -275,10 +276,10 @@ EmissionSpec = Union[DiscreteEmission, GaussianEmission]
 
 
 def _as_square_matrix(value, d, what):
-    m = np.asarray(value, dtype=float)
+    m = _freeze(value)
     if m.shape != (d, d):
         raise ValueError(f"{what} must have shape ({d}, {d}), got {m.shape}")
-    return _freeze(m)
+    return m
 
 
 def _check_emission(spec, d, what):
@@ -408,12 +409,14 @@ class HmtModel:
     """
 
     def __init__(self, topology: HmtTopology, initial, transitions, emissions):
-        initial = np.atleast_1d(np.asarray(initial, dtype=float))
+        initial = _freeze(initial)
+        if initial.ndim == 0:
+            initial = np.atleast_1d(initial)
         if initial.ndim != 1:
             raise ValueError("initial must be a vector")
         d = initial.shape[0]
         object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "initial", _freeze(initial))
+        object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transition_stack", _transition_stack(transitions, topology, d))
         object.__setattr__(self, "emission_stack", _emission_stack(emissions, topology, d))
 
@@ -479,12 +482,12 @@ class HmmModel:
         if length < 1:
             raise ValueError("length must be >= 1")
         object.__setattr__(self, "length", length)
-        initial = np.asarray(self.initial, dtype=float)
+        initial = _freeze(self.initial)
         if initial.ndim == 0:
             initial = np.atleast_1d(initial)
         if initial.ndim != 1:
             raise ValueError("initial must be a vector")
-        object.__setattr__(self, "initial", _freeze(initial))
+        object.__setattr__(self, "initial", initial)
         d = initial.shape[0]
         object.__setattr__(self, "transition", _as_square_matrix(self.transition, d, "transition"))
         _check_emission(self.emission, d, "emission")
@@ -595,22 +598,75 @@ def check_evidence(model: HmmModel, evidence: Evidence) -> None:
 # Validation
 
 
+def _sum_edge(sign: int) -> float:
+    """The float farthest from 1 on the side of `sign` whose distance from 1
+    is within `STOCH_TOL`; the distance of a float this near 1 is exact."""
+    edge = 1.0 + sign * STOCH_TOL
+    while abs(edge - 1.0) > STOCH_TOL:
+        edge = math.nextafter(edge, 1.0)
+    while abs(math.nextafter(edge, sign * math.inf) - 1.0) <= STOCH_TOL:
+        edge = math.nextafter(edge, sign * math.inf)
+    return edge
+
+
+#: A row sum s has ``abs(s - 1) <= STOCH_TOL`` exactly when it lies in
+#: ``[_SUM_LO, _SUM_HI]``; NaN lies in neither comparison.
+_SUM_LO, _SUM_HI = _sum_edge(-1), _sum_edge(1)
+
+_least, _largest, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
+
+def _parameters(model):
+    """The initial law, the transition stack (or shared matrix) and the
+    emission spec (stacked or shared) of a chain or a tree."""
+    if isinstance(model, HmmModel):
+        return model.initial, model.transition, model.emission
+    return model.initial, model.transition_stack, model.emission_stack
+
+
+def _valid(model) -> bool:
+    """Whether `_report` would find nothing, decided in one pass over all of
+    the model's parameters with a few ufunc reductions and no report.
+
+    The least entry of every stochastic parameter is read first: one that is
+    negative or NaN ends the pass, so the row sums after it never add -inf
+    to +inf.  Each row-sum array then needs only its least and largest value
+    inside ``[_SUM_LO, _SUM_HI]``.  Empty arrays (a one-node tree's
+    transition stack) pass, as in the report.
+    """
+    initial, transitions, spec = _parameters(model)
+    discrete = spec.kind == "discrete"
+    stochastic = (initial, transitions, spec.matrix) if discrete else (initial, transitions)
+    for array in stochastic:
+        if not _least(array, None, initial=0.0) >= 0:
+            return False
+    if not _SUM_LO <= _sum(initial) <= _SUM_HI:
+        return False
+    for array in stochastic[1:]:
+        sums = _sum(array, -1)
+        if not (_SUM_LO <= _least(sums, None, initial=1.0) and _largest(sums, None, initial=1.0) <= _SUM_HI):
+            return False
+    if discrete:
+        return True
+    means, sds = spec.means, spec.sds
+    return bool(
+        -math.inf < _least(means, None, initial=0.0)
+        and _largest(means, None, initial=0.0) < math.inf
+        and 0 < _least(sds, None, initial=1.0)
+        and _largest(sds, None, initial=1.0) < math.inf
+    )
+
+
 def _check_rows(stack, label, problems):
     """Report rows of an (n, rows, m) stack that have a negative entry or do
     not sum to 1, in (node, row) order; ``label(i)`` names entry i.
 
-    A stack whose least entry is >= 0 and whose row sums all lie within
-    `STOCH_TOL` of 1 is valid, and the masks of the report are built only
-    when that whole-stack pass fails (NaN fails both of its comparisons).
-    Runs inside `validate`'s ``np.errstate``: a row holding both infinities
+    Runs inside `_report`'s ``np.errstate``: a row holding both infinities
     is reported as summing to nan, without a warning.
     """
     sums = stack.sum(axis=-1)
-    off_by = np.abs(sums - 1.0)
-    if stack.min(initial=0.0) >= 0 and off_by.max(initial=0.0) <= STOCH_TOL:
-        return
     negative = (stack < 0).any(axis=-1)
-    off = ~(off_by <= STOCH_TOL)  # NaN sums are off too
+    off = ~(np.abs(sums - 1.0) <= STOCH_TOL)  # NaN sums are off too
     for i, r in zip(*np.nonzero(negative | off)):
         if negative[i, r]:
             problems.append(f"{label(i)} row {r + 1} has a negative entry")
@@ -619,11 +675,9 @@ def _check_rows(stack, label, problems):
 
 
 def _check_vector(vector, problems, label):
-    """`_check_rows` for one vector named `label`, with the same whole-vector
-    pass first; also inside `validate`'s ``np.errstate``."""
+    """`_check_rows` for one vector named `label`; also inside `_report`'s
+    ``np.errstate``."""
     total = float(vector.sum())
-    if vector.min(initial=0.0) >= 0 and abs(total - 1.0) <= STOCH_TOL:
-        return
     if (vector < 0).any():
         problems.append(f"{label} has a negative entry")
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=STOCH_TOL):
@@ -645,32 +699,21 @@ def _check_gaussian(means, sds, label, problems):
             problems.append(f"{label(i)} sd for state {s + 1} is not finite")
 
 
-def validate(model) -> list[str]:
-    """Report violated probabilistic invariants; an empty list means valid.
-
-    Stochasticity is checked at absolute tolerance 1e-12 and is never repaired
-    silently.  Each parameter stack is checked with whole-array masks; the
-    report lists the transitions, then the emissions, node by node and row by
-    row.
-
-    A valid vector or stack costs one pass over the whole of it: its least
-    entry and its row sums' largest distance from 1.  The per-row masks and
-    the report lines are built only for a stack that fails that pass (see
-    `_check_rows`).  The checks run under one ``np.errstate(invalid=
-    "ignore")``, so a row holding both infinities is reported as summing to
-    nan without a NumPy warning.
-    """
+def _report(model) -> list[str]:
+    """Every violated invariant, row by row: the initial law, then the
+    transitions, then the emissions, node by node.  The sums run under
+    ``np.errstate``, so a row holding both infinities is reported as summing
+    to nan, and one whose sum overflows as summing to inf, without a NumPy
+    warning."""
     problems: list[str] = []
-    if isinstance(model, HmmModel):
-        transitions, spec, path = model.transition, model.emission, None
-    else:
-        transitions, spec, path = model.transition_stack, model.emission_stack, cache(model.topology.path)
+    initial, transitions, spec = _parameters(model)
+    path = None if isinstance(model, HmmModel) else cache(model.topology.path)
 
     def emission(i):
         return f"emission at node {path(i)!r}" if spec.stacked else "emission"
 
-    with np.errstate(invalid="ignore"):
-        _check_vector(model.initial, problems, "initial")
+    with np.errstate(invalid="ignore", over="ignore"):
+        _check_vector(initial, problems, "initial")
         if transitions.ndim == 2:
             _check_rows(transitions[None], lambda i: "transition", problems)
         else:
@@ -682,6 +725,23 @@ def validate(model) -> list[str]:
             means, sds = (spec.means, spec.sds) if spec.stacked else (spec.means[None], spec.sds[None])
             _check_gaussian(means, sds, emission, problems)
     return problems
+
+
+def validate(model) -> list[str]:
+    """Report violated probabilistic invariants; an empty list means valid.
+
+    Stochasticity is checked at absolute tolerance 1e-12 and is never repaired
+    silently.  The report lists the initial law, then the transitions, then
+    the emissions, node by node and row by row.
+
+    A valid model costs one pass over all of its parameters (`_valid`): the
+    least entry of each stochastic parameter, then the least and largest row
+    sum, and for Gaussian emissions the extremes of the means and sds, each
+    one ufunc reduction, under no ``np.errstate``.  The per-row masks and
+    the report lines (`_report`) are built only for a model that fails that
+    pass.
+    """
+    return [] if _valid(model) else _report(model)
 
 
 # ---------------------------------------------------------------------------
@@ -753,23 +813,27 @@ _gc_loads = 0
 _gc_was_enabled = False
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for the block.
+class _collector_paused:
+    """Pause the cyclic garbage collector for a ``with`` block.
 
+    Entering and leaving are one counter update each under `_gc_lock`.
     Pauses nest across threads: the first block to enter saves the
     collector's state and disables it, and the last to leave restores that
     state, so concurrent loads cannot leave it switched off.
     """
-    global _gc_loads, _gc_was_enabled
-    with _gc_lock:
-        if _gc_loads == 0:
-            _gc_was_enabled = gc.isenabled()
-            gc.disable()
-        _gc_loads += 1
-    try:
-        yield
-    finally:
+
+    __slots__ = ()
+
+    def __enter__(self):
+        global _gc_loads, _gc_was_enabled
+        with _gc_lock:
+            if _gc_loads == 0:
+                _gc_was_enabled = gc.isenabled()
+                gc.disable()
+            _gc_loads += 1
+
+    def __exit__(self, *exc_info):
+        global _gc_loads
         with _gc_lock:
             _gc_loads -= 1
             if _gc_loads == 0 and _gc_was_enabled:
@@ -779,13 +843,18 @@ def _collector_paused():
 def load_model(document: str):
     """Parse a UTF-8 JSON model document into an HmmModel or HmtModel.
 
-    Per-node tree parameters are read straight into stacks in node order,
-    each in one pass over the document's lists.  Python's cyclic garbage
-    collector is paused during the call: a decoded document holds no
-    cycles, so each collection over its many lists would be wasted work.
-    The collector state found on entry is restored on return, once the
-    document is freed, and on error; concurrent loads share one pause, which
-    the last of them ends (`_collector_paused`).
+    Each parameter list is converted to a float array once, by the
+    constructor that keeps it.  Per-node tree parameters are read
+    straight into stacks in node order, each in one pass over the
+    document's lists.  The model is then checked by `validate`, whose
+    whole-model pass builds no report for a valid one.
+
+    Python's cyclic garbage collector is paused during the call: a decoded
+    document holds no cycles, so each collection over its many lists would
+    be wasted work.  The collector state found on entry is restored on
+    return, once the document is freed, and on error; concurrent loads share
+    one pause, which the last of them ends (`_collector_paused`, two counter
+    updates under a lock).
 
     Raises ModelFormatError on malformed documents (a ``depth``/``children``
     pair describing more than `MAX_NODES` nodes, an integer too large for a

@@ -22,7 +22,10 @@ from hypothesis import strategies as st
 import hmtkl
 from hmtkl import HmmModel, ModelError, load_model
 from hmtkl.bundled import data_path, data_text
+from hmtkl import cli as cli_module
+from hmtkl import hmm as hmm_module
 from hmtkl.cli import build_parser, main
+from hmtkl.divergence import local_k_terms
 
 
 HMM_A = data_path("hmm_a.json")
@@ -216,6 +219,33 @@ class TestExact:
         assert code == 0
         assert "method=closed-form" in captured.out
         assert "fast path unavailable" in captured.err
+
+    def test_fast_fallbacks_compute_the_local_terms_once(self, capsys, monkeypatch, periodic_model_file):
+        """`exact --fast` and `kld_hmm_fast` finish a refused attempt on the
+        local terms it computed, and give `kld_hmm_no_evidence`'s bits."""
+        m_a = load_model(Path(periodic_model_file).read_text()).with_length(1000)
+        m_b = load_model(data_text("hmm_b.json")).with_length(1000)
+        expected = hmtkl.kld_hmm_no_evidence(m_a, m_b)
+        calls, values = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return local_k_terms(*args)
+
+        def recorded(*args):
+            values.append(closed_form(*args))
+            return values[-1]
+
+        monkeypatch.setattr(hmm_module, "local_k_terms", counted)
+        with pytest.warns(UserWarning, match="fast path unavailable"):
+            value = hmtkl.kld_hmm_fast(m_a, m_b)
+        assert (len(calls), value.hex()) == (1, expected.hex())
+
+        closed_form = cli_module._chain_closed_form
+        monkeypatch.setattr(cli_module, "_chain_closed_form", recorded)
+        assert main(["exact", "--model-a", periodic_model_file, "--model-b", HMM_B, "--fast", "--n", "1000"]) == 0
+        assert (len(calls), [v.hex() for v in values]) == (2, [expected.hex()])
+        assert capsys.readouterr().out == f"exact_kld={expected:.12g} method=closed-form\n"
 
     def test_fast_fallback_note_is_the_library_warning(self, capsys, periodic_model_file):
         assert main(["exact", "--model-a", periodic_model_file, "--model-b", HMM_B, "--fast"]) == 0
@@ -642,6 +672,65 @@ def test_help_exits_0(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: hmtkl")
     assert captured.err == ""
+
+
+#: Command lines for the dispatch test: each subcommand's valid line and its
+#: help, and lines the subcommand's parser alone cannot take.
+_PAIR = ["--model-a", HMM_A, "--model-b", HMM_B]
+DISPATCH_ARGV = {
+    "validate": ["validate", "--model-a", HMM_A],
+    "exact": ["exact", *_PAIR, "--n", "5", "--fast"],
+    "rate": ["rate", *_PAIR, "--n", "3"],
+    "bound": ["bound", *_PAIR],
+    "evidence-exact": ["evidence-exact", *_PAIR, "--evidence", EVIDENCE_100, "--n", "100"],
+    "mc": ["mc", *_PAIR, "--evidence", EVIDENCE_100, "--trials", "10", "--seed", "3", "--n", "100"],
+    "sweep": ["sweep", *_PAIR, "--n-min", "1", "--n-max", "5", "--step", "2", "--trials", "10", "--seed", "1", "--out", "o.csv"],
+    "--model-a=PATH": ["exact", f"--model-a={HMM_A}", f"--model-b={HMM_B}"],
+    "repeated option": ["exact", *_PAIR, "--n", "4", "--n", "6"],
+    "abbreviated option": ["exact", *_PAIR, "--fa"],
+    "abbreviated model option": ["exact", "--model", HMM_A, "--model-b", HMM_B],
+    "another subcommand's option": ["bound", *_PAIR, "--fast"],
+    "missing --model-a": ["exact", "--model-b", HMM_B],
+    "subcommand alone": ["exact"],
+    "--n abc": ["exact", *_PAIR, "--n", "abc"],
+    "--n without a value": ["exact", *_PAIR, "--n"],
+    "separator then options": ["exact", "--", *_PAIR],
+    "options then separator": ["exact", *_PAIR, "--"],
+    "separator then a word": ["exact", *_PAIR, "--", "extra"],
+    "positional word": ["exact", *_PAIR, "extra"],
+    "option before the command": ["--model-a", HMM_A, "exact", "--model-b", HMM_B],
+    "help before the command": ["-h", "exact"],
+    "unknown command": ["exactly", *_PAIR],
+    "command abbreviation": ["ex", *_PAIR],
+    "empty argv": [],
+    **{f"{command} -h": [command, "-h"] for command in ("validate", "exact", "rate", "bound", "evidence-exact", "mc", "sweep")},
+    "help among options": ["mc", *_PAIR, "--help", "--trials", "x"],
+}
+
+
+def parse_outcome(parse, argv):
+    """The namespace `parse` gives `argv`, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV.values(), ids=DISPATCH_ARGV.keys())
+def test_subcommand_dispatch_parses_as_the_whole_parser(monkeypatch, argv):
+    """`main` hands a line to its subcommand's parser alone, and gets the
+    namespace, or the exit code, usage, help and error lines, that
+    ``build_parser().parse_args`` gives; a line that parses on the fast
+    route never reaches the whole parser."""
+    expected = parse_outcome(build_parser().parse_args, argv)
+    whole, subcommands = cli_module._parsers()
+    calls = []
+    monkeypatch.setattr(whole, "parse_args", lambda *args: calls.append(args) or type(whole).parse_args(whole, *args))
+    assert parse_outcome(cli_module._parse_args, argv) == expected
+    if isinstance(expected, dict):
+        assert argv[0] in subcommands and calls == []
 
 
 class TestNestedJson:

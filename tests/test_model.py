@@ -920,6 +920,121 @@ def test_stacked_validation_matches_per_row_reference(n, d, m, chain_model, gaus
     assert validate(model) == reference_report(model)
 
 
+def ulps_from(value, ulps):
+    """`value` moved by `ulps` floats, up for a positive count."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def signed_zeros(row, c):
+    row[:] = -0.0
+    row[c] = 1.0
+
+
+#: Faults for the whole-model pass beside its tolerance edges: -0.0 entries
+#: and the non-finite ones.
+PASS_ROW_FAULTS = {
+    "signed zeros": signed_zeros,
+    "negative zero": lambda row, c: row.__setitem__(c, -0.0),
+    "nan": ROW_FAULTS["nan"],
+    "inf": ROW_FAULTS["inf"],
+    "both infinities": both_infinities,
+    "negative": ROW_FAULTS["negative"],
+}
+PASS_GAUSSIAN_FAULTS = {
+    "means": [math.nan, math.inf, -math.inf, -0.0, 1e308],
+    "sds": [0.0, -0.0, -1.0, math.nan, math.inf, 5e-324, 1e308],
+}
+
+
+def faulted_model(d, m, nodes, chain_model, gaussian, shared, row_faults, gaussian_faults, seed):
+    """A valid random chain or chain-shaped tree with `row_faults`, ``(where,
+    fault, row, column)`` with a fault of `ROW_FAULTS`' kind, and
+    `gaussian_faults`, ``(key, position, value)``, planted in it."""
+    rng = np.random.default_rng(seed)
+    shared = (True, True) if chain_model else shared
+    initial = rng.dirichlet(np.ones(d))
+    transitions = rng.dirichlet(np.ones(d), size=(d,) if shared[0] else (nodes - 1, d))
+    lead = () if shared[1] else (nodes,)
+    matrix = rng.dirichlet(np.ones(m), size=lead + (d,))
+    means, sds = rng.normal(size=lead + (d,)), rng.uniform(0.5, 2.0, size=lead + (d,))
+    for where, fault, at_row, at_col in row_faults:
+        target = {"initial": initial, "transition": transitions, "emission": transitions if gaussian else matrix}[where]
+        flat = target.reshape(-1, target.shape[-1])
+        if flat.size:
+            fault(flat[at_row % flat.shape[0]], at_col % flat.shape[1])
+    if gaussian:
+        for key, at, value in gaussian_faults:
+            flat = (means if key == "means" else sds).reshape(-1)
+            flat[at % flat.size] = value
+    emissions = GaussianEmission(means, sds) if gaussian else DiscreteEmission(matrix)
+    if chain_model:
+        return HmmModel(length=nodes, initial=initial, transition=transitions, emission=emissions)
+    return HmtModel(topology=HmtTopology.regular(nodes, 1), initial=initial, transitions=transitions, emissions=emissions)
+
+
+def assert_pass_matches_report(model):
+    report = model_module._report(model)
+    assert model_module._valid(model) is (report == [])
+    assert validate(model) == report == reference_report(model)
+
+
+WHERE = st.sampled_from(["initial", "transition", "emission"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    m=st.integers(1, 3),
+    nodes=st.integers(1, 5),
+    chain_model=st.booleans(),
+    gaussian=st.booleans(),
+    shared=st.tuples(st.booleans(), st.booleans()),
+    edge=st.tuples(WHERE, st.sampled_from([1, -1]), st.integers(-3, 3), st.integers(0, 99), st.integers(0, 9)),
+    row_faults=st.lists(st.tuples(WHERE, st.sampled_from(sorted(PASS_ROW_FAULTS)), st.integers(0, 99), st.integers(0, 9)), max_size=2),
+    gaussian_faults=st.lists(
+        st.sampled_from(sorted(PASS_GAUSSIAN_FAULTS)).flatmap(
+            lambda key: st.tuples(st.just(key), st.integers(0, 99), st.sampled_from(PASS_GAUSSIAN_FAULTS[key]))
+        ),
+        max_size=2,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_whole_model_pass_accepts_exactly_what_the_row_report_accepts(
+    d, m, nodes, chain_model, gaussian, shared, edge, row_faults, gaussian_faults, seed
+):
+    """`validate`'s fused pass finds a model valid exactly when the per-row
+    report is empty, on chains and trees, shared and per-node, both emission
+    kinds and d = 1.  Every model has one row summing to a float within three
+    of a tolerance edge, inside or outside it, and may have -0.0, NaN,
+    infinite and negative entries and rows holding both infinities."""
+    where, sign, ulps, at_row, at_col = edge
+    faults = [(where, one_entry(ulps_from(edge_sum(sign), ulps)), at_row, at_col)]
+    faults += [(where, PASS_ROW_FAULTS[fault], at_row, at_col) for where, fault, at_row, at_col in row_faults]
+    assert_pass_matches_report(faulted_model(d, m, nodes, chain_model, gaussian, shared, faults, gaussian_faults, seed))
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["discrete", "gaussian"])
+@pytest.mark.parametrize("shape", ["chain", "shared tree", "per-node tree"])
+def test_the_whole_model_pass_on_each_single_fault(shape, gaussian):
+    """The property's faults one at a time, each in every parameter, at
+    d = 1 and d = 3: each verdict of the pass is the report's."""
+    chain_model, shared = shape == "chain", (shape == "shared tree",) * 2
+    edges = [one_entry(ulps_from(edge_sum(sign), k)) for sign in (1, -1) for k in range(-3, 4)]
+    row_faults = [[(where, fault, 1, 1)] for where in ("initial", "transition", "emission") for fault in [*edges, *PASS_ROW_FAULTS.values()]]
+    gaussian_faults = [[(key, 2, value)] for key, values in PASS_GAUSSIAN_FAULTS.items() for value in values] if gaussian else []
+    verdicts = set()
+    for d in (1, 3):
+        for faults in [[], *row_faults]:
+            model = faulted_model(d, 2, 4, chain_model, gaussian, shared, faults, [], seed=d)
+            assert_pass_matches_report(model)
+            verdicts.add(model_module._valid(model))
+        for faults in gaussian_faults:
+            assert_pass_matches_report(faulted_model(d, 2, 4, chain_model, gaussian, shared, [], faults, seed=d))
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_row_sums_at_the_tolerance_edge_are_valid_and_one_float_beyond_is_not(sign):
     edge = edge_sum(sign)
