@@ -35,12 +35,16 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _read(path: str) -> str:
+def _read(path: str, named: bool = True) -> str:
+    """The text of the file at `path`.  An unreadable file raises ModelError
+    with the reason the system gives (the OSError's `strerror`), after the
+    path unless `named` is false, for a caller that prints the path itself."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise ModelError(f"cannot read {path}: {exc}") from exc
+        reason = exc.strerror or exc
+        raise ModelError(f"cannot read {path}: {reason}" if named else f"cannot read: {reason}") from exc
 
 
 def _open_out(path):
@@ -79,7 +83,7 @@ def cmd_validate(args) -> int:
     status = 0
     for path in [args.model_a] + ([args.model_b] if args.model_b else []):
         try:
-            load_model(_read(path))
+            load_model(_read(path, named=False))
         except ModelError as exc:
             for line in getattr(exc, "report", [str(exc)]):
                 print(f"{path}: {line}")

@@ -32,6 +32,7 @@ __all__ = [
     "local_k_stack",
     "local_k_root",
     "local_k_terms",
+    "local_k_tree",
 ]
 
 _DIST_TOL = 1e-9
@@ -187,14 +188,20 @@ def _local_rows(e1: EmissionSpec, e0: EmissionSpec, *weights) -> list:
     """
     for w1, _ in weights:
         _check_states(w1, e1)
-    rows, per_state = _emission_rows(e1, e0, *weights)
+    return _plus_emissions(weights, *_emission_rows(e1, e0, *weights))
+
+
+def _plus_emissions(weights, rows, per_state) -> list:
+    """``max(rows[k] + w1 @ per_state, 0)`` for the row divergences `rows[k]`
+    of the k-th ``(w1, w0)`` pair of `weights`: the last step of
+    `_local_rows`, with the ``0 * inf = 0`` rule of `weighted_sum`."""
     if np.isfinite(per_state).all():
         per_state = per_state[None, :, None]
         return [np.maximum(r + np.matmul(w1[None], per_state)[0, :, 0], 0.0) for r, (w1, _) in zip(rows, weights)]
     return [np.maximum(r + weighted_sum(w1[None], per_state[None])[0], 0.0) for r, (w1, _) in zip(rows, weights)]
 
 
-def _weighted_local_kl(w1, w0, e1: EmissionSpec, e0: EmissionSpec):
+def _weighted_local_kl(w1, w0, e1: EmissionSpec, e0: EmissionSpec, initial=None):
     """`_local_rows` of every node i of ``(n, rows, d)`` weight stacks, with
     emission specs stacked over the n nodes or shared by all of them.
 
@@ -203,18 +210,45 @@ def _weighted_local_kl(w1, w0, e1: EmissionSpec, e0: EmissionSpec):
     emission divergences of its own nodes, so that per-node emission stacks
     are blocked too, and its weights take a kernel call of their own: joining
     them to the emission rows would copy a broadcast transition stack.  Both
-    bound the kernel's temporaries.
+    bound the kernel's temporaries.  Weights that are one matrix pair
+    broadcast over the nodes (zero strides on the node axis, as a shared
+    transition matrix reaches the tree route) take the kernel on that pair
+    alone: each row has the same terms and sums them in the same order.
+
+    With a tree root's `initial` laws ``(mu1, mu0)``, the specs are stacked
+    over one node more, the root first, or shared, and the result is
+    ``(root term, table)``: the root's emission divergences come from the
+    first block's emission call, which runs even when there are no nodes,
+    and its initial laws' rows join that call.
     """
     n, rows, d = w1.shape
     _check_states(w1, e1)
     out = np.empty((n, rows))
     block = max(1, _BLOCK_ENTRIES // (rows * d))
-    for lo in range(0, n, block):
+    first = 0 if initial is None else 1  # the stacked spec of weight node i is entry i + first
+    shared = _rel_entr(w1[0], w0[0]).sum(axis=1) if n and not (w1.strides[0] or w0.strides[0]) else None
+    for lo in range(0, n if initial is None else max(n, 1), block):
         nodes = slice(lo, lo + block)
-        divergences = _rel_entr(w1[nodes], w0[nodes]).sum(axis=2)
-        per_state = np.broadcast_to(emission_kl_per_state(e1.for_nodes(nodes), e0.for_nodes(nodes)), divergences.shape[:1] + (d,))
+        if shared is None:
+            divergences = _rel_entr(w1[nodes], w0[nodes]).sum(axis=2)
+        else:
+            divergences = np.broadcast_to(shared, (min(n, lo + block) - lo, rows))
+        if lo or initial is None:
+            specs = slice(lo + first, lo + block + first)
+            per_state = emission_kl_per_state(e1.for_nodes(specs), e0.for_nodes(specs))
+        else:
+            specs = slice(0, block + 1)
+            mu1, mu0 = (mu[None] for mu in initial)
+            _check_states(mu1, e1)
+            (root,), per_state = _emission_rows(e1.for_nodes(specs), e0.for_nodes(specs), (mu1, mu0))
+            if per_state.ndim == 2:  # either spec is stacked
+                root_states, per_state = per_state[0], per_state[1:]
+            else:
+                root_states = per_state
+            term = float(_plus_emissions([(mu1, mu0)], [root], root_states)[0][0])
+        per_state = np.broadcast_to(per_state, divergences.shape[:1] + (d,))
         out[nodes] = divergences + weighted_sum(w1[nodes], per_state)
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0) if initial is None else (term, np.maximum(out, 0.0))
 
 
 def _check_square(pi1, pi0, ndim):
@@ -257,6 +291,18 @@ def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     """
     pi1, pi0 = _check_square(pi1, pi0, 3)
     return _weighted_local_kl(pi1, pi0, e1, e0)
+
+
+def local_k_tree(mu1, mu0, pi1, pi0, e1: EmissionSpec, e0: EmissionSpec):
+    """``(local_k_root(mu1, mu0, e1[0], e0[0]), local_k_stack(pi1, pi0,
+    e1[1:], e0[1:]))`` bit for bit, where ``e[i]`` is node i's spec: the
+    root term and the ``(n - 1, d)`` table of a tree of n nodes, whose
+    emission specs are stacked over the n nodes or shared.  The root's rows
+    join the emission call of the table's first block (`_weighted_local_kl`).
+    """
+    mu1, mu0 = _check_initial(mu1, mu0)
+    pi1, pi0 = _check_square(pi1, pi0, 3)
+    return _weighted_local_kl(pi1, pi0, e1, e0, (mu1, mu0))
 
 
 def local_k_root(mu1, mu0, e1: EmissionSpec, e0: EmissionSpec) -> float:

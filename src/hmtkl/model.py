@@ -29,10 +29,12 @@ import gc
 import json
 import math
 import threading
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Union
 
 import numpy as np
@@ -113,8 +115,20 @@ class HmtTopology:
         The paths are checked, sorted and linked to their parents in bulk;
         only when a check fails is the list scanned for the offending path
         (the first bad path in input order, the first orphan in node order).
+        The list itself is sorted, by path and then stably by length, so a
+        list already in node order, as `save_model` writes it, costs one
+        merge per level; a path given twice is kept once.
+
+        A list equal to the `labels` of the topology built last gets that
+        same object back, which a weak reference holds: the two documents of
+        a pair share one topology, and `check_pair` finds them equal at
+        once, yet the topology lives no longer than the models using it.
         """
+        global _last_from_nodes
         paths = list(paths)
+        last = _last_from_nodes()
+        if last is not None and last.labels == tuple(paths):
+            return last
         try:
             joined = "".join(paths)
         except TypeError:  # a path that is not a string
@@ -123,13 +137,16 @@ class HmtTopology:
             for p in paths:
                 if not isinstance(p, str) or (p and not (p.isascii() and p.isdigit())):
                     raise ValueError(f"node path {p!r} is not a string over '0'..'9'")
-        node_set = set(paths)
-        if ROOT not in node_set:
+        paths.sort()
+        paths.sort(key=len)  # stable: by (len, path)
+        index = dict(zip(paths, range(len(paths))))
+        if len(index) < len(paths):  # duplicates: the keys keep the first of each, in order
+            index = dict(zip(index, range(len(index))))
+        nodes = tuple(index)
+        if not nodes or nodes[0] != ROOT:
             raise ValueError('node list must contain the root ""')
-        nodes = tuple(sorted(sorted(node_set), key=len))  # stable: by (len, path)
-        index = dict(zip(nodes, range(len(nodes))))
         try:
-            parent = [index[p[:-1]] for p in nodes[1:]]
+            parent = list(map(index.__getitem__, map(itemgetter(slice(None, -1)), nodes[1:])))
         except KeyError:
             p = next(p for p in nodes[1:] if p[:-1] not in index)
             raise ValueError(f"node {p!r} has no parent {p[:-1]!r} in the node list") from None
@@ -140,10 +157,14 @@ class HmtTopology:
         counts = np.bincount(parent[1:], minlength=len(nodes))
         first_leaf = int(np.argmin(counts))
         regular = depth > 1 and len(nodes[first_leaf]) == depth - 1 and (counts[:first_leaf] == counts[0]).all()
-        return HmtTopology(parent, depth, int(counts[0]) if regular else None, nodes)
+        topology = HmtTopology(parent, depth, int(counts[0]) if regular else None, nodes)
+        _last_from_nodes = weakref.ref(topology)
+        return topology
 
     def __eq__(self, other):
         """Equal `parent` arrays and, if either side carries labels, equal `nodes`."""
+        if self is other:
+            return True
         if not isinstance(other, HmtTopology):
             return NotImplemented
         return np.array_equal(self.parent, other.parent) and (self.labels is other.labels is None or self.nodes == other.nodes)
@@ -200,6 +221,11 @@ class HmtTopology:
     def index(self) -> dict[str, int]:
         """Breadth-first index of every node path, built on first use by the path accessors."""
         return {p: j for j, p in enumerate(self.nodes)}
+
+
+#: The topology `HmtTopology.from_nodes` built last, held weakly.  Before
+#: the first call it refers to a topology that is already gone.
+_last_from_nodes = weakref.ref(HmtTopology.regular(1, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +301,31 @@ class GaussianEmission:
 EmissionSpec = Union[DiscreteEmission, GaussianEmission]
 
 
+def _ragged(value) -> bool:
+    """Whether nested lists `value` hold, at some level, lists of unequal
+    lengths or lists beside other values: the lists NumPy refuses as
+    having an inhomogeneous shape."""
+    level = [value]
+    while any(isinstance(x, (list, tuple)) for x in level):
+        if not all(isinstance(x, (list, tuple)) for x in level) or len(set(map(len, level))) > 1:
+            return True
+        level = list(chain.from_iterable(level))
+    return False
+
+
+def _float_array(value, shape, what, error=ValueError):
+    """`value` as `_freeze` converts it; nested lists that it refuses as
+    ragged raise `error` naming `what` and the `shape` it must have."""
+    try:
+        return _freeze(value)
+    except ValueError:
+        if not _ragged(value):
+            raise
+    raise error(f"{what} must have shape {shape}, got a ragged list")
+
+
 def _as_square_matrix(value, d, what):
-    m = _freeze(value)
+    m = _float_array(value, (d, d), what)
     if m.shape != (d, d):
         raise ValueError(f"{what} must have shape ({d}, {d}), got {m.shape}")
     return m
@@ -320,26 +369,36 @@ def _stack_lists(items, shape):
         return None
 
 
+def _values_at(mapping, keys, message):
+    """``mapping[k]`` for each of `keys`, which must be exactly the mapping's
+    keys: as many of them, and each one present.  Otherwise ValueError with
+    `message`."""
+    if len(mapping) == len(keys):
+        try:
+            return list(map(mapping.__getitem__, keys))
+        except KeyError:
+            pass
+    raise ValueError(message)
+
+
 def _transition_stack(transitions, topology, d) -> np.ndarray:
     """The shared (d, d) matrix, or the (n_nodes - 1, d, d) stack in node order.
 
-    A mapping is read in one pass (`_stack_lists`); one that pass refuses
-    is read matrix by matrix in node order, which names the first malformed
-    node.
+    A mapping must cover exactly the non-root nodes (`_values_at`).  It is
+    read in one pass (`_stack_lists`); one that pass refuses is read matrix by
+    matrix in node order, which names the first malformed node.
     """
     shape = (topology.n_nodes - 1, d, d)
     if isinstance(transitions, Mapping):
         paths = topology.nodes[1:]
-        if set(transitions) != set(paths):
-            raise ValueError("per-node transitions must cover exactly the non-root nodes")
-        matrices = [transitions[p] for p in paths]
+        matrices = _values_at(transitions, paths, "per-node transitions must cover exactly the non-root nodes")
         stack = _stack_lists(matrices, shape)
         if stack is None:
             # name the first malformed node, in node order
             stack = np.asarray([_as_square_matrix(m, d, f"transition at node {p!r}") for p, m in zip(paths, matrices)])
             stack = stack.reshape(shape)
         return _freeze(stack)
-    stack = np.asarray(transitions, dtype=float)
+    stack = _float_array(transitions, (d, d), "transition")
     if stack.ndim == 3:
         if stack.shape != shape:
             raise ValueError(f"transition stack must have shape {shape}, got {stack.shape}")
@@ -350,9 +409,9 @@ def _transition_stack(transitions, topology, d) -> np.ndarray:
 def _emission_stack(emissions, topology, d) -> EmissionSpec:
     """The shared spec, or one spec stacked over every node in node order."""
     if isinstance(emissions, Mapping):
-        if set(emissions) != set(topology.nodes):
-            raise ValueError("per-node emissions must cover exactly the node set")
-        specs = [_check_emission(emissions[p], d, f"emission at node {p!r}") for p in topology.nodes]
+        nodes = topology.nodes
+        specs = _values_at(emissions, nodes, "per-node emissions must cover exactly the node set")
+        specs = [_check_emission(s, d, f"emission at node {p!r}") for p, s in zip(nodes, specs)]
         if len({s.kind for s in specs}) != 1:
             raise ValueError("all nodes must share the same emission kind")
         if len({s.n_symbols for s in specs if s.kind == "discrete"}) > 1:
@@ -628,17 +687,19 @@ def _valid(model) -> bool:
     """Whether `_report` would find nothing, decided in one pass over all of
     the model's parameters with a few ufunc reductions and no report.
 
-    The least entry of every stochastic parameter is read first: one that is
-    negative or NaN ends the pass, so the row sums after it never add -inf
-    to +inf.  Each row-sum array then needs only its least and largest value
-    inside ``[_SUM_LO, _SUM_HI]``.  Empty arrays (a one-node tree's
-    transition stack) pass, as in the report.
+    The least and largest entry of every stochastic parameter are read
+    first: an entry that is negative, NaN or above ``_SUM_HI`` makes its row
+    fail anyway, and it ends the pass, so the row sums after it never add
+    -inf to +inf, nor overflow (with its warning) on entries too large for
+    their sum to be a float.  Each row-sum array then needs only its least
+    and largest value inside ``[_SUM_LO, _SUM_HI]``.  Empty arrays (a
+    one-node tree's transition stack) pass, as in the report.
     """
     initial, transitions, spec = _parameters(model)
     discrete = spec.kind == "discrete"
     stochastic = (initial, transitions, spec.matrix) if discrete else (initial, transitions)
     for array in stochastic:
-        if not _least(array, None, initial=0.0) >= 0:
+        if not (_least(array, None, initial=0.0) >= 0 and _largest(array, None, initial=0.0) <= _SUM_HI):
             return False
     if not _SUM_LO <= _sum(initial) <= _SUM_HI:
         return False
@@ -758,13 +819,15 @@ def _require(doc, key, kinds, context):
     return value
 
 
-def _parse_emission_spec(obj, alphabet, context):
+def _parse_emission_spec(obj, alphabet, d, context):
+    """One emission spec of a model with `d` states; ragged lists are named
+    with the shape they must have."""
     kind = _require(obj, "kind", str, context)
     if kind == "discrete":
         if alphabet == "gaussian":
             raise ModelFormatError(f"{context}: discrete emission under gaussian alphabet")
         matrix = _require(obj, "matrix", list, context)
-        spec = DiscreteEmission(matrix)
+        spec = DiscreteEmission(_float_array(matrix, (d, alphabet), f"{context}: emission matrix", ModelFormatError))
         if spec.stacked:
             raise ModelFormatError(f"{context}: emission matrix must be two-dimensional")
         if spec.n_symbols != alphabet:
@@ -773,7 +836,11 @@ def _parse_emission_spec(obj, alphabet, context):
     if kind == "gaussian":
         if alphabet != "gaussian":
             raise ModelFormatError(f'{context}: gaussian emission requires "alphabet": "gaussian"')
-        spec = GaussianEmission(_require(obj, "means", list, context), _require(obj, "sds", list, context))
+        means, sds = (_require(obj, key, list, context) for key in ("means", "sds"))
+        spec = GaussianEmission(
+            _float_array(means, (d,), f"{context}: means", ModelFormatError),
+            _float_array(sds, (d,), f"{context}: sds", ModelFormatError),
+        )
         if spec.stacked:
             raise ModelFormatError(f"{context}: means and sds must be one-dimensional")
         return spec
@@ -783,25 +850,25 @@ def _parse_emission_spec(obj, alphabet, context):
 def _parse_emission_stack(raw, nodes, alphabet, d) -> EmissionSpec:
     """One spec stacked over `nodes`, in that order, from a per-node emission object.
 
-    When every entry is an object of the document's emission kind, each
-    parameter is read in one pass over the nodes' lists (`_stack_lists`).
-    When that does not give every parameter, each entry goes through the
-    per-node parser in node order, which names the first malformed node.
+    The object must cover exactly `nodes` (`_values_at`).  When every entry
+    is an object of the document's emission kind (two C-level passes test
+    that), each parameter is read in one pass over the nodes' lists
+    (`_stack_lists`).  When that does not give every parameter, each entry
+    goes through the per-node parser in node order, which names the first
+    malformed node.
     """
-    if set(raw) != set(nodes):
-        raise ValueError("per-node emissions must cover exactly the node set")
+    entries = _values_at(raw, nodes, "per-node emissions must cover exactly the node set")
     kind = "gaussian" if alphabet == "gaussian" else "discrete"
     keys = ("means", "sds") if kind == "gaussian" else ("matrix",)
     shape = (len(nodes), d) if kind == "gaussian" else (len(nodes), d, alphabet)
-    entries = [raw[p] for p in nodes]
-    if all(type(e) is dict and e.get("kind") == kind for e in entries):
-        arrays = [_stack_lists([e.get(k) for e in entries], shape) for k in keys]
+    if set(map(type, entries)) == {dict} and set(map(dict.get, entries, repeat("kind"))) == {kind}:
+        arrays = [_stack_lists(list(map(dict.get, entries, repeat(k))), shape) for k in keys]
         if all(a is not None for a in arrays):
             return DiscreteEmission(*arrays) if kind == "discrete" else GaussianEmission(*arrays)
     specs = []
     for p in nodes:
         context = f"emission at node {p!r}"
-        spec = _parse_emission_spec(_require(raw, p, dict, context), alphabet, context)
+        spec = _parse_emission_spec(_require(raw, p, dict, context), alphabet, d, context)
         specs.append(_check_emission(spec, d, context))
     return _stack_specs(specs)
 
@@ -846,8 +913,13 @@ def load_model(document: str):
     Each parameter list is converted to a float array once, by the
     constructor that keeps it.  Per-node tree parameters are read
     straight into stacks in node order, each in one pass over the
-    document's lists.  The model is then checked by `validate`, whose
-    whole-model pass builds no report for a valid one.
+    document's lists; a ragged list is named with its node and the shape it
+    must have.  A ``"nodes"`` list is sorted as given, one merge per level
+    for a list already in node order, and a list equal to that of the
+    document loaded just before gets the same topology object
+    (`HmtTopology.from_nodes`), so the two documents of a pair share one.
+    The model is then checked by `validate`, whose whole-model pass builds
+    no report for a valid one.
 
     Python's cyclic garbage collector is paused during the call: a decoded
     document holds no cycles, so each collection over its many lists would
@@ -893,7 +965,7 @@ def _load_document(document: str):
         if mtype == "hmm":
             length = _require(doc, "length", int, "hmm model")
             transition = _require(doc, "transition", list, "hmm model")
-            emission = _parse_emission_spec(_require(doc, "emission", dict, "hmm model"), alphabet, "hmm model")
+            emission = _parse_emission_spec(_require(doc, "emission", dict, "hmm model"), alphabet, d, "hmm model")
             model = HmmModel(length=length, initial=initial, transition=transition, emission=emission)
         elif mtype == "hmt":
             if "nodes" in doc:
@@ -905,7 +977,7 @@ def _load_document(document: str):
             transitions = _require(doc, "transition", (list, dict), "hmt model")
             raw_emis = _require(doc, "emission", dict, "hmt model")
             if "kind" in raw_emis:
-                emissions = _parse_emission_spec(raw_emis, alphabet, "hmt model")
+                emissions = _parse_emission_spec(raw_emis, alphabet, d, "hmt model")
             else:
                 emissions = _parse_emission_stack(raw_emis, topology.nodes, alphabet, d)
             model = HmtModel(topology=topology, initial=initial, transitions=transitions, emissions=emissions)

@@ -19,46 +19,64 @@ import warnings
 
 import numpy as np
 
-from .divergence import local_k_root, local_k_stack, local_k_vector, weighted_sum
+from .divergence import local_k_root, local_k_tree, local_k_vector, weighted_sum
 from .model import HmtModel, check_pair
 
 __all__ = ["inward_pass", "kld_exact_tree", "kld_homogeneous_tree"]
 
 
-def _fold(acc, factors, rows):
+def _fold(acc, factors, rows, direct=False):
     """The inward step along a run of one-child nodes, last node first:
     ``rows[i] += factors[i] @ acc``, then ``acc = rows[i]``; returns `acc`,
     the last row written, which is ``rows[0]`` itself and not a copy when
     `rows` has a row: a caller that writes into `rows` again overwrites it.
 
-    One `ndarray.dot` per node when the rows and `acc` are finite (the sums
-    then stay far below overflow), else `weighted_sum`'s ``0 * inf = 0`` rule.
+    One `ndarray.dot` per node when the caller says so (`direct`) or the
+    rows and `acc` are finite (the sums then stay far below overflow), else
+    `weighted_sum`'s ``0 * inf = 0`` rule.
     """
-    step = np.ndarray.dot if np.isfinite(rows).all() and np.isfinite(acc).all() else weighted_sum
+    step = np.ndarray.dot if direct or (np.isfinite(rows).all() and np.isfinite(acc).all()) else weighted_sum
     for row, factor in zip(rows[::-1], factors[::-1]):
         row += step(factor, acc)
         acc = row
     return acc
 
 
-def _inward(m1: HmtModel, m0: HmtModel):
-    """Inward table and summed children, plus the index of the first non-root
-    node whose local term is +inf (None when there is none).
+def _stacked_dot(weights, values):
+    """`weighted_sum` of an ``(n, rows, d)`` stack on finite ``(n, d)`` values:
+    its one `np.matmul`, without the finiteness test."""
+    return np.matmul(weights, values[..., None])[..., 0]
 
-    Row j - 1 of the table holds node j's local term, from one `local_k_stack`
+
+def _inward(m1: HmtModel, m0: HmtModel, direct=None):
+    """The root's local term, the inward table and the summed children, plus
+    the index of the first non-root node whose local term is +inf (None
+    when there is none).
+
+    Row j - 1 of the table holds node j's local term, from one `local_k_tree`
     call, and then its inward vector; row j of the children sum adds node j's
     children one at a time in child order.  From the deepest level up, a run of
     one-node levels is one `_fold` from its last node's children, any other
     level one stacked `weighted_sum`; each adds its top level's rows into
     their parents' sums with one unbuffered `np.add.at`.
+
+    The products skip `weighted_sum`'s finiteness tests when the table is
+    finite and its largest entry times the node count stays below
+    ``2^_DIRECT_BITS`` (`_cannot_overflow`, the chains' bound): with rows
+    that sum to 1, no inward entry then exceeds that, so every product has
+    finite operands and the bits of `weighted_sum`'s.  Any non-finite entry
+    reaches the root's children sum, so when one shows there (rows far from
+    summing to 1), the pass runs again under `weighted_sum` (`direct` false).
     """
     topology = m1.topology
     n, d = topology.n_nodes, m1.n_states
     pi1 = np.broadcast_to(m1.transition_stack, (n - 1, d, d))
     pi0 = np.broadcast_to(m0.transition_stack, (n - 1, d, d))
-    nonroot = slice(1, None)
-    table = local_k_stack(pi1, pi0, m1.emission_stack.for_nodes(nonroot), m0.emission_stack.for_nodes(nonroot))
+    root, table = local_k_tree(m1.initial, m0.initial, pi1, pi0, m1.emission_stack, m0.emission_stack)
     infinite = np.flatnonzero(np.isinf(table).any(axis=1))
+    if direct is None:
+        direct = _cannot_overflow(float(np.maximum.reduce(table, None, initial=0.0)), 1, n)
+    product = _stacked_dot if direct else weighted_sum
     down = np.zeros((n, d))
     offsets = topology.level_offsets.tolist()
     level = len(offsets) - 2
@@ -68,19 +86,21 @@ def _inward(m1: HmtModel, m0: HmtModel):
             while level > 1 and offsets[level] - offsets[level - 1] == 1:
                 level -= 1
             lo = offsets[level]
-            _fold(down[hi - 1], pi1[lo - 1 : hi - 1], table[lo - 1 : hi - 1])
+            _fold(down[hi - 1], pi1[lo - 1 : hi - 1], table[lo - 1 : hi - 1], direct)
         else:
-            table[lo - 1 : hi - 1] += weighted_sum(pi1[lo - 1 : hi - 1], down[lo:hi])
+            table[lo - 1 : hi - 1] += product(pi1[lo - 1 : hi - 1], down[lo:hi])
         top = offsets[level + 1]
         np.add.at(down, topology.parent[lo:top], table[lo - 1 : top - 1])
         level -= 1
-    return table, down, (int(infinite[0]) + 1 if infinite.size else None)
+    if direct and not np.isfinite(down[0]).all():
+        return _inward(m1, m0, direct=False)
+    return root, table, down, (int(infinite[0]) + 1 if infinite.size else None)
 
 
 def inward_pass(m1: HmtModel, m0: HmtModel) -> dict[str, np.ndarray]:
     """Inward divergence vectors for every non-root node, keyed by node path."""
     check_pair(m1, m0, HmtModel)
-    table, _, _ = _inward(m1, m0)
+    _, table, _, _ = _inward(m1, m0)
     return dict(zip(m1.topology.nodes[1:], table))
 
 
@@ -91,8 +111,7 @@ def kld_exact_tree(m1: HmtModel, m0: HmtModel) -> float:
     offending node in document order.
     """
     check_pair(m1, m0, HmtModel)
-    _, down, first_infinite = _inward(m1, m0)
-    root_term = local_k_root(m1.initial, m0.initial, m1.emission_stack.for_nodes(0), m0.emission_stack.for_nodes(0))
+    root_term, _, down, first_infinite = _inward(m1, m0)
     total = float(root_term + weighted_sum(m1.initial, down[0]))
     if np.isinf(total) and (np.isinf(root_term) or first_infinite is not None):
         name = "(root)" if np.isinf(root_term) else m1.topology.path(first_infinite)

@@ -63,8 +63,18 @@ class TestValidate:
         assert main(["validate", "--model-a", bad_model_file]) == 2
         assert "row 1 sums to 1.1" in capsys.readouterr().out
 
-    def test_missing_file(self, capsys):
-        assert main(["validate", "--model-a", "/nonexistent.json"]) == 2
+    def test_missing_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        assert main(["validate", "--model-a", missing, "--model-b", HMM_B]) == 2
+        out, err = capsys.readouterr()
+        assert out == f"{missing}: cannot read: No such file or directory\n{HMM_B}: ok\n" and err == ""
+
+    @pytest.mark.parametrize("command", ["exact", "rate", "bound", "mc", "sweep"])
+    def test_an_unreadable_file_names_its_path_once(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.json")
+        assert main([command, "--model-a", HMM_A, "--model-b", missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"cannot read {missing}: No such file or directory\n"
 
     @pytest.mark.parametrize("where", ["initial", "transition row 2"])
     def test_infinities_of_both_signs_sum_to_nan_without_a_warning(self, capsys, tmp_path, where):

@@ -23,8 +23,8 @@ from hmtkl import (
     local_k_root,
     local_k_vector,
 )
-from hmtkl.divergence import local_k_stack, weighted_sum
-from modelgen import rows
+from hmtkl.divergence import local_k_stack, local_k_tree, weighted_sum
+from modelgen import model_pairs, rows
 
 
 def naive_kl(p, q):
@@ -367,3 +367,51 @@ def test_rel_entr_kernel_matches_scipy(data):
     finite = np.isfinite(expected)
     ulps = np.abs(got[finite] - expected[finite]) / np.abs(np.spacing(expected[finite]))
     assert (ulps <= 2).all(), f"{ulps.max()} ulp apart"
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=model_pairs(nodes=st.integers(1, 60)), nodes_per_block=st.integers(1, 70))
+def test_tree_local_terms_are_the_root_term_and_the_stack_bit_for_bit(pair, nodes_per_block):
+    """`local_k_tree` joins the root's rows to the first block's emission
+    call; the root term and the table keep the bits of `local_k_root` on
+    node 0's specs and `local_k_stack` on the others', whichever specs are
+    shared, at every block size and with one node."""
+    m1, m0 = pair
+    n, d = m1.topology.n_nodes, m1.n_states
+    pi1, pi0 = (np.broadcast_to(m.transition_stack, (n - 1, d, d)) for m in pair)
+    e1, e0 = m1.emission_stack, m0.emission_stack
+    nonroot = slice(1, None)
+    with mock.patch.object(hmtkl.divergence, "_BLOCK_ENTRIES", nodes_per_block * d * d):
+        root, table = local_k_tree(m1.initial, m0.initial, pi1, pi0, e1, e0)
+        stack = local_k_stack(pi1, pi0, e1.for_nodes(nonroot), e0.for_nodes(nonroot))
+    expected = local_k_root(m1.initial, m0.initial, e1.for_nodes(0), e0.for_nodes(0))
+    assert type(root) is float and np.float64(root).tobytes() == np.float64(expected).tobytes()
+    assert table.shape == stack.shape == (n - 1, d) and table.tobytes() == stack.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 9),
+    m=st.integers(1, 4),
+    stacked_emissions=st.booleans(),
+    p_zero=st.sampled_from([0.0, 0.3]),
+    nodes_per_block=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_broadcast_matrix_pair_takes_the_kernel_once(n, d, m, stacked_emissions, p_zero, nodes_per_block, seed):
+    """A shared transition pair broadcast over the nodes has its row
+    divergences taken once, from a kernel call on the two matrices, and
+    gives the bits of the same stack laid out node by node."""
+    rng = np.random.default_rng(seed)
+    pi1, pi0 = rows(rng, (d, d), p_zero), rows(rng, (d, d), p_zero)
+    lead = (n,) if stacked_emissions else ()
+    e1, e0 = DiscreteEmission(rows(rng, lead + (d, m), p_zero)), DiscreteEmission(rows(rng, lead + (d, m), p_zero))
+    w1, w0 = np.broadcast_to(pi1, (n, d, d)), np.broadcast_to(pi0, (n, d, d))
+    with mock.patch.object(hmtkl.divergence, "_BLOCK_ENTRIES", nodes_per_block * d * d):
+        with mock.patch.object(hmtkl.divergence, "_rel_entr", wraps=hmtkl.divergence._rel_entr) as kernel:
+            got = local_k_stack(w1, w0, e1, e0)
+        expected = local_k_stack(np.ascontiguousarray(w1), np.ascontiguousarray(w0), e1, e0)
+    assert got.tobytes() == expected.tobytes()
+    assert kernel.call_args_list[0].args[0].shape == (d, d)
+    assert all(call.args[0].shape[-1] == m for call in kernel.call_args_list[1:])

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from collections.abc import Mapping
 from unittest.mock import patch
 
@@ -37,7 +38,7 @@ from hmtkl import (
 from hmtkl import model as model_module
 from hmtkl.bundled import data_text
 from hmtkl.model import MAX_NODES, PATH_ALPHABET, check_pair
-from modelgen import chain, tree
+from modelgen import SEEDS, chain, ragged_paths, tree
 
 
 class TestTopology:
@@ -181,6 +182,84 @@ def test_relabelled_siblings_are_another_topology():
     assert one != zero and one != chain and chain != one
     with pytest.raises(ValueError, match="models must share the same topology"):
         check_pair(one_state_model(one), one_state_model(chain))
+
+
+def double_sorted_topology(paths):
+    """Reference for `HmtTopology.from_nodes` on valid paths: the node set
+    sorted by path and then by length, each path linked to its parent."""
+    nodes = sorted(sorted(set(paths)), key=len)
+    index = {p: j for j, p in enumerate(nodes)}
+    parent = [-1] + [index[p[:-1]] for p in nodes[1:]]
+    counts = np.bincount(parent[1:], minlength=len(nodes))
+    first_leaf = int(np.argmin(counts))
+    depth = len(nodes[-1]) + 1
+    regular = depth > 1 and len(nodes[first_leaf]) == depth - 1 and (counts[:first_leaf] == counts[0]).all()
+    return parent, tuple(nodes), depth, int(counts[0]) if regular else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), arity=st.integers(1, 10), order=st.sampled_from(["shuffled", "duplicated", "sorted"]), seed=SEEDS)
+def test_from_nodes_matches_a_double_sort_in_any_order(n, arity, order, seed):
+    rng = np.random.default_rng(seed)
+    paths = ragged_paths(rng, n, arity)
+    if order == "shuffled":
+        paths = rng.permutation(paths).tolist()
+    elif order == "duplicated":
+        paths = rng.permutation(paths + rng.choice(paths, size=int(rng.integers(1, n + 1))).tolist()).tolist()
+    else:
+        paths = sorted(paths, key=lambda p: (len(p), p))
+    t = HmtTopology.from_nodes(paths)
+    parent, labels, depth, arity = double_sorted_topology(paths)
+    assert t.parent.tolist() == parent and t.parent.dtype == np.intp and not t.parent.flags.writeable
+    assert (t.labels, t.depth, t.regular_arity) == (labels, depth, arity)
+    again = HmtTopology.from_nodes(list(labels))
+    assert np.array_equal(again.parent, t.parent) and (again.labels, again.depth, again.regular_arity) == (labels, depth, arity)
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        (["00", "", "x", "0", "0"], "node path 'x' is not a string over '0'..'9'"),
+        (["1", "0", "00", "0"], 'node list must contain the root ""'),
+        ([], 'node list must contain the root ""'),
+        (["", "10", "1", "1", "21", "20", "3"], "node '20' has no parent '2' in the node list"),
+    ],
+)
+def test_from_nodes_messages_with_shuffled_and_duplicated_paths(paths, message):
+    for given_paths in (paths, paths[::-1]):
+        with pytest.raises(ValueError) as exc:
+            HmtTopology.from_nodes(given_paths)
+        assert str(exc.value) == message
+
+
+def test_a_loaded_pair_shares_one_topology_held_weakly():
+    doc = per_node_tree_doc()
+    doc["nodes"] = ["", "0", "1", "00", "01", "10"]
+    doc["transition"] = {p: [[0.75, 0.25], [0.5, 0.5]] for p in doc["nodes"][1:]}
+    doc["emission"] = {p: {"kind": "discrete", "matrix": [[0.5, 0.5], [0.25, 0.75]]} for p in doc["nodes"]}
+    first = load_model(json.dumps(doc))
+    doc["emission"]["1"]["matrix"] = [[0.9, 0.1], [0.25, 0.75]]
+    second = load_model(json.dumps(doc))
+    assert second.topology is first.topology
+    check_pair(first, second)
+    assert kld_exact_tree(first, second) > 0
+    # a list in another order, or with a path twice, builds an equal topology anew
+    for paths in (doc["nodes"][::-1], doc["nodes"] + ["0"]):
+        other = HmtTopology.from_nodes(paths)
+        assert other is not first.topology and other == first.topology
+    assert HmtTopology.from_nodes(doc["nodes"]) is not first.topology  # the last one built is `other`
+    memo = model_module._last_from_nodes
+    assert memo() is not None
+    del first, second, other
+    gc.collect()
+    assert memo() is None
+
+
+def test_a_topology_equals_itself_without_comparing_arrays():
+    t = HmtTopology.from_nodes(["", "0", "1", "00"])
+    with patch.object(model_module.np, "array_equal", side_effect=AssertionError("compared the arrays")):
+        assert t == t and not t != t
+        check_pair(one_state_model(t), one_state_model(t))
 
 
 def test_path_walks_the_parent_array():
@@ -472,10 +551,6 @@ def set_matrix(path, value):
 
 BIG_INT = 10**400
 OVERFLOW = (ModelFormatError, "model: int too large to convert to float")
-INHOMOGENEOUS = (
-    "model: setting an array element with a sequence. The requested array has an inhomogeneous shape after {} "
-    "dimensions. The detected shape was {} + inhomogeneous part."
-)
 
 #: name: (document, edit, outcome).  The outcome is the exception type and
 #: its message (a ModelValidationError's report), or the transition stack of
@@ -484,7 +559,22 @@ MALFORMED_DOCUMENTS = {
     "ragged transition row": (
         per_node_tree_doc,
         set_transition("1", [[0.75, 0.25], [1.0]]),
-        (ModelFormatError, INHOMOGENEOUS.format(1, "(2,)")),
+        (ModelFormatError, "model: transition at node '1' must have shape (2, 2), got a ragged list"),
+    ),
+    "ragged shared transition row": (
+        hmm_doc,
+        lambda doc: doc["transition"].__setitem__(1, [0.5]),
+        (ModelFormatError, "model: transition must have shape (2, 2), got a ragged list"),
+    ),
+    "ragged shared emission row": (
+        hmm_doc,
+        lambda doc: doc["emission"]["matrix"].__setitem__(0, [[0.5], 0.25, 0.25]),
+        (ModelFormatError, "hmm model: emission matrix must have shape (2, 3), got a ragged list"),
+    ),
+    "ragged gaussian means": (
+        lambda: per_node_tree_doc(gaussian=True),
+        lambda doc: doc["emission"].__setitem__("1", {"kind": "gaussian", "means": [0.0, [1.0]], "sds": [1.0, 2.0]}),
+        (ModelFormatError, "emission at node '1': means must have shape (2,), got a ragged list"),
     ),
     "transition row count": (
         per_node_tree_doc,
@@ -499,7 +589,7 @@ MALFORMED_DOCUMENTS = {
     "ragged emission row": (
         per_node_tree_doc,
         set_matrix("00", [[0.5, 0.5], [1.0]]),
-        (ModelFormatError, INHOMOGENEOUS.format(1, "(2,)")),
+        (ModelFormatError, "emission at node '00': emission matrix must have shape (2, 2), got a ragged list"),
     ),
     "emission row count": (
         per_node_tree_doc,
@@ -509,12 +599,12 @@ MALFORMED_DOCUMENTS = {
     "nested transition leaf": (
         per_node_tree_doc,
         set_transition("0", [[[0.75], 0.25], [0.5, 0.5]]),
-        (ModelFormatError, INHOMOGENEOUS.format(2, "(2, 2)")),
+        (ModelFormatError, "model: transition at node '0' must have shape (2, 2), got a ragged list"),
     ),
     "nested emission leaf": (
         per_node_tree_doc,
         set_matrix("1", [[0.5, [0.5]], [0.25, 0.75]]),
-        (ModelFormatError, INHOMOGENEOUS.format(2, "(2, 2)")),
+        (ModelFormatError, "emission at node '1': emission matrix must have shape (2, 2), got a ragged list"),
     ),
     "null transition leaf": (
         per_node_tree_doc,
@@ -1044,6 +1134,35 @@ def test_row_sums_at_the_tolerance_edge_are_valid_and_one_float_beyond_is_not(si
         assert validate(model) == reference_report(model) == report
 
 
+@pytest.mark.parametrize(
+    "where, report",
+    [
+        ("initial", "initial sums to inf"),
+        ("transition", "transition row 1 sums to inf"),
+        ("emission", "emission matrix row 1 sums to inf"),
+        ("per-node emission", "emission at node '0' matrix row 2 sums to inf"),
+    ],
+)
+def test_row_sums_that_overflow_are_reported_without_a_warning(where, report):
+    """Entries whose sum is past the largest float fail the whole-model pass
+    before it adds them, so no overflow warning precedes the report."""
+    if where == "per-node emission":
+        doc = per_node_tree_doc()
+        doc["emission"]["0"]["matrix"] = [[0.5, 0.5], [1e308, 1e308]]
+    else:
+        doc = hmm_doc()
+        if where == "initial":
+            doc["initial"] = [1e308] * len(doc["initial"])
+        else:
+            rows = doc["transition"] if where == "transition" else doc["emission"]["matrix"]
+            rows[0] = [1e308] * len(rows[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelValidationError) as exc:
+            load_model(json.dumps(doc))
+    assert exc.value.report == [report]
+
+
 # ---------------------------------------------------------------------------
 # The one-pass loader against np.asarray stacking
 
@@ -1092,7 +1211,7 @@ def reference_transition_stack(transitions, topology, d):
             stack = np.asarray([square(transitions[p], d, f"transition at node {p!r}") for p in paths])
             stack = stack.reshape(shape)
         return model_module._freeze(stack)
-    stack = np.asarray(transitions, dtype=float)
+    stack = model_module._float_array(transitions, (d, d), "transition")
     if stack.ndim == 3:
         if stack.shape != shape:
             raise ValueError(f"transition stack must have shape {shape}, got {stack.shape}")
@@ -1120,7 +1239,7 @@ def reference_emission_stack(raw, nodes, alphabet, d):
     specs = []
     for p in nodes:
         context = f"emission at node {p!r}"
-        spec = model_module._parse_emission_spec(model_module._require(raw, p, dict, context), alphabet, context)
+        spec = model_module._parse_emission_spec(model_module._require(raw, p, dict, context), alphabet, d, context)
         specs.append(model_module._check_emission(spec, d, context))
     return model_module._stack_specs(specs)
 

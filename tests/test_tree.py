@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hmtkl import (
     kld_homogeneous_tree,
     kld_hmm_no_evidence,
 )
+from hmtkl import tree as tree_module
 from hmtkl.divergence import local_k_root, local_k_vector, weighted_sum
 from hmtkl.tree import geometric_weighted_sum
 from modelgen import SEEDS, model_pairs, ragged_paths, tree, tree_pair
@@ -609,3 +611,45 @@ def test_ten_children_with_one_state_add_in_child_order():
         fold += value
     assert np.sum(children) != fold
     assert kld_exact_tree(m1, m0) == fold == child_order_inward(m1, m0)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_pairs(p_zero=st.just(0.0)))
+def test_a_finite_bounded_table_takes_the_plain_products(pair):
+    """With finite local terms, far below the overflow bound, no level or
+    run of the inward pass calls `weighted_sum`: only the root's total does.
+    The table, the children sums and the value keep the bits of the pass
+    that tests every product."""
+    m1, m0 = pair
+    expected = tree_module._inward(m1, m0, direct=False)
+    with mock.patch.object(tree_module, "weighted_sum", wraps=weighted_sum) as spy:
+        value = kld_exact_tree(m1, m0)
+    if np.isfinite(expected[1]).all():
+        assert spy.call_count == 1
+    got = tree_module._inward(m1, m0)
+    assert [np.asarray(a).tobytes() for a in got[:3]] == [np.asarray(a).tobytes() for a in expected[:3]]
+    assert got[3] == expected[3]
+    assert value == float(expected[0] + weighted_sum(m1.initial, expected[2][0]))
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [HmtTopology.regular(6, 2), HmtTopology.regular(8, 1), HmtTopology.from_nodes(["", "0", "1", "00", "000", "0000", "00000", "01"])],
+    ids=["binary", "chain", "ragged"],
+)
+def test_rows_far_from_stochastic_rerun_the_pass_under_the_zero_times_inf_rule(topology):
+    """Rows that sum to 1e200 keep the local terms finite and under the bound,
+    yet the inward sums overflow.  The plain products then leave a
+    non-finite entry at the root, and the pass runs again under
+    `weighted_sum`: every bit, NaN and inf included, is that pass's."""
+    big = [[1e200, 0.0], [0.0, 1e200]]
+    m1 = HmtModel(topology=topology, initial=[0.5, 0.5], transitions=big, emissions=DiscreteEmission([[0.5, 0.5], [0.4, 0.6]]))
+    m0 = HmtModel(topology=topology, initial=[0.5, 0.5], transitions=big, emissions=DiscreteEmission([[0.6, 0.4], [0.4, 0.6]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow, as in any pass over such rows
+        expected = tree_module._inward(m1, m0, direct=False)
+        with mock.patch.object(tree_module, "_inward", wraps=tree_module._inward) as spy:
+            got = tree_module._inward(m1, m0)
+    assert [call.kwargs.get("direct") for call in spy.call_args_list] == [None, False]
+    assert [np.asarray(a).tobytes() for a in got[:3]] == [np.asarray(a).tobytes() for a in expected[:3]]
+    assert not np.isfinite(got[2][0]).all()
