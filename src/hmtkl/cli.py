@@ -48,13 +48,14 @@ def _read(path: str, named: bool = True) -> str:
 
 
 def _open_out(path):
-    """`path` opened for writing, or stdout (left open) when no path is given."""
+    """`path` opened for writing, or stdout (left open) when no path is given.
+    An unwritable path raises ModelError with the path once, as `_read` does."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
-        raise ModelError(f"cannot write {path}: {exc}") from exc
+        raise ModelError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_pair(args):

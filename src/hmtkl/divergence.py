@@ -10,6 +10,13 @@ All divergences are in nats.  The conventions ``0 * log(0/q) = 0`` and
 ``p * log(p/0) = +inf`` for ``p > 0`` are applied throughout; a support
 mismatch therefore surfaces as an ``inf`` entry rather than an exception.
 
+All five local-term functions call one kernel, `_local_table`, on an
+``(n, rows, d)`` weight stack: a chain's step is a one-node stack, a root
+alone an empty one.  Each block of nodes makes one `_rel_entr` call over the
+root's rows (first block), the discrete emission rows and, if the block holds
+one node, its weights; a larger block takes its weights in a call of their
+own, and a pair broadcast over the nodes one call before the blocks.
+
 Every ``p * log(p/q)`` term comes from `_rel_entr`, a NumPy kernel that takes
 the cases and branches of `scipy.special.rel_entr`.  It exists so that the
 exact routes without evidence load NumPy only: importing `scipy.special`
@@ -169,86 +176,70 @@ def emission_kl_per_state(e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     return _emission_rows(e1, e0)[1]
 
 
-def _check_states(w1, e1: EmissionSpec):
-    if w1.shape[-1] != e1.n_states:
-        raise ValueError(f"dimension mismatch: weights cover {w1.shape[-1]} states, emission {e1.n_states}")
+def _local_table(w1, w0, e1: EmissionSpec, e0: EmissionSpec, initial=None):
+    """The local terms ``D(w1[i, r] || w0[i, r]) + sum_s w1[i, r, s] D(e1_i(s) || e0_i(s))``
+    of every row r of every node i of ``(n, rows, d)`` weight stacks, with
+    emission specs stacked over the n nodes or shared; with a tree root's
+    `initial` laws ``(mu1, mu0)`` the specs cover one node more, the root
+    first, and the result is ``(root term, table)``.  A state of zero weight
+    adds nothing even where its emission divergence is +inf.
 
-
-def _local_rows(e1: EmissionSpec, e0: EmissionSpec, *weights) -> list:
-    """``D(w1[r,:] || w0[r,:]) + sum_s w1[r,s] D(e1(s) || e0(s))`` for every
-    row r of each ``(w1, w0)`` pair of ``(rows, d)`` weights: by the chain
-    rule, the divergence of the (hidden state, emission) pair whose state law
-    is the weight row.  A state of zero weight adds nothing even where its
-    emission divergence is +inf.  One kernel call serves every pair.
-
-    Each pair's emission term is the product of the one-node stacks that
-    `_weighted_local_kl` takes, so a row has the bits of `local_k_stack`'s.
-    When the emission divergences are finite, a test made once for all the
-    pairs, that product is one `np.matmul`, the one `weighted_sum` takes.
-    """
-    for w1, _ in weights:
-        _check_states(w1, e1)
-    return _plus_emissions(weights, *_emission_rows(e1, e0, *weights))
-
-
-def _plus_emissions(weights, rows, per_state) -> list:
-    """``max(rows[k] + w1 @ per_state, 0)`` for the row divergences `rows[k]`
-    of the k-th ``(w1, w0)`` pair of `weights`: the last step of
-    `_local_rows`, with the ``0 * inf = 0`` rule of `weighted_sum`."""
-    if np.isfinite(per_state).all():
-        per_state = per_state[None, :, None]
-        return [np.maximum(r + np.matmul(w1[None], per_state)[0, :, 0], 0.0) for r, (w1, _) in zip(rows, weights)]
-    return [np.maximum(r + weighted_sum(w1[None], per_state[None])[0], 0.0) for r, (w1, _) in zip(rows, weights)]
-
-
-def _weighted_local_kl(w1, w0, e1: EmissionSpec, e0: EmissionSpec, initial=None):
-    """`_local_rows` of every node i of ``(n, rows, d)`` weight stacks, with
-    emission specs stacked over the n nodes or shared by all of them.
-
-    Nodes go in blocks of at most `_BLOCK_ENTRIES` weight terms, and a node's
-    value does not depend on the nodes computed with it.  A block takes the
-    emission divergences of its own nodes, so that per-node emission stacks
-    are blocked too, and its weights take a kernel call of their own: joining
-    them to the emission rows would copy a broadcast transition stack.  Both
-    bound the kernel's temporaries.  Weights that are one matrix pair
-    broadcast over the nodes (zero strides on the node axis, as a shared
-    transition matrix reaches the tree route) take the kernel on that pair
-    alone: each row has the same terms and sums them in the same order.
-
-    With a tree root's `initial` laws ``(mu1, mu0)``, the specs are stacked
-    over one node more, the root first, or shared, and the result is
-    ``(root term, table)``: the root's emission divergences come from the
-    first block's emission call, which runs even when there are no nodes,
-    and its initial laws' rows join that call.
+    Blocks of at most `_BLOCK_ENTRIES` weight terms, each with its own nodes'
+    specs, bound the temporaries; the module docstring gives the kernel calls
+    a block makes.  Joining a larger block's weights to the emission call
+    would copy a broadcast transition stack.  No row's bits depend on the
+    rows computed with it.
     """
     n, rows, d = w1.shape
-    _check_states(w1, e1)
-    out = np.empty((n, rows))
-    block = max(1, _BLOCK_ENTRIES // (rows * d))
     first = 0 if initial is None else 1  # the stacked spec of weight node i is entry i + first
-    shared = _rel_entr(w1[0], w0[0]).sum(axis=1) if n and not (w1.strides[0] or w0.strides[0]) else None
-    for lo in range(0, n if initial is None else max(n, 1), block):
-        nodes = slice(lo, lo + block)
-        if shared is None:
-            divergences = _rel_entr(w1[nodes], w0[nodes]).sum(axis=2)
-        else:
-            divergences = np.broadcast_to(shared, (min(n, lo + block) - lo, rows))
-        if lo or initial is None:
-            specs = slice(lo + first, lo + block + first)
-            per_state = emission_kl_per_state(e1.for_nodes(specs), e0.for_nodes(specs))
-        else:
-            specs = slice(0, block + 1)
-            mu1, mu0 = (mu[None] for mu in initial)
-            _check_states(mu1, e1)
-            (root,), per_state = _emission_rows(e1.for_nodes(specs), e0.for_nodes(specs), (mu1, mu0))
-            if per_state.ndim == 2:  # either spec is stacked
-                root_states, per_state = per_state[0], per_state[1:]
-            else:
-                root_states = per_state
-            term = float(_plus_emissions([(mu1, mu0)], [root], root_states)[0][0])
-        per_state = np.broadcast_to(per_state, divergences.shape[:1] + (d,))
-        out[nodes] = divergences + weighted_sum(w1[nodes], per_state)
+    if first:
+        mu1, mu0 = (mu[None] for mu in initial)
+    _check_specs(e1, e0, n + first, w1, *([mu1] if first else []))
+    out = np.empty((n, rows))
+    block = max(1, _BLOCK_ENTRIES // max(1, rows * d))
+    shared = _row_divergences((w1[0], w0[0]))[0] if n and not (w1.strides[0] or w0.strides[0]) else None
+    for lo in range(0, max(n, first), block):
+        nodes, count, root = slice(lo, lo + block), min(block, n - lo), first and not lo
+        pairs = [(mu1, mu0)] if root else []
+        if shared is not None:
+            divergences = np.broadcast_to(shared, (count, rows))
+        elif count > 1:
+            (divergences,) = _row_divergences((w1[nodes], w0[nodes]))
+        elif count:
+            pairs.append((w1[nodes], w0[nodes]))
+        specs = slice(lo + first if lo else 0, lo + first + block)
+        pair_rows, per_state = _emission_rows(e1.for_nodes(specs), e0.for_nodes(specs), *pairs)
+        if shared is None and count == 1:
+            divergences = pair_rows[-1]
+        finite = np.isfinite(per_state).all()
+        if root:  # a stacked spec's per-state rows start with the root's
+            root_states, per_state = (per_state[0], per_state[1:]) if per_state.ndim == 2 else (per_state,) * 2
+            term = float(np.maximum(pair_rows[0] + _products(mu1[None], root_states, finite)[0], 0.0)[0])
+        if count:
+            out[nodes] = divergences + _products(w1[nodes], per_state, finite)
     return np.maximum(out, 0.0) if initial is None else (term, np.maximum(out, 0.0))
+
+
+def _products(w1, per_state, finite):
+    """``w1[i] @ per_state[i]`` for each node i of a ``(k, rows, d)`` stack: one
+    `np.matmul` when `per_state` is `finite`, else `weighted_sum`."""
+    if finite:
+        return np.matmul(w1, per_state[..., None])[..., 0]
+    return weighted_sum(w1, np.broadcast_to(per_state, (len(w1), per_state.shape[-1])))
+
+
+def _check_specs(e1: EmissionSpec, e0: EmissionSpec, nodes, *weights):
+    """Raise ValueError unless each weight covers `e1`'s states, the specs
+    are a pair, and a stacked spec covers `nodes` nodes (None: none is)."""
+    for w1 in weights:
+        if w1.shape[-1] != e1.n_states:
+            raise ValueError(f"dimension mismatch: weights cover {w1.shape[-1]} states, emission {e1.n_states}")
+    check_emissions(e1, e0)
+    for count in [len(spec.matrix if spec.kind == "discrete" else spec.means) for spec in (e1, e0) if spec.stacked]:
+        if nodes is None:
+            raise ValueError("emission must be one spec, not a stack")
+        if count != nodes:
+            raise ValueError(f"emission stack covers {count} nodes, expected {nodes}")
 
 
 def _check_square(pi1, pi0, ndim):
@@ -279,7 +270,8 @@ def local_k_vector(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     infinite emission divergence adds nothing.
     """
     pi1, pi0 = _check_square(pi1, pi0, 2)
-    return _local_rows(e1, e0, (pi1, pi0))[0]
+    _check_specs(e1, e0, None, pi1)
+    return _local_table(pi1.reshape(1, *pi1.shape), pi0.reshape(1, *pi0.shape), e1, e0)[0]
 
 
 def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
@@ -290,7 +282,7 @@ def local_k_stack(pi1, pi0, e1: EmissionSpec, e0: EmissionSpec) -> np.ndarray:
     Row i equals `local_k_vector` of node i's parameters bit for bit.
     """
     pi1, pi0 = _check_square(pi1, pi0, 3)
-    return _weighted_local_kl(pi1, pi0, e1, e0)
+    return _local_table(pi1, pi0, e1, e0)
 
 
 def local_k_tree(mu1, mu0, pi1, pi0, e1: EmissionSpec, e0: EmissionSpec):
@@ -298,17 +290,19 @@ def local_k_tree(mu1, mu0, pi1, pi0, e1: EmissionSpec, e0: EmissionSpec):
     e1[1:], e0[1:]))`` bit for bit, where ``e[i]`` is node i's spec: the
     root term and the ``(n - 1, d)`` table of a tree of n nodes, whose
     emission specs are stacked over the n nodes or shared.  The root's rows
-    join the emission call of the table's first block (`_weighted_local_kl`).
+    join the kernel call of the table's first block (`_local_table`).
     """
     mu1, mu0 = _check_initial(mu1, mu0)
     pi1, pi0 = _check_square(pi1, pi0, 3)
-    return _weighted_local_kl(pi1, pi0, e1, e0, (mu1, mu0))
+    return _local_table(pi1, pi0, e1, e0, (mu1, mu0))
 
 
 def local_k_root(mu1, mu0, e1: EmissionSpec, e0: EmissionSpec) -> float:
     """Divergence of the root's (emission, hidden state) pair under the two models."""
     mu1, mu0 = _check_initial(mu1, mu0)
-    return float(_local_rows(e1, e0, (mu1[None], mu0[None]))[0][0])
+    _check_specs(e1, e0, None, mu1)
+    no_nodes = np.empty((0,) + mu1.shape * 2)
+    return _local_table(no_nodes, no_nodes, e1, e0, (mu1, mu0))[0]
 
 
 def local_k_terms(mu1, mu0, pi1, pi0, e1: EmissionSpec, e0: EmissionSpec):
@@ -317,8 +311,9 @@ def local_k_terms(mu1, mu0, pi1, pi0, e1: EmissionSpec, e0: EmissionSpec):
     which share their emission specs."""
     mu1, mu0 = _check_initial(mu1, mu0)
     pi1, pi0 = _check_square(pi1, pi0, 2)
-    root, step = _local_rows(e1, e0, (mu1[None], mu0[None]), (pi1, pi0))
-    return float(root[0]), step
+    _check_specs(e1, e0, None, mu1, pi1)
+    root, table = _local_table(pi1.reshape(1, *pi1.shape), pi0.reshape(1, *pi0.shape), e1, e0, (mu1, mu0))
+    return root, table[0]
 
 
 def weighted_sum(weights, values):

@@ -573,6 +573,19 @@ class HmmModel:
         return HmmModel(length=length, initial=self.initial, transition=self.transition, emission=self.emission)
 
 
+def _symbol_array(symbols) -> np.ndarray:
+    """`symbols` as an int64 array of at least one dimension.  Floats must be
+    finite and integral, as `montecarlo._indices` requires of symbols: they
+    are refused, never truncated.  An int64 array is taken as it is."""
+    arr = np.asarray(symbols)
+    if arr.dtype.kind == "f":
+        bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))]
+        if bad.size:
+            raise ValueError(f"evidence symbols must be integers, got {float(bad[0])!r}")
+    # `symbols`, not `arr`: a list of ints too large for int64 raises OverflowError
+    return np.atleast_1d(np.asarray(symbols, dtype=np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class Evidence:
     """A fully observed symbol sequence, stored with 0-based symbol indices."""
@@ -580,7 +593,7 @@ class Evidence:
     symbols: np.ndarray
 
     def __post_init__(self):
-        symbols = np.atleast_1d(np.asarray(self.symbols, dtype=np.int64))
+        symbols = _symbol_array(self.symbols)
         if symbols.ndim != 1:
             raise ValueError("evidence must be a flat sequence")
         if symbols.size and symbols.min() < 0:
@@ -590,7 +603,7 @@ class Evidence:
     @staticmethod
     def from_external(symbols) -> "Evidence":
         """Build from 1-based external symbol labels."""
-        arr = np.atleast_1d(np.asarray(symbols, dtype=np.int64))
+        arr = _symbol_array(symbols)
         if arr.size and arr.min() < 1:
             raise ValueError("external symbol labels are 1-based")
         return Evidence(arr - 1)
@@ -1060,4 +1073,4 @@ def load_evidence(text: str) -> Evidence:
     largest = max(values)
     if largest > np.iinfo(np.int64).max:
         raise ModelFormatError(f"evidence symbol {tokens[values.index(largest)]} is too large")
-    return Evidence.from_external(values)
+    return Evidence.from_external(np.asarray(values, dtype=np.int64))  # in range: checked above

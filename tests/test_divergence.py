@@ -16,6 +16,7 @@ import hmtkl.divergence
 from hmtkl import (
     DiscreteEmission,
     GaussianEmission,
+    HmmModel,
     bundled_hmm_pair,
     emission_kl_per_state,
     kl_discrete,
@@ -23,7 +24,7 @@ from hmtkl import (
     local_k_root,
     local_k_vector,
 )
-from hmtkl.divergence import local_k_stack, local_k_tree, weighted_sum
+from hmtkl.divergence import local_k_stack, local_k_terms, local_k_tree, weighted_sum
 from modelgen import model_pairs, rows
 
 
@@ -415,3 +416,132 @@ def test_a_broadcast_matrix_pair_takes_the_kernel_once(n, d, m, stacked_emission
     assert got.tobytes() == expected.tobytes()
     assert kernel.call_args_list[0].args[0].shape == (d, d)
     assert all(call.args[0].shape[-1] == m for call in kernel.call_args_list[1:])
+
+
+def _spec_pair(rng, lead, d, m, gaussian, p_zero=0.0):
+    if gaussian:
+        return tuple(GaussianEmission(rng.normal(size=lead + (d,)), rng.uniform(0.5, 2.0, size=lead + (d,))) for _ in "ab")
+    return tuple(DiscreteEmission(rows(rng, lead + (d, m), p_zero)) for _ in "ab")
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("which", ["first", "second", "both"])
+def test_one_node_functions_refuse_a_stacked_spec(gaussian, which):
+    rng = np.random.default_rng(7)
+    d, m = 3, 2
+    one, stack = _spec_pair(rng, (), d, m, gaussian), _spec_pair(rng, (3,), d, m, gaussian)
+    e1, e0 = (stack[0] if which != "second" else one[0]), (stack[1] if which != "first" else one[1])
+    mu, pi = rows(rng, (d,)), rows(rng, (d, d))
+    for call in (
+        lambda: local_k_vector(pi, pi, e1, e0),
+        lambda: local_k_root(mu, mu, e1, e0),
+        lambda: local_k_terms(mu, mu, pi, pi, e1, e0),
+    ):
+        with pytest.raises(ValueError, match="^emission must be one spec, not a stack$"):
+            call()
+    # one node's stack of one spec is refused too: these functions take no stack
+    e1, e0 = (s.for_nodes(slice(0, 1)) for s in stack)
+    with pytest.raises(ValueError, match="one spec, not a stack"):
+        local_k_root(mu, mu, e1, e0)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("nodes", [0, 3, 5, 6, 40])
+def test_a_stack_of_the_wrong_node_count_is_refused(gaussian, nodes):
+    """A stacked spec must cover the weight stack's n nodes (`local_k_stack`)
+    or n + 1 with the root first (`local_k_tree`); too few or too many is an
+    error, whatever the block size, never a table of other nodes' terms."""
+    rng = np.random.default_rng(8)
+    n, d, m = 4, 2, 3
+    pi1, pi0 = rows(rng, (n, d, d)), rows(rng, (n, d, d))
+    mu = rows(rng, (d,))
+    e1, e0 = _spec_pair(rng, (nodes,), d, m, gaussian)
+    shared = _spec_pair(rng, (), d, m, gaussian)
+    for block in (1, 2, 1 << 17):
+        with mock.patch.object(hmtkl.divergence, "_BLOCK_ENTRIES", block * d * d):
+            if nodes != n:
+                with pytest.raises(ValueError, match=f"^emission stack covers {nodes} nodes, expected {n}$"):
+                    local_k_stack(pi1, pi0, e1, shared[1])
+                with pytest.raises(ValueError, match=f"^emission stack covers {nodes} nodes, expected {n}$"):
+                    local_k_stack(pi1, pi0, shared[0], e0)
+            if nodes != n + 1:
+                with pytest.raises(ValueError, match=f"^emission stack covers {nodes} nodes, expected {n + 1}$"):
+                    local_k_tree(mu, mu, pi1, pi0, e1, e0)
+                with pytest.raises(ValueError, match=f"^emission stack covers {nodes} nodes, expected {n + 1}$"):
+                    local_k_tree(mu, mu, pi1, pi0, shared[0], e0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_a_discrete_chain_takes_one_kernel_call_per_function(d):
+    """The root, the step and both at once each come from one `_rel_entr`
+    call over the initial laws' rows, the transition rows and the emission
+    rows that the function needs."""
+    rng = np.random.default_rng(d)
+    mu1, mu0, pi1, pi0 = rows(rng, (d,)), rows(rng, (d,)), rows(rng, (d, d)), rows(rng, (d, d))
+    e1, e0 = _spec_pair(rng, (), d, 4, False)
+    calls = {
+        "local_k_terms": (lambda: local_k_terms(mu1, mu0, pi1, pi0, e1, e0), d * 4 + d + d * d),
+        "local_k_vector": (lambda: local_k_vector(pi1, pi0, e1, e0), d * 4 + d * d),
+        "local_k_root": (lambda: local_k_root(mu1, mu0, e1, e0), d * 4 + d),
+    }
+    for name, (call, terms) in calls.items():
+        with mock.patch.object(hmtkl.divergence, "_rel_entr", wraps=hmtkl.divergence._rel_entr) as kernel:
+            call()
+        assert kernel.call_count == 1, name
+        assert kernel.call_args.args[0].size == terms, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    d=st.integers(1, 6),
+    gaussian=st.booleans(),
+    stacked_emissions=st.booleans(),
+    nodes_per_block=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_block_of_several_nodes_takes_its_weights_in_a_call_of_their_own(n, d, gaussian, stacked_emissions, nodes_per_block, seed):
+    """A per-node stack's block of two or more nodes hands the kernel a view
+    of its own weights; a block of one node joins its weights to the block's
+    discrete emission rows instead, so no call sees a view of the stack there.
+    Gaussian specs have no rows, and each block's weights make its one call."""
+    rng = np.random.default_rng(seed)
+    pi1, pi0 = rows(rng, (n, d, d), 0.3), rows(rng, (n, d, d), 0.3)
+    e1, e0 = _spec_pair(rng, (n,) if stacked_emissions else (), d, 3, gaussian, 0.3)
+    counts = [min(nodes_per_block, n - lo) for lo in range(0, n, nodes_per_block)]
+    with mock.patch.object(hmtkl.divergence, "_BLOCK_ENTRIES", nodes_per_block * d * d):
+        with mock.patch.object(hmtkl.divergence, "_rel_entr", wraps=hmtkl.divergence._rel_entr) as kernel:
+            local_k_stack(pi1, pi0, e1, e0)
+    own = [call.args[0].shape for call in kernel.call_args_list if np.shares_memory(call.args[0], pi1)]
+    assert own == [(c, d, d) for c in counts if c > 1 or gaussian]
+    assert kernel.call_count == (len(counts) if gaussian else len(own) + len(counts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 8),
+    m=st.integers(1, 4),
+    gaussian=st.booleans(),
+    p_zero=st.sampled_from([0.0, 0.3, 0.6]),
+    nodes_per_block=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_chain_step_is_a_one_node_stack_of_the_tree_table(n, d, m, gaussian, p_zero, nodes_per_block, seed):
+    """A chain is the one-child tree: `local_k_terms` of a chain gives the
+    bits of `local_k_tree` on its `as_tree` model, the root term and every
+    row of the table, at every block size, hard zeros and +inf included."""
+    rng = np.random.default_rng(seed)
+    e1, e0 = _spec_pair(rng, (), d, m, gaussian, p_zero)
+    m1, m0 = (
+        HmmModel(length=n, initial=rows(rng, (d,), p_zero), transition=rows(rng, (d, d), p_zero), emission=e)
+        for e in (e1, e0)
+    )
+    root, step = local_k_terms(m1.initial, m0.initial, m1.transition, m0.transition, e1, e0)
+    t1, t0 = m1.as_tree(), m0.as_tree()
+    pi1, pi0 = (np.broadcast_to(t.transition_stack, (n - 1, d, d)) for t in (t1, t0))
+    with mock.patch.object(hmtkl.divergence, "_BLOCK_ENTRIES", nodes_per_block * d * d):
+        tree_root, table = local_k_tree(t1.initial, t0.initial, pi1, pi0, t1.emission_stack, t0.emission_stack)
+    assert type(root) is float and np.float64(root).tobytes() == np.float64(tree_root).tobytes()
+    assert table.shape == (n - 1, d)
+    assert table.tobytes() == np.tile(step, (n - 1, 1)).tobytes()

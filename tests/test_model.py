@@ -832,6 +832,20 @@ class TestEvidence:
         with pytest.raises(ValueError, match="1-based"):
             Evidence.from_external([0, 1])
 
+    @pytest.mark.parametrize("build", [Evidence, Evidence.from_external])
+    def test_refuses_symbols_that_are_not_integers(self, build):
+        """A float symbol is refused, never truncated to its integer part;
+        integral floats and integer arrays of any width still load."""
+        for values, shown in (([1.5, 0.2], "1.5"), ([2.0, 1.5], "1.5"), ([1.0, math.nan], "nan"), ([math.inf], "inf")):
+            with pytest.raises(ValueError, match=rf"^evidence symbols must be integers, got {shown}$"):
+                build(values)
+            with pytest.raises(ValueError, match="must be integers"):
+                build(np.array(values))
+        offset = 1 if build is Evidence.from_external else 0
+        assert build([1.0, 3.0]).symbols.tolist() == [1 - offset, 3 - offset]
+        assert build(np.array([2, 1], dtype=np.int8)).symbols.tolist() == [2 - offset, 1 - offset]
+        assert build([]).symbols.dtype == np.int64
+
     def test_truncated(self):
         ev = Evidence.from_external([1, 2, 3])
         assert ev.truncated(2).symbols.tolist() == [0, 1]
